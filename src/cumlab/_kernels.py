@@ -11,8 +11,6 @@ read once at import; tests and benchmarks can also call both twins
 directly.  Both paths implement the same argmax/tie-break contract, so a
 result is reproducible within a backend regardless of how the candidate
 space is chunked.
-
-benchmarks/bench_kernels.py times the two backends against each other.
 """
 
 from __future__ import annotations

@@ -19,6 +19,7 @@ metadata go to the manifest, never to the metric CSVs.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import multiprocessing
 import os
@@ -26,6 +27,7 @@ import sys
 import tempfile
 import time
 import traceback
+from collections.abc import Mapping
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -401,7 +403,8 @@ def _fmt(value: float) -> str:
     return repr(float(value))
 
 
-def _write_outputs(cfg: ExperimentConfig, results: list[TaskResult], out_dir: str) -> int:
+def _write_outputs(cfg: ExperimentConfig, results: list[TaskResult], out_dir: str,
+                   blas_threads: dict[str, str] | None = None) -> int:
     results = sorted(results, key=lambda r: r.index)
     by_metric: dict[str, list[str]] = {}
     errors: list[str] = []
@@ -440,6 +443,7 @@ def _write_outputs(cfg: ExperimentConfig, results: list[TaskResult], out_dir: st
         },
         "wall_time_s": {str(r.index): round(r.wall_time_s, 6) for r in results},
         "failed_points": len(errors),
+        "worker_blas_threads": blas_threads,
     }
     _atomic_write(os.path.join(out_dir, "manifest.json"),
                   json.dumps(manifest, indent=2, sort_keys=True) + "\n")
@@ -483,16 +487,62 @@ def _write_search_curve(cfg: ExperimentConfig, results: list[TaskResult], out_di
     _atomic_write(os.path.join(out_dir, "success_rate.csv"), "\n".join(lines) + "\n")
 
 
+_BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+
+# Experiments whose metrics change with the BLAS thread count.  OpenBLAS
+# rounds the fourth-moment Gram product of nlgp-localisation differently
+# with one thread and with two (cp_ipr differs at d = 10), so its workers
+# keep the thread count of an in-process run and the CSVs stay independent
+# of --jobs.
+_BLAS_THREAD_SENSITIVE = frozenset({"nlgp-localisation"})
+
+
+def _cpu_count() -> int:
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # not available on every platform
+        return os.cpu_count() or 1
+
+
+def worker_blas_threads(jobs: int, environ: Mapping[str, str], cpus: int) -> dict[str, str]:
+    """The BLAS thread variables each of `jobs` pool workers starts with.
+
+    Every worker gets an equal share of the CPUs, at least one thread, so
+    BLAS threads do not oversubscribe the machine.  A variable already set
+    in `environ` is passed on unchanged.
+    """
+    share = str(max(1, cpus // jobs))
+    return {var: environ.get(var, share) for var in _BLAS_THREAD_VARS}
+
+
+@contextlib.contextmanager
+def _environ_defaults(values: Mapping[str, str]):
+    """Set the variables of `values` that os.environ lacks; unset them on exit."""
+    added = {var: val for var, val in values.items() if var not in os.environ}
+    os.environ.update(added)
+    try:
+        yield
+    finally:
+        for var in added:
+            del os.environ[var]
+
+
 def run(cfg: ExperimentConfig, out_dir: str, jobs: int = 1) -> int:
     """Execute all grid points; returns the process exit code."""
     os.makedirs(out_dir, exist_ok=True)
     args = [(i, task, cfg.experiment, cfg.seed, out_dir) for i, task in enumerate(cfg.tasks)]
+    blas_threads = None
     if jobs > 1 and len(args) > 1:
-        with multiprocessing.get_context("spawn").Pool(jobs) as pool:
-            results = pool.map(_run_task, args)
+        if cfg.experiment not in _BLAS_THREAD_SENSITIVE:
+            blas_threads = worker_blas_threads(jobs, os.environ, _cpu_count())
+        # Spawn workers inherit os.environ and read these when BLAS loads;
+        # the parent's BLAS is loaded already, so only the workers see them.
+        with _environ_defaults(blas_threads or {}):
+            with multiprocessing.get_context("spawn").Pool(jobs) as pool:
+                results = pool.map(_run_task, args)
     else:
         results = [_run_task(a) for a in args]
-    return _write_outputs(cfg, results, out_dir)
+    return _write_outputs(cfg, results, out_dir, blas_threads)
 
 
 # ---------------------------------------------------------------------------

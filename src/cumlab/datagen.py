@@ -33,7 +33,6 @@ from dataclasses import dataclass
 from math import erf
 
 import numpy as np
-from scipy.integrate import quad
 from scipy.special import erf as erf_vec
 
 from .hermite import GDistribution
@@ -135,6 +134,10 @@ def erf_variance_quadrature(gain: float) -> float:
     half line resolves every gain to near machine precision and still
     works for any other saturating nonlinearity.
     """
+    # Imported here, not at module level: scipy.integrate takes longer to
+    # import than the rest of cumlab together, and only NLGP sampling needs it.
+    from scipy.integrate import quad
+
     val, err = quad(
         lambda z: erf(gain * z) ** 2 * np.exp(-0.5 * z * z),
         0.0,

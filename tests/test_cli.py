@@ -8,6 +8,7 @@ import sys
 import numpy as np
 import pytest
 
+import cumlab
 from cumlab import cli, datagen
 
 
@@ -261,3 +262,90 @@ def test_nlgp_localisation_smoke(tmp_path):
     assert rows[0] == "d,n,data_class,run,value"
     classes = {r.split(",")[2] for r in rows[1:]}
     assert classes == {"nlgp", "gp_match"}
+
+
+TINY_TRAIN_CFG = {
+    "experiment": "train-sweep",
+    "seed": 11,
+    "task": "spiked_wishart",
+    "beta": 5.0,
+    "d": [8],
+    "n_per_class": [40, 60],
+    "alpha_lazy": [1.0],
+    "runs": 1,
+    "n_test_per_class": 100,
+    "train": {"epochs": 2, "batch_size": 8},
+    "rf": True,
+}
+
+
+def test_train_sweep_deterministic_across_jobs(tmp_path):
+    cfg = write_config(tmp_path, "cfg.json", TINY_TRAIN_CFG)
+    out1, out2 = str(tmp_path / "j1"), str(tmp_path / "j2")
+    assert run_cli(["train-sweep", "--config", cfg, "--out", out1, "--jobs", "1"]) == 0
+    assert run_cli(["train-sweep", "--config", cfg, "--out", out2, "--jobs", "2"]) == 0
+    csvs = sorted(n for n in os.listdir(out1) if n.endswith(".csv"))
+    assert "rf_acc.csv" in csvs and "nn_final_max_ipr.csv" in csvs
+    assert csvs == sorted(n for n in os.listdir(out2) if n.endswith(".csv"))
+    for name in csvs:
+        assert read_bytes(os.path.join(out1, name)) == read_bytes(os.path.join(out2, name)), name
+    m1 = json.loads(read_bytes(os.path.join(out1, "manifest.json")))
+    assert m1["worker_blas_threads"] is None
+
+
+def test_pool_restores_blas_environment(tmp_path, monkeypatch):
+    # one variable set by the user, the other two unset
+    for var in cli._BLAS_THREAD_VARS:
+        monkeypatch.delenv(var, raising=False)
+    monkeypatch.setenv("OMP_NUM_THREADS", "1")
+    before = {var: os.environ.get(var) for var in cli._BLAS_THREAD_VARS}
+    cfg = write_config(tmp_path, "cfg.json", TINY_TRAIN_CFG)
+    out = str(tmp_path / "env")
+    assert run_cli(["train-sweep", "--config", cfg, "--out", out, "--jobs", "2"]) == 0
+    assert {var: os.environ.get(var) for var in cli._BLAS_THREAD_VARS} == before
+    manifest = json.loads(read_bytes(os.path.join(out, "manifest.json")))
+    share = str(max(1, cli._cpu_count() // 2))
+    assert manifest["worker_blas_threads"] == {
+        "OPENBLAS_NUM_THREADS": share, "OMP_NUM_THREADS": "1", "MKL_NUM_THREADS": share,
+    }
+
+
+def test_nlgp_pool_keeps_default_blas_threads(tmp_path):
+    # d = 10 gives a 100 x 100 moment Gram product, whose OpenBLAS rounding
+    # depends on the thread count.
+    cfg = write_config(tmp_path, "cfg.json", {
+        "experiment": "nlgp-localisation", "seed": 5, "d": 10, "gain": 3.0, "xi": 1.0,
+        "n_per_d": [20], "runs": 2,
+    })
+    outs = [str(tmp_path / f"j{jobs}") for jobs in (1, 2)]
+    for jobs, out in zip((1, 2), outs):
+        assert run_cli(["nlgp-localisation", "--config", cfg, "--out", out,
+                        "--jobs", str(jobs)]) == 0
+    for name in ("cp_ipr.csv", "cp_weight.csv"):
+        assert read_bytes(os.path.join(outs[0], name)) == read_bytes(os.path.join(outs[1], name))
+    manifest = json.loads(read_bytes(os.path.join(outs[1], "manifest.json")))
+    assert manifest["worker_blas_threads"] is None
+
+
+def test_worker_blas_threads_split_cpus_and_keep_user_values():
+    assert cli.worker_blas_threads(2, {}, cpus=8) == {
+        "OPENBLAS_NUM_THREADS": "4", "OMP_NUM_THREADS": "4", "MKL_NUM_THREADS": "4",
+    }
+    # more workers than CPUs still leaves each worker one thread
+    assert set(cli.worker_blas_threads(3, {}, cpus=2).values()) == {"1"}
+    user = {"OPENBLAS_NUM_THREADS": "3", "PATH": "/bin"}
+    assert cli.worker_blas_threads(2, user, cpus=2) == {
+        "OPENBLAS_NUM_THREADS": "3", "OMP_NUM_THREADS": "1", "MKL_NUM_THREADS": "1",
+    }
+
+
+def test_import_leaves_scipy_integrate_unloaded():
+    # A fresh interpreter, so modules imported by other tests do not count;
+    # it imports the same cumlab package as this process.
+    env = dict(os.environ)
+    root = os.path.dirname(os.path.dirname(cumlab.__file__))
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [root, env.get("PYTHONPATH")]))
+    code = "import sys, cumlab.cli; print('scipy.integrate' in sys.modules)"
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"
