@@ -487,32 +487,22 @@ def _write_search_curve(cfg: ExperimentConfig, results: list[TaskResult], out_di
     _atomic_write(os.path.join(out_dir, "success_rate.csv"), "\n".join(lines) + "\n")
 
 
-_BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
-
-# Experiments whose metrics change with the BLAS thread count.  OpenBLAS
-# rounds the fourth-moment Gram product of nlgp-localisation differently
-# with one thread and with two (cp_ipr differs at d = 10), so its workers
-# keep the thread count of an in-process run and the CSVs stay independent
-# of --jobs.
-_BLAS_THREAD_SENSITIVE = frozenset({"nlgp-localisation"})
-
-
-def _cpu_count() -> int:
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:  # not available on every platform
-        return os.cpu_count() or 1
+# Idle BLAS threads busy-wait for work before they sleep: OpenBLAS for
+# 2^28 cycles by default, OpenMP runtimes in their active wait policy.  In
+# a pool of several workers those spinning threads take the cores from the
+# other workers.  These settings make idle threads sleep at once.  They
+# leave the thread count alone: BLAS rounding depends on how a product is
+# split between threads, and workers that kept the thread count of an
+# in-process run give the same bits at any --jobs.
+_WORKER_BLAS_WAIT = {"OPENBLAS_THREAD_TIMEOUT": "4", "OMP_WAIT_POLICY": "PASSIVE"}
 
 
-def worker_blas_threads(jobs: int, environ: Mapping[str, str], cpus: int) -> dict[str, str]:
-    """The BLAS thread variables each of `jobs` pool workers starts with.
+def worker_blas_threads(environ: Mapping[str, str]) -> dict[str, str]:
+    """The BLAS thread settings pool workers start with.
 
-    Every worker gets an equal share of the CPUs, at least one thread, so
-    BLAS threads do not oversubscribe the machine.  A variable already set
-    in `environ` is passed on unchanged.
+    A variable already set in `environ` is passed on unchanged.
     """
-    share = str(max(1, cpus // jobs))
-    return {var: environ.get(var, share) for var in _BLAS_THREAD_VARS}
+    return {var: environ.get(var, val) for var, val in _WORKER_BLAS_WAIT.items()}
 
 
 @contextlib.contextmanager
@@ -533,11 +523,10 @@ def run(cfg: ExperimentConfig, out_dir: str, jobs: int = 1) -> int:
     args = [(i, task, cfg.experiment, cfg.seed, out_dir) for i, task in enumerate(cfg.tasks)]
     blas_threads = None
     if jobs > 1 and len(args) > 1:
-        if cfg.experiment not in _BLAS_THREAD_SENSITIVE:
-            blas_threads = worker_blas_threads(jobs, os.environ, _cpu_count())
+        blas_threads = worker_blas_threads(os.environ)
         # Spawn workers inherit os.environ and read these when BLAS loads;
         # the parent's BLAS is loaded already, so only the workers see them.
-        with _environ_defaults(blas_threads or {}):
+        with _environ_defaults(blas_threads):
             with multiprocessing.get_context("spawn").Pool(jobs) as pool:
                 results = pool.map(_run_task, args)
     else:

@@ -118,20 +118,9 @@ class DivergenceError(RuntimeError):
         self.epoch = epoch
 
 
-def ipr(w: np.ndarray) -> float | np.ndarray:
-    """Inverse participation ratio sum w_i^4 / (sum w_i^2)^2, in [1/d, 1].
-
-    A 2-D array gives one value per row, bit-identical to calling ipr on
-    each row in turn.
-    """
+def ipr(w: np.ndarray) -> float:
+    """Inverse participation ratio sum w_i^4 / (sum w_i^2)^2, in [1/d, 1]."""
     w = np.asarray(w, dtype=np.float64)
-    if w.ndim == 2:
-        s2 = np.vecdot(w, w)
-        if np.any(s2 == 0.0):
-            raise ValueError("IPR of the zero vector is undefined")
-        # Square each norm as a Python float, as the 1-D form does: libm's
-        # pow(x, 2) and numpy's x * x can differ in the last bit.
-        return np.sum(w**4, axis=1) / np.array([s**2 for s in s2.tolist()])
     s2 = float(w @ w)
     if s2 == 0.0:
         raise ValueError("IPR of the zero vector is undefined")
@@ -271,8 +260,9 @@ def train_2lnn(
         report.overlap_trajectory.append(
             max_spike_overlap(net.W, u) if u is not None else float("nan")
         )
-        live = net.W[np.any(net.W, axis=1)]
-        report.ipr_trajectory.append(max(ipr(live).tolist(), default=float("nan")))
+        report.ipr_trajectory.append(
+            max((ipr(w) for w in net.W if np.any(w)), default=float("nan"))
+        )
     report.early_stop_accuracy = max(report.test_accuracy, default=0.0)
     return report, net
 

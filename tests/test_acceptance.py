@@ -322,6 +322,7 @@ def test_criterion_12_determinism_across_workers(tmp_path):
     all_ok = True
     details = []
     for name, (cfg, metric_file) in experiments.items():
+        # every CSV is compared; metric_file only has to be among them
         cfg_path = tmp_path / f"{name}.json"
         cfg_path.write_text(_json.dumps(cfg))
         outputs = []
@@ -329,8 +330,9 @@ def test_criterion_12_determinism_across_workers(tmp_path):
             out = tmp_path / f"{name}-j{jobs}"
             assert cli.main([name, "--config", str(cfg_path),
                              "--out", str(out), "--jobs", jobs]) == 0
-            with open(out / metric_file, "rb") as fh:
-                outputs.append(fh.read())
+            names = sorted(p.name for p in out.glob("*.csv"))
+            assert metric_file in names
+            outputs.append({n: (out / n).read_bytes() for n in names})
         same = outputs[0] == outputs[1] == outputs[2]
         all_ok &= same
         details.append(f"{name}={same}")

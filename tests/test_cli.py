@@ -264,12 +264,14 @@ def test_nlgp_localisation_smoke(tmp_path):
     assert classes == {"nlgp", "gp_match"}
 
 
+# d = 20 gives 100 hidden neurons and 100 random features.  OpenBLAS 0.3.31
+# rounds a 100-wide Gram product differently with one thread and with two.
 TINY_TRAIN_CFG = {
     "experiment": "train-sweep",
     "seed": 11,
     "task": "spiked_wishart",
     "beta": 5.0,
-    "d": [8],
+    "d": [20],
     "n_per_class": [40, 60],
     "alpha_lazy": [1.0],
     "runs": 1,
@@ -293,50 +295,36 @@ def test_train_sweep_deterministic_across_jobs(tmp_path):
     assert m1["worker_blas_threads"] is None
 
 
+BLAS_ENV_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS",
+                 *cli._WORKER_BLAS_WAIT)
+
+
 def test_pool_restores_blas_environment(tmp_path, monkeypatch):
-    # one variable set by the user, the other two unset
-    for var in cli._BLAS_THREAD_VARS:
+    # the user set a thread count and one wait setting, not the other
+    for var in BLAS_ENV_VARS:
         monkeypatch.delenv(var, raising=False)
-    monkeypatch.setenv("OMP_NUM_THREADS", "1")
-    before = {var: os.environ.get(var) for var in cli._BLAS_THREAD_VARS}
+    monkeypatch.setenv("OPENBLAS_NUM_THREADS", "2")
+    monkeypatch.setenv("OMP_WAIT_POLICY", "ACTIVE")
+    before = {var: os.environ.get(var) for var in BLAS_ENV_VARS}
     cfg = write_config(tmp_path, "cfg.json", TINY_TRAIN_CFG)
     out = str(tmp_path / "env")
     assert run_cli(["train-sweep", "--config", cfg, "--out", out, "--jobs", "2"]) == 0
-    assert {var: os.environ.get(var) for var in cli._BLAS_THREAD_VARS} == before
+    assert {var: os.environ.get(var) for var in BLAS_ENV_VARS} == before
     manifest = json.loads(read_bytes(os.path.join(out, "manifest.json")))
-    share = str(max(1, cli._cpu_count() // 2))
     assert manifest["worker_blas_threads"] == {
-        "OPENBLAS_NUM_THREADS": share, "OMP_NUM_THREADS": "1", "MKL_NUM_THREADS": share,
+        "OPENBLAS_THREAD_TIMEOUT": "4", "OMP_WAIT_POLICY": "ACTIVE",
     }
 
 
-def test_nlgp_pool_keeps_default_blas_threads(tmp_path):
-    # d = 10 gives a 100 x 100 moment Gram product, whose OpenBLAS rounding
-    # depends on the thread count.
-    cfg = write_config(tmp_path, "cfg.json", {
-        "experiment": "nlgp-localisation", "seed": 5, "d": 10, "gain": 3.0, "xi": 1.0,
-        "n_per_d": [20], "runs": 2,
-    })
-    outs = [str(tmp_path / f"j{jobs}") for jobs in (1, 2)]
-    for jobs, out in zip((1, 2), outs):
-        assert run_cli(["nlgp-localisation", "--config", cfg, "--out", out,
-                        "--jobs", str(jobs)]) == 0
-    for name in ("cp_ipr.csv", "cp_weight.csv"):
-        assert read_bytes(os.path.join(outs[0], name)) == read_bytes(os.path.join(outs[1], name))
-    manifest = json.loads(read_bytes(os.path.join(outs[1], "manifest.json")))
-    assert manifest["worker_blas_threads"] is None
-
-
-def test_worker_blas_threads_split_cpus_and_keep_user_values():
-    assert cli.worker_blas_threads(2, {}, cpus=8) == {
-        "OPENBLAS_NUM_THREADS": "4", "OMP_NUM_THREADS": "4", "MKL_NUM_THREADS": "4",
+def test_worker_blas_threads_keep_user_values_and_thread_count():
+    assert cli.worker_blas_threads({}) == {
+        "OPENBLAS_THREAD_TIMEOUT": "4", "OMP_WAIT_POLICY": "PASSIVE",
     }
-    # more workers than CPUs still leaves each worker one thread
-    assert set(cli.worker_blas_threads(3, {}, cpus=2).values()) == {"1"}
-    user = {"OPENBLAS_NUM_THREADS": "3", "PATH": "/bin"}
-    assert cli.worker_blas_threads(2, user, cpus=2) == {
-        "OPENBLAS_NUM_THREADS": "3", "OMP_NUM_THREADS": "1", "MKL_NUM_THREADS": "1",
-    }
+    user = {"OPENBLAS_THREAD_TIMEOUT": "30", "OPENBLAS_NUM_THREADS": "3", "PATH": "/bin"}
+    env = cli.worker_blas_threads(user)
+    assert env == {"OPENBLAS_THREAD_TIMEOUT": "30", "OMP_WAIT_POLICY": "PASSIVE"}
+    # workers inherit the thread count, user-set or default, as it is
+    assert not any(var.endswith("_NUM_THREADS") for var in env)
 
 
 def test_import_leaves_scipy_integrate_unloaded():

@@ -34,19 +34,6 @@ def test_ipr_scale_invariance_and_zero():
         learn.ipr(np.zeros(5))
 
 
-def test_ipr_rows_match_per_row_calls():
-    # The row-wise form does the same arithmetic, so it must agree bit for bit.
-    rng = np.random.default_rng(3)
-    for shape in ((160, 32), (24, 8), (1, 5)):
-        W = rng.standard_normal(shape) * rng.uniform(0.01, 100.0, size=(shape[0], 1))
-        rows = learn.ipr(W)
-        assert rows.shape == (shape[0],)
-        assert rows.tolist() == [learn.ipr(w) for w in W]
-    assert learn.ipr(np.zeros((0, 4))).shape == (0,)
-    with pytest.raises(ValueError):
-        learn.ipr(np.vstack([np.ones(5), np.zeros(5)]))
-
-
 def test_max_spike_overlap_basic():
     d = 12
     u = datagen.draw_spike(d, np.random.default_rng(1))
