@@ -1,16 +1,21 @@
-"""Hot numeric kernels with numba and pure-numpy twins.
+"""Hot numeric kernels.
 
-Every kernel here exists in two semantically identical implementations:
+The Hermite evaluation and the SGD epoch exist in two semantically
+identical implementations:
 
 * ``*_numba`` -- scalar loops compiled with ``numba.njit``, used by default;
 * ``*_numpy`` -- vectorised numpy, used when numba is unavailable or when
   the environment variable ``CUMLAB_BACKEND=numpy`` is set.
 
 ``CUMLAB_BACKEND`` accepts ``auto`` (default), ``numba`` or ``numpy`` and is
-read once at import; tests and benchmarks can also call both twins
-directly.  Both paths implement the same argmax/tie-break contract, so a
-result is reproducible within a backend regardless of how the candidate
-space is chunked.
+read once at import; tests can also call both twins directly.
+
+The exhaustive spike search is numpy only.  It takes the per-sample score
+as a function (``likelihood.loglik_terms`` with beta and g bound by the
+caller), so the search and the likelihood share one implementation; this
+module does not import ``likelihood``, which imports ``hermite``, which
+imports this module.  Its argmax and tie-break do not depend on how the
+candidate space is split into blocks.
 """
 
 from __future__ import annotations
@@ -110,87 +115,24 @@ def hermite_eval(m: int, x: np.ndarray) -> np.ndarray:
 #
 # Candidates are indexed by a (d-1)-bit code: bit (d-1-i) gives the sign of
 # coordinate i (set bit -> +1), so the code's integer order is the
-# lexicographic order with -1 < +1.  Ties in the score are broken toward
-# the smallest code.  The per-sample score term for projection value p is
-#
-#   log sum_i exp( g_logw[i] - (1+beta)/2 (g_i - scale*p)^2 + g_i^2/2 )
-#
-# plus 0.5*log(1+beta) once per sample, i.e. the conditional log-likelihood
-# ratio evaluated with a finite-node representation of E_g.
+# lexicographic order with -1 < +1.  Codes are scored in blocks; ties in
+# the score are broken toward the smallest code.
 # ---------------------------------------------------------------------------
 
-
-@njit(cache=True)
-def _search_kernel_numba(X, scale, beta, g_nodes, g_logw):
-    n, d = X.shape
-    k_nodes = g_nodes.shape[0]
-    half_log = 0.5 * np.log(1.0 + beta)
-    a = 0.5 * (1.0 + beta)
-
-    sign = np.empty(d)
-    sign[0] = 1.0
-    for i in range(1, d):
-        sign[i] = -1.0
-    proj = np.zeros(n)
-    for mu in range(n):
-        s = 0.0
-        for i in range(d):
-            s += sign[i] * X[mu, i]
-        proj[mu] = s
-
-    best_score = -np.inf
-    best_code = np.int64(0)
-    ncand = np.int64(1) << (d - 1)
-    for k in range(ncand):
-        if k > 0:
-            b = 0
-            kk = k
-            while kk & 1 == 0:
-                kk >>= 1
-                b += 1
-            coord = d - 1 - b
-            sign[coord] = -sign[coord]
-            delta = 2.0 * sign[coord]
-            for mu in range(n):
-                proj[mu] += delta * X[mu, coord]
-        score = 0.0
-        for mu in range(n):
-            t = scale * proj[mu]
-            mx = -np.inf
-            for j in range(k_nodes):
-                e = g_logw[j] - a * (g_nodes[j] - t) ** 2 + 0.5 * g_nodes[j] ** 2
-                if e > mx:
-                    mx = e
-            acc = 0.0
-            for j in range(k_nodes):
-                e = g_logw[j] - a * (g_nodes[j] - t) ** 2 + 0.5 * g_nodes[j] ** 2
-                acc += np.exp(e - mx)
-            score += half_log + mx + np.log(acc)
-        gray = k ^ (k >> 1)
-        if score > best_score or (score == best_score and gray < best_code):
-            best_score = score
-            best_code = gray
-    return best_code, best_score
+# cap on n * block, so a per-sample score that expands each projection over
+# 64 quadrature nodes keeps its (n, block, 64) workspace at 2^24 elements
+_SEARCH_WORKSPACE = 1 << 18
 
 
-def search_best_code_numba(X, scale, beta, g_nodes, g_logw):
-    code, score = _search_kernel_numba(
-        np.ascontiguousarray(X, dtype=np.float64),
-        float(scale),
-        float(beta),
-        np.ascontiguousarray(g_nodes, dtype=np.float64),
-        np.ascontiguousarray(g_logw, dtype=np.float64),
-    )
-    return int(code), float(score)
+def search_best_code(X, scale, terms, block: int = 2048):
+    """Best candidate code and its score sum_mu terms(scale * x_mu . v).
 
-
-def search_best_code_numpy(X, scale, beta, g_nodes, g_logw, block: int = 2048):
+    `terms` maps an array of scaled projections to per-sample scores of the
+    same shape (``likelihood.loglik_terms`` with beta and g bound).
+    """
     n, d = X.shape
     ncand = 1 << (d - 1)
-    a = 0.5 * (1.0 + beta)
-    half_log = 0.5 * np.log(1.0 + beta)
-    # keep the (n, block, nodes) workspace bounded
-    block = max(1, min(block, ncand, (1 << 24) // max(1, n * len(g_nodes))))
+    block = max(1, min(block, ncand, _SEARCH_WORKSPACE // max(1, n)))
     shifts = d - 1 - np.arange(1, d)
     best_score, best_code = -np.inf, 0
     for start in range(0, ncand, block):
@@ -198,23 +140,11 @@ def search_best_code_numpy(X, scale, beta, g_nodes, g_logw, block: int = 2048):
         V = np.ones((len(codes), d))
         V[:, 1:] = np.where((codes[:, None] >> shifts[None, :]) & 1 == 1, 1.0, -1.0)
         T = scale * (X @ V.T)  # (n, block)
-        E = (
-            g_logw[None, None, :]
-            - a * (g_nodes[None, None, :] - T[:, :, None]) ** 2
-            + 0.5 * g_nodes[None, None, :] ** 2
-        )
-        mx = E.max(axis=2)
-        scores = (half_log + mx + np.log(np.exp(E - mx[:, :, None]).sum(axis=2))).sum(axis=0)
+        scores = terms(T).sum(axis=0)
         j = int(np.argmax(scores))  # first max = smallest code within the block
-        if scores[j] > best_score or (scores[j] == best_score and int(codes[j]) < best_code):
+        if scores[j] > best_score:
             best_score, best_code = float(scores[j]), int(codes[j])
     return best_code, best_score
-
-
-def search_best_code(X, scale, beta, g_nodes, g_logw):
-    if _BACKEND == "numba":
-        return search_best_code_numba(X, scale, beta, g_nodes, g_logw)
-    return search_best_code_numpy(X, scale, beta, g_nodes, g_logw)
 
 
 # ---------------------------------------------------------------------------

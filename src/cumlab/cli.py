@@ -231,6 +231,16 @@ def _validate(raw: dict) -> ExperimentConfig:
                                       gain=float(raw.get("gain", 3.0)),
                                       xi=float(raw.get("xi", 1.0)),
                                       periodic=bool(raw.get("periodic", False))))
+    # a repeated grid value would give tasks with the same point seed, so
+    # the "independent" runs of that point would be copies of each other
+    seen = set()
+    for task in tasks:
+        key = (task["coords"], task["run"])
+        if key in seen:
+            point = ", ".join(f"{c}={v}" for c, v in zip(cols, task["coords"]))
+            raise ConfigError(f"grid point {point} (run {task['run']}) appears twice; "
+                              "grid values must be distinct")
+        seen.add(key)
     return ExperimentConfig(experiment=experiment, seed=seed, raw=raw,
                             coord_columns=cols, tasks=tasks)
 
@@ -470,19 +480,25 @@ def _write_bound_rows(cfg: ExperimentConfig, results: list[TaskResult], out_dir:
 
 
 def _write_search_curve(cfg: ExperimentConfig, results: list[TaskResult], out_dir: str) -> None:
-    """Aggregated curve in the detector's native CSV dialect."""
-    runs = int(cfg.raw.get("runs", 1))
+    """Aggregated curve in the detector's native CSV dialect.
+
+    A point's rate is over its runs that finished; a failed run is left
+    out, not counted as a miss, and `runs` holds the number that finished.
+    """
     beta = float(cfg.raw["beta"])
     hits: dict[tuple, int] = {}
+    done: dict[tuple, int] = {}
     for res in results:
         if res.error is not None:
             continue
         for rec in res.records:
             if rec.metric == "success":
                 hits[rec.coords] = hits.get(rec.coords, 0) + int(rec.value)
+                done[rec.coords] = done.get(rec.coords, 0) + 1
     lines = ["theta,success_rate,runs,d,beta,seed"]
     for coords in sorted(hits):
         d, theta = coords
+        runs = done[coords]
         lines.append(f"{theta},{hits[coords] / runs},{runs},{d},{beta},{cfg.seed}")
     _atomic_write(os.path.join(out_dir, "success_rate.csv"), "\n".join(lines) + "\n")
 

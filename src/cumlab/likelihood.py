@@ -130,21 +130,32 @@ def lr_point(n: int, d: int, beta: float, g_dist: GDistribution) -> LrPoint:
 
 
 def loglik_terms(proj, beta: float, g_dist: GDistribution) -> np.ndarray:
-    """Per-sample conditional log-likelihood ratio from raw projections x.u.
+    """Per-sample conditional log-likelihood ratio from scaled projections.
 
     Implements log E_g sqrt(1+beta) exp(-(1+beta)/2 (g - t)^2 + g^2/2) with
     t = sqrt(beta/((1+beta) d)) x.u supplied as `proj` already scaled by
-    the caller; exact two-term log-sum-exp for Rademacher g, quadrature for
-    Uniform, identically zero for standard Gaussian g.
+    the caller.  This is the only per-sample score: the exhaustive search,
+    `sample_log_likelihood` and the detector all evaluate it.
+
+    Rademacher g has the closed form 1/2 log(1+beta) + 1/2 - a(1+t^2)
+    + log cosh(2at) with a = (1+beta)/2, evaluated stably (and exactly even
+    in t) through x = |2at|.  Uniform g uses the 64-node Gauss-Legendre
+    rule with a max-shifted log-sum-exp.  Standard Gaussian g gives
+    identically zero.
     """
     t = np.asarray(proj, dtype=np.float64)
     if g_dist.kind == STANDARD_GAUSSIAN:
         # E_g integrates to 1/sqrt(1+beta) exactly, cancelling the prefactor
         return np.zeros_like(t)
-    nodes, weights = g_dist.quadrature()
     a = 0.5 * (1.0 + beta)
-    expo = np.log(weights)[None, :] - a * (nodes[None, :] - t[..., None]) ** 2 + 0.5 * nodes[None, :] ** 2
-    return 0.5 * np.log1p(beta) + logsumexp(expo, axis=-1)
+    if g_dist.kind == RADEMACHER:
+        x = np.abs((2.0 * a) * t)
+        const = 0.5 * np.log1p(beta) + 0.5 - a - np.log(2.0)
+        return const + x - x * x / (4.0 * a) + np.log1p(np.exp(-2.0 * x))
+    nodes, weights = g_dist.quadrature()
+    E = np.log(weights) - a * (nodes - t[..., None]) ** 2 + 0.5 * nodes**2
+    mx = E.max(axis=-1)
+    return 0.5 * np.log1p(beta) + mx + np.log(np.exp(E - mx[..., None]).sum(axis=-1))
 
 
 def sample_log_likelihood(x: np.ndarray, u: np.ndarray, beta: float, g_dist: GDistribution) -> float:

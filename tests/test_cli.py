@@ -337,3 +337,43 @@ def test_import_leaves_scipy_integrate_unloaded():
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "False"
+
+
+@pytest.mark.parametrize("experiment, payload, point", [
+    ("search-curve", dict(SEARCH_CFG, d=[6, 6]), "d=6, theta=0.5 (run 0)"),
+    ("train-sweep", dict(TINY_TRAIN_CFG, n_per_class=[40, 40]),
+     "d=20, n_per_class=40, alpha_lazy=1.0 (run 0)"),
+])
+def test_duplicate_grid_point_is_refused(tmp_path, capsys, experiment, payload, point):
+    # duplicate tasks share a point seed: their runs would be copies
+    cfg = write_config(tmp_path, "dup.json", payload)
+    out = str(tmp_path / "dup")
+    assert run_cli([experiment, "--config", cfg, "--out", out]) == 2
+    assert f"grid point {point} appears twice" in capsys.readouterr().err
+    assert not os.path.exists(out)
+
+
+def test_success_rate_leaves_out_failed_runs(tmp_path, monkeypatch):
+    real_search = cli.detect.exhaustive_search
+    calls = []
+
+    def flaky_search(*args, **kwargs):
+        calls.append(None)
+        if len(calls) == 2:  # point (7, 0.5), run 1
+            raise RuntimeError("injected search failure")
+        return real_search(*args, **kwargs)
+
+    monkeypatch.setattr(cli.detect, "exhaustive_search", flaky_search)
+    cfg = write_config(tmp_path, "cfg.json", SEARCH_CFG)
+    out = str(tmp_path / "f")
+    assert run_cli(["search-curve", "--config", cfg, "--out", out, "--jobs", "1"]) == 1
+    with open(os.path.join(out, "success.csv")) as fh:
+        rows = [r.split(",") for r in fh.read().strip().splitlines()[1:]]
+    hits = {theta: sum(float(r[3]) for r in rows if r[1] == theta) for theta in ("0.5", "1.25")}
+    assert [r[2] for r in rows if r[1] == "0.5"] == ["0", "2", "3", "4", "5"]
+    with open(os.path.join(out, "success_rate.csv")) as fh:
+        lines = fh.read().strip().splitlines()
+    assert lines[1:] == [
+        f"0.5,{hits['0.5'] / 5},5,7,10.0,21",
+        f"1.25,{hits['1.25'] / 6},6,7,10.0,21",
+    ]

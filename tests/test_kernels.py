@@ -1,5 +1,6 @@
-"""Numba and numpy kernel twins compute the same thing."""
+"""Numba and numpy kernel twins agree; the numpy search matches a brute-force oracle."""
 
+import itertools
 import os
 import subprocess
 import sys
@@ -8,8 +9,9 @@ import numpy as np
 import pytest
 
 import cumlab
-from cumlab import _kernels
+from cumlab import _kernels, detect
 from cumlab.hermite import GDistribution
+from cumlab.likelihood import loglik_terms, sample_log_likelihood
 
 
 def test_backend_selection():
@@ -56,31 +58,38 @@ def test_hermite_twins_agree():
         np.testing.assert_allclose(a, b, rtol=1e-13)
 
 
-def test_search_twins_agree():
+def test_search_matches_brute_force_oracle():
+    # score every spike with first coordinate +1 on its own; the search must
+    # return the first maximiser in code order (lexicographic, -1 < +1)
     rng = np.random.default_rng(1)
     for dist in (GDistribution.rademacher(), GDistribution.uniform()):
-        nodes, weights = dist.quadrature()
-        logw = np.log(weights)
-        for d in (3, 8, 11):
-            for n in (5, 40):
-                X = rng.standard_normal((n, d))
+        for d in (3, 6, 9):
+            for trial in range(3):
+                n = int(rng.integers(2, 60))
                 beta = float(rng.uniform(0.5, 20.0))
-                scale = np.sqrt(beta / ((1 + beta) * d))
-                code_nb, score_nb = _kernels.search_best_code_numba(X, scale, beta, nodes, logw)
-                code_np, score_np = _kernels.search_best_code_numpy(X, scale, beta, nodes, logw)
-                assert code_nb == code_np
-                assert score_nb == pytest.approx(score_np, rel=1e-10)
+                X = rng.standard_normal((n, d))
+                if trial == 0:
+                    X[:, -1] = 0.0  # every spike ties with its last-sign flip
+                spikes = [np.array((1.0,) + signs)
+                          for signs in itertools.product((-1.0, 1.0), repeat=d - 1)]
+                scores = [sample_log_likelihood(X, v, beta, dist) for v in spikes]
+                res = detect.exhaustive_search(X, beta, dist)
+                np.testing.assert_array_equal(res.best_spike, spikes[int(np.argmax(scores))])
+                assert res.best_loglik == pytest.approx(max(scores), rel=1e-12)
 
 
 def test_search_numpy_blocking_invariance():
     rng = np.random.default_rng(2)
     X = rng.standard_normal((20, 9))
-    nodes, weights = GDistribution.rademacher().quadrature()
-    args = (X, 0.3, 10.0, nodes, np.log(weights))
-    full = _kernels.search_best_code_numpy(*args, block=1 << 20)
-    small = _kernels.search_best_code_numpy(*args, block=7)
-    assert full[0] == small[0]
-    assert full[1] == pytest.approx(small[1], rel=1e-12)
+    X[:, 1] = 0.0  # codes c and c + 2^7 tie, and block=7 puts them in different blocks
+    for dist in (GDistribution.rademacher(), GDistribution.uniform()):
+        def terms(t):
+            return loglik_terms(t, 10.0, dist)
+
+        full = _kernels.search_best_code(X, 0.3, terms)
+        small = _kernels.search_best_code(X, 0.3, terms, block=7)
+        assert full[0] == small[0]
+        assert full[1] == pytest.approx(small[1], rel=1e-12)
 
 
 def test_sgd_twins_agree():

@@ -9,6 +9,7 @@ from cumlab.hermite import GDistribution
 from cumlab.likelihood import (
     f_overlap,
     gamma_beta,
+    loglik_terms,
     lr_norm_sq_log,
     sample_log_likelihood,
 )
@@ -185,6 +186,24 @@ def test_sample_log_likelihood_batched():
     assert total == pytest.approx(
         sum(sample_log_likelihood(x, u, 3.0, RADEM) for x in X), rel=1e-12
     )
+
+
+def test_loglik_terms_rademacher_closed_form_is_stable():
+    # the closed form against the two-atom log-sum-exp it replaces, from
+    # t = 0 out to projections where exp(-a(1 + |t|)^2) underflows
+    t_pos = np.array([0.0, 1e-8, 0.3, 5.0, 40.0, 1e3])
+    t = np.concatenate([t_pos, -t_pos[1:]])
+    for beta in (0.5, 10.0, 100.0):
+        a = 0.5 * (1.0 + beta)
+        got = loglik_terms(t, beta, RADEM)
+        assert np.all(np.isfinite(got))
+        np.testing.assert_array_equal(loglik_terms(-t, beta, RADEM), got)
+        ref = 0.5 * np.log1p(beta) + np.logaddexp(
+            np.log(0.5) - a * (1.0 - t) ** 2 + 0.5,
+            np.log(0.5) - a * (1.0 + t) ** 2 + 0.5,
+        )
+        finite = np.isfinite(ref)
+        assert got[finite] == pytest.approx(ref[finite], rel=1e-12)
 
 
 def test_gamma_beta_properties():
