@@ -32,7 +32,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import __version__, _kernels, datagen, detect, ldlr, learn, likelihood
+from . import __version__, datagen, detect, ldlr, learn, likelihood
 from .hermite import GDistribution
 from .rng import generator, spawn_seed
 
@@ -74,24 +74,35 @@ class ExperimentConfig:
     coord_columns: tuple[str, ...]
     tasks: list[dict]
 
-    def point_seed(self, coords: tuple, run: int) -> int:
-        return spawn_seed(self.seed, self.experiment, *coords, run)
-
 
 def _require(cfg: dict, key: str, types, what: str = ""):
     if key not in cfg:
         raise ConfigError(f"missing config key {key!r} {what}")
     val = cfg[key]
-    if not isinstance(val, types):
+    # JSON true/false are Python ints too; no config key takes a boolean here
+    if isinstance(val, bool) or not isinstance(val, types):
         raise ConfigError(f"config key {key!r} has type {type(val).__name__}, expected {types}")
     return val
 
 
-def _as_list(val) -> list:
-    out = val if isinstance(val, list) else [val]
-    if not out:
-        raise ConfigError("grid lists must be non-empty")
-    return out
+def _grid(cfg: dict, key: str, kind: type, default=None) -> list:
+    """The values of grid key `key`: a number or a non-empty list of numbers.
+
+    An int key takes integers only, a float key integers and floats; a
+    bool, a string or (for an int key) a float is refused, never cast.
+    """
+    if default is None or key in cfg:
+        val = _require(cfg, key, (int, float, list))
+    else:
+        val = default
+    vals = val if isinstance(val, list) else [val]
+    if not vals:
+        raise ConfigError(f"grid list {key!r} must be non-empty")
+    allowed = int if kind is int else (int, float)
+    for v in vals:
+        if isinstance(v, bool) or not isinstance(v, allowed):
+            raise ConfigError(f"config key {key!r} has value {v!r}, expected {kind.__name__}")
+    return [kind(v) for v in vals]
 
 
 def _g_dist(cfg: dict, default: str = "rademacher") -> GDistribution:
@@ -149,7 +160,7 @@ def _validate(raw: dict) -> ExperimentConfig:
         if fmt not in ("csv", "binary", "both"):
             raise ConfigError("format must be csv, binary or both")
         neg = raw.get("negative_model")
-        if neg is not None and neg.get("d") != model.get("d"):
+        if neg is not None and _require(raw, "negative_model", dict).get("d") != model.get("d"):
             raise ConfigError("negative_model dimension differs from model dimension")
         cols = ("name",)
         tasks.append(
@@ -162,40 +173,36 @@ def _validate(raw: dict) -> ExperimentConfig:
         _g_dist(raw)
         log10 = bool(raw.get("log10", False))
         cols = ("d", "theta", "beta")
-        for d in _as_list(_require(raw, "d", (int, list))):
-            for theta in _as_list(_require(raw, "theta", (int, float, list))):
-                for beta in _as_list(_require(raw, "beta", (int, float, list))):
-                    tasks.append(dict(kind="lr-point", coords=(int(d), float(theta), float(beta)),
+        for d in _grid(raw, "d", int):
+            for theta in _grid(raw, "theta", float):
+                for beta in _grid(raw, "beta", float):
+                    tasks.append(dict(kind="lr-point", coords=(d, theta, beta),
                                       run=0, g=g, log10=log10))
     elif experiment == "ldlr-bounds":
         g = raw.get("g", "rademacher")
         _g_dist(raw)
         exact = bool(raw.get("exact", False))
         cols = ("d", "n", "D", "beta")
-        for d in _as_list(_require(raw, "d", (int, list))):
-            for n in _as_list(_require(raw, "n", (int, list))):
-                D_values = raw.get("D", "auto")
-                if D_values == "auto":
-                    # degree schedule D(n) = ceil(log^1.5 n), the sweep default
-                    D_list = [int(np.ceil(np.log(max(int(n), 2)) ** 1.5))]
-                else:
-                    D_list = [int(x) for x in _as_list(D_values)]
+        D_values = None if raw.get("D", "auto") == "auto" else _grid(raw, "D", int)
+        for d in _grid(raw, "d", int):
+            for n in _grid(raw, "n", int):
+                # degree schedule D(n) = ceil(log^1.5 n), the sweep default
+                D_list = D_values or [int(np.ceil(np.log(max(n, 2)) ** 1.5))]
                 for D in D_list:
-                    for beta in _as_list(_require(raw, "beta", (int, float, list))):
-                        tasks.append(dict(kind="ldlr-point",
-                                          coords=(int(d), int(n), D, float(beta)),
+                    for beta in _grid(raw, "beta", float):
+                        tasks.append(dict(kind="ldlr-point", coords=(d, n, D, beta),
                                           run=0, g=g, exact=exact))
     elif experiment == "search-curve":
         g = raw.get("g", "rademacher")
         _g_dist(raw)
         beta = float(_require(raw, "beta", (int, float)))
         cols = ("d", "theta")
-        for d in _as_list(_require(raw, "d", (int, list))):
-            if int(d) > detect.MAX_SEARCH_DIM:
+        for d in _grid(raw, "d", int):
+            if d > detect.MAX_SEARCH_DIM:
                 raise ConfigError(f"search-curve d={d} over cap {detect.MAX_SEARCH_DIM}")
-            for theta in _as_list(_require(raw, "theta", (int, float, list))):
+            for theta in _grid(raw, "theta", float):
                 for run in range(runs):
-                    tasks.append(dict(kind="search-run", coords=(int(d), float(theta)),
+                    tasks.append(dict(kind="search-run", coords=(d, theta),
                                       run=run, beta=beta, g=g))
     elif experiment == "train-sweep":
         task_name = _require(raw, "task", str)
@@ -204,13 +211,13 @@ def _validate(raw: dict) -> ExperimentConfig:
         _g_dist(raw)
         beta = float(raw.get("beta", 0.0))
         cols = ("d", "n_per_class", "alpha_lazy")
-        for d in _as_list(_require(raw, "d", (int, list))):
-            for n in _as_list(_require(raw, "n_per_class", (int, list))):
-                for alpha in _as_list(raw.get("alpha_lazy", 1.0)):
+        for d in _grid(raw, "d", int):
+            for n in _grid(raw, "n_per_class", int):
+                for alpha in _grid(raw, "alpha_lazy", float, default=1.0):
                     for run in range(runs):
                         tasks.append(dict(
                             kind="train-run",
-                            coords=(int(d), int(n), float(alpha)),
+                            coords=(d, n, alpha),
                             run=run, task=task_name, beta=beta,
                             g=raw.get("g", "rademacher"),
                             gain=float(raw.get("gain", 1.0)),
@@ -223,8 +230,8 @@ def _validate(raw: dict) -> ExperimentConfig:
     elif experiment == "nlgp-localisation":
         d = int(_require(raw, "d", int))
         cols = ("d", "n", "data_class")
-        for n_per_d in _as_list(_require(raw, "n_per_d", (int, float, list))):
-            n = int(round(float(n_per_d) * d))
+        for n_per_d in _grid(raw, "n_per_d", float):
+            n = int(round(n_per_d * d))
             for cls in ("nlgp", "gp_match"):
                 for run in range(runs):
                     tasks.append(dict(kind="cp-run", coords=(d, n, cls), run=run,
@@ -441,7 +448,6 @@ def _write_outputs(cfg: ExperimentConfig, results: list[TaskResult], out_dir: st
         _atomic_write(os.path.join(out_dir, "errors.csv"), text)
     manifest = {
         "version": f"cumlab-{__version__}",
-        "backend": _kernels.backend(),
         "experiment": cfg.experiment,
         "seed": cfg.seed,
         "config": cfg.raw,
@@ -468,14 +474,9 @@ def _write_bound_rows(cfg: ExperimentConfig, results: list[TaskResult], out_dir:
         if res.error is not None or not res.records:
             continue
         d, n, D, beta = cfg.tasks[res.index]["coords"]
-        vals = {rec.metric: rec.value for rec in res.records}
-        def fmt(key):
-            return "" if key not in vals else repr(float(vals[key]))
-        lines.append(",".join([
-            str(n), str(d), str(D), repr(float(beta)), g_kind,
-            fmt("log_lower"), fmt("log_upper"), fmt("log_exact"),
-            fmt("asym_lower"), fmt("asym_upper"),
-        ]))
+        bounds = {rec.metric: rec.value for rec in res.records}
+        lines.append(ldlr.BoundReport(n=n, d=d, D=D, beta=beta, g_kind=g_kind,
+                                      **bounds).csv_row())
     _atomic_write(os.path.join(out_dir, "ldlr_bounds.csv"), "\n".join(lines) + "\n")
 
 

@@ -10,6 +10,10 @@ the projections of all n samples on a block of candidates.
 Ties are broken toward the lexicographically smallest candidate (ordering
 -1 < +1 with the first coordinate pinned to +1), which is exactly the
 smallest candidate code in the kernel's bit encoding.
+
+The success-rate curve has one protocol, the `search-curve` experiment of
+`cumlab.cli`: one search per (d, theta, run) grid point, on a spike and a
+dataset drawn from that point's seed.
 """
 
 from __future__ import annotations
@@ -19,10 +23,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _kernels
-from .datagen import ModelSpec, SPIKED_CUMULANT, draw_spike, sample_class
 from .hermite import STANDARD_GAUSSIAN, GDistribution
 from .likelihood import loglik_terms, sample_log_likelihood
-from .rng import generator, spawn_seed
 
 MAX_SEARCH_DIM = 30
 
@@ -85,41 +87,3 @@ def exhaustive_search(
         success=success,
         evaluations=2 ** (d - 1),
     )
-
-
-def success_rate_curve(
-    d: int,
-    theta_grid,
-    beta: float,
-    g_dist: GDistribution,
-    runs: int,
-    seed: int,
-) -> list[tuple[float, float]]:
-    """Fraction of exact spike recoveries at n = ceil(d^theta) per theta.
-
-    Each (theta, run) draws a fresh spike and a fresh dataset from its own
-    derived stream, so the curve is reproducible point by point.
-    """
-    if runs < 1:
-        raise ValueError("runs must be >= 1")
-    out = []
-    for theta in theta_grid:
-        n = int(np.ceil(d**theta))
-        hits = 0
-        for r in range(runs):
-            run_seed = spawn_seed(seed, "search", theta, r)
-            u = draw_spike(d, generator(run_seed, "spike"))
-            spec = ModelSpec(kind=SPIKED_CUMULANT, d=d, beta=beta, g_dist=g_dist, spike=u)
-            rows = sample_class(spec, n, spawn_seed(run_seed, "data"))
-            if exhaustive_search(rows, beta, g_dist, true_spike=u).success:
-                hits += 1
-        out.append((float(theta), hits / runs))
-    return out
-
-
-def curve_csv_rows(curve, runs: int, d: int, beta: float, seed: int) -> list[str]:
-    """Serialise a success curve: theta,success_rate,runs,d,beta,seed."""
-    return [
-        f"{theta},{rate},{runs},{d},{beta},{seed}"
-        for theta, rate in curve
-    ]

@@ -30,8 +30,6 @@ from fractions import Fraction
 
 import numpy as np
 
-from . import _kernels
-
 # Degrees above this are refused outright rather than silently losing
 # precision in the value recurrence.
 DEFAULT_MAX_DEGREE = 64
@@ -121,9 +119,11 @@ def hermite_eval(m: int, x) -> float | np.ndarray:
             f"degree {m} outside supported range [0, {DEFAULT_MAX_DEGREE}]"
         )
     arr = np.asarray(x, dtype=np.float64)
-    scalar = arr.ndim == 0
-    out = _kernels.hermite_eval(m, np.atleast_1d(arr))
-    return float(out[0]) if scalar else out.reshape(arr.shape)
+    prev, cur = np.ones_like(arr), arr.copy()
+    for k in range(1, m):
+        prev, cur = cur, arr * cur - k * prev
+    out = cur if m > 0 else prev
+    return float(out) if arr.ndim == 0 else out
 
 
 @dataclass(frozen=True)

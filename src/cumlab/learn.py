@@ -20,7 +20,6 @@ solved through the normal equations (symmetric positive-definite solve).
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -92,25 +91,6 @@ class TrainReport:
             rows.append(f"{e},{a},{o},{i}")
         return rows
 
-    def summary_json(self, cfg: TrainConfig, wall_time_s: float) -> str:
-        return json.dumps(
-            {
-                "config": {
-                    "learning_rate": cfg.learning_rate,
-                    "weight_decay": cfg.weight_decay,
-                    "epochs": cfg.epochs,
-                    "batch_size": cfg.batch_size,
-                    "alpha_lazy": cfg.alpha_lazy,
-                    "width_factor": cfg.width_factor,
-                    "seed": cfg.seed,
-                },
-                "early_stop_accuracy": self.early_stop_accuracy,
-                "final_max_overlap": self.overlap_trajectory[-1] if self.overlap_trajectory else None,
-                "wall_time_s": wall_time_s,
-            },
-            sort_keys=True,
-        )
-
 
 class DivergenceError(RuntimeError):
     def __init__(self, epoch: int):
@@ -139,74 +119,8 @@ def max_spike_overlap(W: np.ndarray, u: np.ndarray) -> float:
     return float(cos.max())
 
 
-def enforce_initial_overlap(W: np.ndarray, u: np.ndarray, target: float) -> np.ndarray:
-    """Rotate each row so its |cosine| with u is exactly `target`.
-
-    Rows keep their norms and the sign of their component along u.  A row
-    (numerically) parallel to u has no orthogonal part to keep; it is given
-    the first basis vector orthogonalised against u instead.
-    """
-    if not 0.0 <= target <= 1.0:
-        raise ValueError("target overlap must lie in [0, 1]")
-    W = np.array(W, dtype=np.float64, copy=True)
-    u = np.asarray(u, dtype=np.float64)
-    d = u.shape[0]
-    uhat = u / np.linalg.norm(u)
-    for k in range(W.shape[0]):
-        w = W[k]
-        norm = np.linalg.norm(w)
-        if norm == 0.0:
-            raise ValueError(f"hidden row {k} is zero")
-        t = float(w @ uhat)
-        perp = w - t * uhat
-        pnorm = np.linalg.norm(perp)
-        if pnorm < 1e-12 * norm:
-            if d < 2:
-                raise ValueError("cannot orthogonalise in dimension 1")
-            perp = np.eye(d)[0] - uhat[0] * uhat
-            pnorm = np.linalg.norm(perp)
-        sign = 1.0 if t >= 0.0 else -1.0
-        W[k] = norm * (sign * target * uhat + np.sqrt(1.0 - target * target) * perp / pnorm)
-    return W
-
-
 def _centred_forward(net: TwoLayerNet, net0: TwoLayerNet, alpha: float, X: np.ndarray) -> np.ndarray:
     return alpha * (net.forward(X) - net0.forward(X))
-
-
-def loss_and_grads(
-    net: TwoLayerNet,
-    X: np.ndarray,
-    y: np.ndarray,
-    weight_decay: float,
-    alpha: float = 1.0,
-    net0: TwoLayerNet | None = None,
-):
-    """Batch squared loss and its parameter gradients.
-
-    For alpha > 1 uses the centred-scaled output with the loss rescaled by
-    1/alpha^2; weight decay enters as the usual L2 gradient on W and v.
-    Shared by the pure-numpy training path and the gradient tests.
-    """
-    n = X.shape[0]
-    A = X @ net.W.T + net.b
-    R = np.maximum(A, 0.0)
-    out = R @ net.v + net.c
-    if alpha != 1.0:
-        if net0 is None:
-            raise ValueError("centred scaling needs the frozen initial network")
-        out = alpha * (out - net0.forward(X))
-    err = out - y
-    loss = float(np.mean(err**2)) / alpha**2
-    # d loss / d out * d out / d phi_theta = 2 err / (n alpha^2) * alpha
-    gout = 2.0 * err / (n * alpha)
-    gv = R.T @ gout + weight_decay * net.v
-    gc = float(np.sum(gout))
-    GR = gout[:, None] * net.v[None, :]
-    GR[A <= 0.0] = 0.0
-    gW = GR.T @ X + weight_decay * net.W
-    gb = GR.sum(axis=0)
-    return loss, {"W": gW, "b": gb, "v": gv, "c": gc}
 
 
 def _evaluate(net, net0, alpha, X, y) -> float:
@@ -225,8 +139,10 @@ def train_2lnn(
 
     The epoch loop and the batch order within an epoch are fixed by the
     generator, so a (data, cfg, seed) triple reproduces the report
-    bit-for-bit on a given kernel backend.  Overlap diagnostics need the
-    true spike u; pass None (e.g. NLGP task) to skip them.
+    bit-for-bit.  Every alpha trains through ``_kernels.sgd_epoch``; for
+    alpha > 1 the frozen initial network is subtracted batch by batch.
+    Overlap diagnostics need the true spike u; pass None (e.g. NLGP task)
+    to skip them.
     """
     if train.d != test.d:
         raise ValueError("train/test dimensions differ")
@@ -235,24 +151,16 @@ def train_2lnn(
     net = init_network(d, cfg.width_factor * d, rng)
     net0 = net.copy()
     alpha = cfg.alpha_lazy
+    frozen = None if alpha == 1.0 else net0.forward
     X, y = train.values, train.labels
     n = X.shape[0]
     report = TrainReport()
     for epoch in range(cfg.epochs):
-        order = rng.permutation(n)
-        if alpha == 1.0:
-            net.c = _kernels.sgd_epoch(
-                net.W, net.b, net.v, net.c, X, y, order,
-                cfg.batch_size, cfg.learning_rate, cfg.weight_decay,
-            )
-        else:
-            for s in range(0, n, cfg.batch_size):
-                idx = order[s : s + cfg.batch_size]
-                _, g = loss_and_grads(net, X[idx], y[idx], cfg.weight_decay, alpha, net0)
-                net.W -= cfg.learning_rate * g["W"]
-                net.b -= cfg.learning_rate * g["b"]
-                net.v -= cfg.learning_rate * g["v"]
-                net.c -= cfg.learning_rate * g["c"]
+        net.c = _kernels.sgd_epoch(
+            net.W, net.b, net.v, net.c, X, y, rng.permutation(n),
+            cfg.batch_size, cfg.learning_rate, cfg.weight_decay,
+            alpha=alpha, frozen=frozen,
+        )
         if not (np.all(np.isfinite(net.W)) and np.all(np.isfinite(net.v))):
             report.diverged_at_epoch = epoch
             raise DivergenceError(epoch)

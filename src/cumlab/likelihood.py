@@ -24,7 +24,6 @@ the whitened Gaussian model is the null).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
@@ -106,27 +105,6 @@ def lr_norm_sq_log(n: int, d: int, beta: float, g_dist: GDistribution) -> float:
     logf = np.log(f_overlap(beta, lam, g_dist))
     terms = log_binom(d, j) - d * np.log(2.0) + n * logf
     return float(logsumexp(terms))
-
-
-@dataclass(frozen=True)
-class LrPoint:
-    """One evaluated LR-norm grid point, log-domain."""
-
-    n: int
-    d: int
-    beta: float
-    g_kind: str
-    log_norm_sq: float
-
-    def __post_init__(self):
-        # ||L||^2 >= 1 since E_Q[L] = 1; allow rounding at the boundary
-        if self.log_norm_sq < -1e-9:
-            raise ValueError(f"log ||L||^2 = {self.log_norm_sq} < 0 is impossible")
-
-
-def lr_point(n: int, d: int, beta: float, g_dist: GDistribution) -> LrPoint:
-    return LrPoint(n=n, d=d, beta=beta, g_kind=g_dist.kind,
-                   log_norm_sq=lr_norm_sq_log(n, d, beta, g_dist))
 
 
 def loglik_terms(proj, beta: float, g_dist: GDistribution) -> np.ndarray:

@@ -13,7 +13,7 @@ import math
 import numpy as np
 import pytest
 
-from cumlab import cli, datagen, detect, learn, likelihood
+from cumlab import cli, datagen, learn, likelihood
 from cumlab.hermite import GDistribution, HermiteBasis, hermite_eval
 from cumlab.ldlr import (
     ldlr_asymptotics,
@@ -192,11 +192,19 @@ def test_criterion_07_bbp_reproduction():
                   f"beta=0.9: {below:.3f}; beta=1.1: {above:.3g}")
 
 
-def test_criterion_08_search_curve():
+def test_criterion_08_search_curve(tmp_path):
+    import json as _json
+
     thetas = [0.5, 0.75, 1.0, 1.25, 1.5]
-    curve = detect.success_rate_curve(10, thetas, 10.0, RADEM, runs=50, seed=1)
-    rates = dict(curve)
     runs = 50
+    cfg_path = tmp_path / "search.json"
+    cfg_path.write_text(_json.dumps({"experiment": "search-curve", "seed": 1, "d": 10,
+                                     "theta": thetas, "beta": 10.0, "runs": runs}))
+    out = tmp_path / "search"
+    assert cli.main(["search-curve", "--config", str(cfg_path), "--out", str(out)]) == 0
+    rows = [line.split(",") for line in (out / "success_rate.csv").read_text().splitlines()[1:]]
+    curve = [(float(r[0]), float(r[1])) for r in rows]
+    rates = dict(curve)
     monotone = True
     for (_, r1), (_, r2) in zip(curve, curve[1:]):
         pooled = (r1 + r2) / 2

@@ -9,7 +9,8 @@ import numpy as np
 import pytest
 
 import cumlab
-from cumlab import cli, datagen
+from cumlab import cli, datagen, ldlr
+from cumlab.hermite import GDistribution
 
 
 def write_config(tmp_path, name, payload):
@@ -159,6 +160,14 @@ def test_ldlr_bounds_csv_and_plotdata(tmp_path):
         rows = fh.read().strip().splitlines()
     assert rows[0] == "d,n,D,beta,run,value"
     assert len(rows) == 5
+    # the convenience CSV is BoundReport's own dialect, row for row
+    rademacher = GDistribution.rademacher()
+    with open(os.path.join(out, "ldlr_bounds.csv")) as fh:
+        assert fh.read().splitlines() == [ldlr.BoundReport.CSV_HEADER] + [
+            ldlr.bound_report(2, 3, D, beta, rademacher,
+                              exact_budget=ldlr.EXACT_ENUMERATION_BUDGET).csv_row()
+            for D in (4, 8) for beta in (1.0, 10.0)
+        ]
     assert run_cli(["emit-plotdata", "--out", out]) == 0
     with open(os.path.join(out, "plot_log_exact.csv")) as fh:
         agg = fh.read().strip().splitlines()
@@ -350,6 +359,32 @@ def test_duplicate_grid_point_is_refused(tmp_path, capsys, experiment, payload, 
     out = str(tmp_path / "dup")
     assert run_cli([experiment, "--config", cfg, "--out", out]) == 2
     assert f"grid point {point} appears twice" in capsys.readouterr().err
+    assert not os.path.exists(out)
+
+
+GENERATE_CFG = {
+    "experiment": "generate",
+    "seed": 4,
+    "n_per_class": 5,
+    "model": {"kind": "spiked_cumulant", "d": 5, "beta": 10.0},
+}
+
+
+@pytest.mark.parametrize("experiment, payload, message", [
+    ("search-curve", dict(SEARCH_CFG, d=[8.5]), "'d' has value 8.5"),
+    ("train-sweep", dict(TINY_TRAIN_CFG, n_per_class=[10.7]), "'n_per_class' has value 10.7"),
+    ("search-curve", dict(SEARCH_CFG, d=[8, "x"]), "'d' has value 'x'"),
+    ("search-curve", dict(SEARCH_CFG, d=True), "'d' has type bool"),
+    ("train-sweep", dict(TINY_TRAIN_CFG, d=[True]), "'d' has value True"),
+    ("search-curve", dict(SEARCH_CFG, theta=[0.5, True]), "'theta' has value True"),
+    ("generate", dict(GENERATE_CFG, negative_model=5), "'negative_model' has type int"),
+])
+def test_bad_grid_value_is_refused(tmp_path, capsys, experiment, payload, message):
+    # a value of the wrong type is refused, never truncated or cast
+    cfg = write_config(tmp_path, "bad.json", payload)
+    out = str(tmp_path / "bad")
+    assert run_cli([experiment, "--config", cfg, "--out", out]) == 2
+    assert message in capsys.readouterr().err
     assert not os.path.exists(out)
 
 

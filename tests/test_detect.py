@@ -1,9 +1,11 @@
 """Exhaustive-search detector: recovery, tie-breaks, and curve protocol."""
 
+import json
+
 import numpy as np
 import pytest
 
-from cumlab import datagen, detect
+from cumlab import cli, datagen, detect
 from cumlab.hermite import GDistribution
 from cumlab.likelihood import sample_log_likelihood
 
@@ -85,19 +87,20 @@ def test_gaussian_g_scores_are_flat():
     assert res.best_loglik == pytest.approx(0.0, abs=1e-12)
 
 
-def test_success_rate_curve_protocol():
-    curve = detect.success_rate_curve(8, [0.25, 1.5], 10.0, RADEM, runs=20, seed=99)
-    replay = detect.success_rate_curve(8, [0.25, 1.5], 10.0, RADEM, runs=20, seed=99)
-    assert curve == replay  # determinism
-    rates = dict(curve)
-    assert rates[1.5] >= 0.9
-    assert rates[0.25] <= rates[1.5]
+def search_curve(tmp_path, **cfg):
+    """(theta, success rate) rows of a search-curve run of the CLI."""
+    path = tmp_path / "search.json"
+    path.write_text(json.dumps(dict(cfg, experiment="search-curve")))
+    out = tmp_path / "search"
+    assert cli.main(["search-curve", "--config", str(path), "--out", str(out)]) == 0
+    rows = (out / "success_rate.csv").read_text().splitlines()[1:]
+    return [(float(r.split(",")[0]), float(r.split(",")[1])) for r in rows]
 
 
-def test_success_rate_theta_zero_is_chance():
+def test_success_rate_theta_zero_is_chance(tmp_path):
     # a single sample carries negligible information: rate ~ 2^(1-d)
     d, runs = 10, 60
-    curve = detect.success_rate_curve(d, [0.0], 10.0, RADEM, runs=runs, seed=3)
+    curve = search_curve(tmp_path, seed=3, d=d, theta=[0.0], beta=10.0, runs=runs)
     rate = curve[0][1]
     # binomial upper bound at ~5 sigma around p = 2/2^d
     p = 2.0 ** (1 - d)
@@ -111,9 +114,3 @@ def test_one_dimensional_search():
     res = detect.exhaustive_search(data, 10.0, RADEM, true_spike=np.array([1.0]))
     assert np.array_equal(res.best_spike, np.array([1.0]))
     assert res.evaluations == 1 and res.success
-
-
-def test_curve_csv_rows():
-    rows = detect.curve_csv_rows([(0.5, 0.3), (1.0, 0.9)], runs=10, d=8, beta=10.0, seed=7)
-    assert rows[0] == "0.5,0.3,10,8,10.0,7"
-    assert rows[1] == "1.0,0.9,10,8,10.0,7"

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from cumlab import datagen, learn
+from cumlab import _kernels, datagen, learn
 from cumlab.hermite import GDistribution
 from cumlab.rng import generator
 
@@ -70,26 +70,6 @@ def test_initial_overlap_concentration():
     assert 0.75 * predicted < np.mean(vals) < 1.25 * predicted
 
 
-def test_enforce_initial_overlap():
-    rng = np.random.default_rng(4)
-    d, m = 16, 30
-    u = datagen.draw_spike(d, rng)
-    W = rng.standard_normal((m, d))
-    norms = np.linalg.norm(W, axis=1)
-    target = 1.0 / np.sqrt(d)
-    W2 = learn.enforce_initial_overlap(W, u, target)
-    cos = np.abs(W2 @ u) / (np.linalg.norm(W2, axis=1) * np.linalg.norm(u))
-    np.testing.assert_allclose(cos, target, atol=1e-12)
-    np.testing.assert_allclose(np.linalg.norm(W2, axis=1), norms, rtol=1e-12)
-    W3 = learn.enforce_initial_overlap(W, u, 0.0)
-    assert np.abs(W3 @ u).max() < 1e-10
-    # a row parallel to u needs the fallback orthogonal direction
-    W4 = learn.enforce_initial_overlap(np.vstack([2.0 * u]), u, 0.5)
-    cos4 = abs(W4[0] @ u) / (np.linalg.norm(W4[0]) * np.linalg.norm(u))
-    assert cos4 == pytest.approx(0.5, abs=1e-12)
-    assert np.linalg.norm(W4[0]) == pytest.approx(2.0 * np.sqrt(d), rel=1e-12)
-
-
 def test_train_determinism():
     data, u = wishart_data(10, 150, 5.0, seed=5)
     test, _ = wishart_data(10, 150, 5.0, seed=6)
@@ -145,37 +125,48 @@ def test_centred_forward_and_alpha_scaling():
 
 
 def test_gradients_match_finite_differences():
+    # one full-batch step of the SGD kernel at lr = 1 moves every parameter
+    # by its loss gradient, plus weight decay on W and v
     rng = generator(77, "fd")
-    X = rng.standard_normal((12, 5))
-    y = np.sign(rng.standard_normal(12))
+    n, d, m, wd = 12, 5, 8, 0.01
+    X = rng.standard_normal((n, d))
+    y = np.sign(rng.standard_normal(n))
     for alpha in (1.0, 10.0):
-        net = learn.init_network(5, 8, rng)
+        net = learn.init_network(d, m, rng)
         net0 = net.copy()
         net.W += 0.05 * rng.standard_normal(net.W.shape)  # move off kinks
-        _, grads = learn.loss_and_grads(net, X, y, weight_decay=0.01, alpha=alpha, net0=net0)
+        after = net.copy()
+        after.c = _kernels.sgd_epoch(
+            after.W, after.b, after.v, after.c, X, y, np.arange(n), n, 1.0, wd,
+            alpha=alpha, frozen=None if alpha == 1.0 else net0.forward,
+        )
         eps = 1e-6
 
         def loss_of(net_mod):
             out = net_mod.forward(X)
             if alpha != 1.0:
                 out = alpha * (out - net0.forward(X))
-            mse = float(np.mean((out - y) ** 2)) / alpha**2
-            return mse
+            return float(np.mean((out - y) ** 2)) / alpha**2
 
-        probes = [(int(rng.integers(8)), int(rng.integers(5))) for _ in range(10)]
+        def fd_grad(key, idx):
+            losses = []
+            for delta in (eps, -eps):
+                probe = net.copy()
+                if key == "c":
+                    probe.c += delta
+                else:
+                    getattr(probe, key)[idx] += delta
+                losses.append(loss_of(probe))
+            return (losses[0] - losses[1]) / (2 * eps)
+
+        assert net.c - after.c == pytest.approx(fd_grad("c", None), rel=1e-5, abs=1e-7)
+        probes = [(int(rng.integers(m)), int(rng.integers(d))) for _ in range(10)]
         for j, i in probes:
-            for arr, key in ((net.W, "W"), (net.b, "b"), (net.v, "v")):
+            for key in ("W", "b", "v"):
                 idx = (j, i) if key == "W" else (j,)
-                orig = arr[idx]
-                arr[idx] = orig + eps
-                lp = loss_of(net)
-                arr[idx] = orig - eps
-                lm = loss_of(net)
-                arr[idx] = orig
-                fd = (lp - lm) / (2 * eps)
-                # weight decay enters the analytic gradient, add it to fd
-                decay = 0.01 * orig if key in ("W", "v") else 0.0
-                assert grads[key][idx] == pytest.approx(fd + decay, rel=1e-5, abs=1e-7)
+                decay = wd * getattr(net, key)[idx] if key in ("W", "v") else 0.0
+                step = getattr(net, key)[idx] - getattr(after, key)[idx]
+                assert step == pytest.approx(fd_grad(key, idx) + decay, rel=1e-5, abs=1e-7)
 
 
 def test_lazy_alpha_runs_use_centred_path():
@@ -253,5 +244,3 @@ def test_train_report_serialisation():
     rows = rep.csv_rows()
     assert rows[0] == "epoch,test_acc,max_overlap,max_ipr"
     assert len(rows) == 4
-    summary = rep.summary_json(learn.TrainConfig(epochs=3, seed=6), wall_time_s=1.5)
-    assert '"early_stop_accuracy"' in summary

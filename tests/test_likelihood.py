@@ -220,14 +220,3 @@ def test_gamma_beta_properties():
 def test_gamma_beta_calibration_bracket():
     # the beta solving gamma_beta = 1 sits near 10.78
     assert gamma_beta(10.2, RADEM).gamma < 1.0 < gamma_beta(11.2, RADEM).gamma
-
-
-def test_lr_point_record():
-    from cumlab.likelihood import LrPoint, lr_point
-
-    pt = lr_point(5, 8, 10.0, RADEM)
-    assert pt.g_kind == "rademacher"
-    assert pt.log_norm_sq == lr_norm_sq_log(5, 8, 10.0, RADEM)
-    assert lr_point(0, 8, 10.0, RADEM).log_norm_sq == pytest.approx(0.0, abs=1e-12)
-    with pytest.raises(ValueError):
-        LrPoint(n=1, d=2, beta=1.0, g_kind="rademacher", log_norm_sq=-0.5)
