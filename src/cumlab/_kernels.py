@@ -67,25 +67,33 @@ def sgd_epoch(W, bias, v, out_bias, X, y, order, batch_size, lr, wd, alpha=1.0, 
     """
     n = X.shape[0]
     c = out_bias
+    # one gather per epoch; each batch is then a contiguous slice
+    Xo, yo = X[order], y[order]
     for s in range(0, n, batch_size):
-        idx = order[s : s + batch_size]
-        Xb = X[idx]
-        yb = y[idx]
+        Xb = Xo[s : s + batch_size]
+        yb = yo[s : s + batch_size]
         A = Xb @ W.T + bias
         R = np.maximum(A, 0.0)
         out = R @ v + c
         if frozen is not None:
             out = alpha * (out - frozen(Xb))
         # d loss / d phi = 2 (out - y) / (batch alpha^2) * alpha
-        gout = 2.0 * (out - yb) / (len(idx) * alpha)
+        gout = 2.0 * (out - yb) / (len(yb) * alpha)
         gv = R.T @ gout
         gc = gout.sum()
         GR = gout[:, None] * v[None, :]
-        GR[A <= 0.0] = 0.0
+        np.copyto(GR, 0.0, where=A <= 0.0)
         gW = GR.T @ Xb
         gb = GR.sum(axis=0)
-        W -= lr * (gW + wd * W)
-        bias -= lr * gb
-        v -= lr * (gv + wd * v)
+        # in place, and bit-equal to W -= lr * (gW + wd * W): IEEE + and *
+        # are commutative, so only the temporaries go
+        gW += wd * W
+        gW *= lr
+        W -= gW
+        gb *= lr
+        bias -= gb
+        gv += wd * v
+        gv *= lr
+        v -= gv
         c -= lr * gc
     return c

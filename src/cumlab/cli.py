@@ -85,12 +85,25 @@ def _require(cfg: dict, key: str, types, what: str = ""):
     return val
 
 
-def _grid(cfg: dict, key: str, kind: type, default=None) -> list:
-    """The values of grid key `key`: a number or a non-empty list of numbers.
+def _checked(key: str, val, kind: type):
+    """`val` as `kind`, type-checked and never cast.
 
-    An int key takes integers only, a float key integers and floats; a
-    bool, a string or (for an int key) a float is refused, never cast.
+    A bool key takes only true or false; an int key takes integers only, a
+    float key integers and floats.  A bool (JSON true/false is a Python
+    int), a string or (for an int key) a float is refused.
     """
+    if kind is bool:
+        ok = isinstance(val, bool)
+    else:
+        allowed = int if kind is int else (int, float)
+        ok = not isinstance(val, bool) and isinstance(val, allowed)
+    if not ok:
+        raise ConfigError(f"config key {key!r} has value {val!r}, expected {kind.__name__}")
+    return kind(val)
+
+
+def _grid(cfg: dict, key: str, kind: type, default=None) -> list:
+    """The values of grid key `key`: a number or a non-empty list of numbers."""
     if default is None or key in cfg:
         val = _require(cfg, key, (int, float, list))
     else:
@@ -98,11 +111,17 @@ def _grid(cfg: dict, key: str, kind: type, default=None) -> list:
     vals = val if isinstance(val, list) else [val]
     if not vals:
         raise ConfigError(f"grid list {key!r} must be non-empty")
-    allowed = int if kind is int else (int, float)
-    for v in vals:
-        if isinstance(v, bool) or not isinstance(v, allowed):
-            raise ConfigError(f"config key {key!r} has value {v!r}, expected {kind.__name__}")
-    return [kind(v) for v in vals]
+    return [_checked(key, v, kind) for v in vals]
+
+
+def _scalar(cfg: dict, key: str, kind: type, default=None):
+    """The value of scalar key `key`, checked like a grid value; `default`
+    when absent, and required when there is no default."""
+    if key not in cfg:
+        if default is None:
+            raise ConfigError(f"missing config key {key!r}")
+        return default
+    return _checked(key, cfg[key], kind)
 
 
 def _g_dist(cfg: dict, default: str = "rademacher") -> GDistribution:
@@ -115,7 +134,7 @@ def _g_dist(cfg: dict, default: str = "rademacher") -> GDistribution:
 def _model_spec(mcfg: dict, seed: int) -> datagen.ModelSpec:
     kind = _require(mcfg, "kind", str)
     d = int(_require(mcfg, "d", int))
-    beta = float(mcfg.get("beta", 0.0))
+    beta = _scalar(mcfg, "beta", float, 0.0)
     g = _g_dist(mcfg) if kind == datagen.SPIKED_CUMULANT else None
     spike = None
     if kind in (datagen.SPIKED_WISHART, datagen.SPIKED_CUMULANT):
@@ -127,9 +146,9 @@ def _model_spec(mcfg: dict, seed: int) -> datagen.ModelSpec:
             beta=beta,
             g_dist=g,
             spike=spike,
-            gain=float(mcfg.get("gain", 1.0)),
-            xi=float(mcfg.get("xi", 1.0)),
-            periodic=bool(mcfg.get("periodic", False)),
+            gain=_scalar(mcfg, "gain", float, 1.0),
+            xi=_scalar(mcfg, "xi", float, 1.0),
+            periodic=_scalar(mcfg, "periodic", bool, False),
         )
     except ValueError as exc:
         raise ConfigError(str(exc)) from None
@@ -146,7 +165,7 @@ def _validate(raw: dict) -> ExperimentConfig:
     if experiment not in _EXPERIMENTS:
         raise ConfigError(f"unknown experiment {experiment!r}; expected one of {_EXPERIMENTS}")
     seed = int(os.environ.get("CUMLAB_SEED", raw.get("seed", 0)))
-    runs = int(raw.get("runs", 1))
+    runs = _scalar(raw, "runs", int, 1)
     if runs < 1:
         raise ConfigError("runs must be >= 1")
 
@@ -171,7 +190,7 @@ def _validate(raw: dict) -> ExperimentConfig:
     elif experiment == "lr-curve":
         g = raw.get("g", "rademacher")
         _g_dist(raw)
-        log10 = bool(raw.get("log10", False))
+        log10 = _scalar(raw, "log10", bool, False)
         cols = ("d", "theta", "beta")
         for d in _grid(raw, "d", int):
             for theta in _grid(raw, "theta", float):
@@ -181,7 +200,7 @@ def _validate(raw: dict) -> ExperimentConfig:
     elif experiment == "ldlr-bounds":
         g = raw.get("g", "rademacher")
         _g_dist(raw)
-        exact = bool(raw.get("exact", False))
+        exact = _scalar(raw, "exact", bool, False)
         cols = ("d", "n", "D", "beta")
         D_values = None if raw.get("D", "auto") == "auto" else _grid(raw, "D", int)
         for d in _grid(raw, "d", int):
@@ -195,7 +214,7 @@ def _validate(raw: dict) -> ExperimentConfig:
     elif experiment == "search-curve":
         g = raw.get("g", "rademacher")
         _g_dist(raw)
-        beta = float(_require(raw, "beta", (int, float)))
+        beta = _scalar(raw, "beta", float)
         cols = ("d", "theta")
         for d in _grid(raw, "d", int):
             if d > detect.MAX_SEARCH_DIM:
@@ -209,7 +228,12 @@ def _validate(raw: dict) -> ExperimentConfig:
         if task_name not in (datagen.SPIKED_WISHART, datagen.SPIKED_CUMULANT, datagen.NLGP):
             raise ConfigError(f"train-sweep task {task_name!r} not recognised")
         _g_dist(raw)
-        beta = float(raw.get("beta", 0.0))
+        beta = _scalar(raw, "beta", float, 0.0)
+        gain = _scalar(raw, "gain", float, 1.0)
+        xi = _scalar(raw, "xi", float, 1.0)
+        with_rf = _scalar(raw, "rf", bool, True)
+        rf_ridge = _scalar(raw, "rf_ridge", float, 0.1)
+        n_test = _scalar(raw, "n_test_per_class", int, 2000)
         cols = ("d", "n_per_class", "alpha_lazy")
         for d in _grid(raw, "d", int):
             for n in _grid(raw, "n_per_class", int):
@@ -220,24 +244,23 @@ def _validate(raw: dict) -> ExperimentConfig:
                             coords=(d, n, alpha),
                             run=run, task=task_name, beta=beta,
                             g=raw.get("g", "rademacher"),
-                            gain=float(raw.get("gain", 1.0)),
-                            xi=float(raw.get("xi", 1.0)),
+                            gain=gain, xi=xi,
                             train=raw.get("train", {}),
-                            with_rf=bool(raw.get("rf", True)),
-                            rf_ridge=float(raw.get("rf_ridge", 0.1)),
-                            n_test_per_class=int(raw.get("n_test_per_class", 2000)),
+                            with_rf=with_rf, rf_ridge=rf_ridge,
+                            n_test_per_class=n_test,
                         ))
     elif experiment == "nlgp-localisation":
         d = int(_require(raw, "d", int))
+        gain = _scalar(raw, "gain", float, 3.0)
+        xi = _scalar(raw, "xi", float, 1.0)
+        periodic = _scalar(raw, "periodic", bool, False)
         cols = ("d", "n", "data_class")
         for n_per_d in _grid(raw, "n_per_d", float):
             n = int(round(n_per_d * d))
             for cls in ("nlgp", "gp_match"):
                 for run in range(runs):
                     tasks.append(dict(kind="cp-run", coords=(d, n, cls), run=run,
-                                      gain=float(raw.get("gain", 3.0)),
-                                      xi=float(raw.get("xi", 1.0)),
-                                      periodic=bool(raw.get("periodic", False))))
+                                      gain=gain, xi=xi, periodic=periodic))
     # a repeated grid value would give tasks with the same point seed, so
     # the "independent" runs of that point would be copies of each other
     seen = set()

@@ -33,7 +33,6 @@ from dataclasses import dataclass
 from math import erf
 
 import numpy as np
-from scipy.special import erf as erf_vec
 
 from .hermite import GDistribution
 from .rng import block_generator, spawn_seed
@@ -223,6 +222,10 @@ class _Sampler:
             coef = (np.sqrt(1.0 - eta * eta) - 1.0) * t + eta * g
             return z + np.outer(coef, self.ubar)
         if spec.kind == NLGP:
+            # imported here: scipy.special pulls in numpy's array-API shim,
+            # which costs more than the rest of cumlab's import together
+            from scipy.special import erf as erf_vec
+
             z = rng.standard_normal((n_rows, spec.d)) @ self.chol.T
             return erf_vec(spec.gain * z) / self.znorm
         if spec.kind == GP_MATCH:

@@ -30,7 +30,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import logsumexp
 
 from .hermite import GDistribution, hermite_coeff_expectation
 from .likelihood import log_binom
@@ -58,6 +57,8 @@ def ldlr_lower_log(n: int, d: int, D: int, beta: float, kappa4: float) -> float:
     The counted index set picks m distinct samples, so floor(D/4) <= n is
     required.
     """
+    from scipy.special import logsumexp  # lazy: keeps scipy out of `import cumlab.cli`
+
     top = D // 4
     if top > n:
         raise ValueError(f"floor(D/4) = {top} exceeds n = {n}: index set needs distinct samples")
@@ -78,6 +79,8 @@ def ldlr_upper_log(n: int, d: int, D: int, beta: float, g_dist: GDistribution) -
     The sup ranges over k with nonzero coefficient; a degree m where every
     coefficient up to m vanishes contributes nothing.
     """
+    from scipy.special import logsumexp
+
     if D < 0:
         raise ValueError("D must be >= 0")
     terms = [0.0]  # m
@@ -114,6 +117,8 @@ def ldlr_asymptotics(
     m^{4m} (n/d^2)^{m/4}.  Large-(n,d) regime forms only; the finite-sum
     bounds above are the quantitative ones.
     """
+    from scipy.special import logsumexp
+
     top = D // 4
     if top < 1:
         raise ValueError("asymptotic lower form needs D >= 4")
@@ -135,12 +140,6 @@ def ldlr_asymptotics(
 def _even_compositions_budget(m: int, d: int) -> int:
     # weak compositions of m into d parts
     return math.comb(m + d - 1, d - 1)
-
-
-def _admissible_row_degrees(D: int) -> list[int]:
-    # T_{m,g} = 0 for m in {1,2,3} and all odd m: nonzero rows have even
-    # degree >= 4
-    return [0] + [m for m in range(4, D + 1, 2)]
 
 
 def _nonzero_degree_tuples(n: int, D: int):

@@ -15,7 +15,9 @@ plain network.
 
 Random features are the frozen-first-layer ablation: the same ReLU and the
 same N(0, 1/d) first-layer law, with a ridge readout at regulariser 0.1
-solved through the normal equations (symmetric positive-definite solve).
+solved through the normal equations by numpy's LAPACK solver.  The module
+imports no scipy: scipy.linalg loads a second OpenBLAS with its own thread
+pool and costs more than the rest of ``import cumlab.cli``.
 """
 
 from __future__ import annotations
@@ -23,7 +25,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve
 
 from . import _kernels
 from .datagen import DataMatrix
@@ -119,12 +120,35 @@ def max_spike_overlap(W: np.ndarray, u: np.ndarray) -> float:
     return float(cos.max())
 
 
-def _centred_forward(net: TwoLayerNet, net0: TwoLayerNet, alpha: float, X: np.ndarray) -> np.ndarray:
-    return alpha * (net.forward(X) - net0.forward(X))
+def _max_ipr(W: np.ndarray) -> float:
+    """max of ``ipr`` over the nonzero rows of W; nan if every row is zero.
+
+    A vectorised screen picks the rows within 1e-9 of its maximum, and only
+    those are rescored by ``ipr``: the screen's row sums may differ from
+    ``ipr``'s in the last bit, so it may select but never decide.
+    """
+    rows = W[np.any(W, axis=1)]
+    if rows.shape[0] == 0:
+        return float("nan")
+    sq = rows * rows
+    screen = np.sum(sq * sq, axis=1) / np.sum(sq, axis=1) ** 2
+    near = np.flatnonzero(screen >= screen.max() - 1e-9)
+    return max(ipr(rows[k]) for k in near)
 
 
-def _evaluate(net, net0, alpha, X, y) -> float:
-    out = net.forward(X) if alpha == 1.0 else _centred_forward(net, net0, alpha, X)
+def _accuracy(net: TwoLayerNet, X, y, hidden, frozen_out, alpha) -> float:
+    """Sign-readout accuracy of net (centred-scaled if frozen_out is given).
+
+    Bit-identical to ``net.forward``, computed in the preallocated `hidden`
+    buffer of shape (len(X), width) without temporaries.
+    """
+    np.matmul(X, net.W.T, out=hidden)
+    hidden += net.b
+    np.maximum(hidden, 0.0, out=hidden)
+    out = hidden @ net.v
+    out += net.c
+    if frozen_out is not None:
+        out = alpha * (out - frozen_out)
     return float(np.mean(np.sign(out) == y))
 
 
@@ -140,7 +164,8 @@ def train_2lnn(
     The epoch loop and the batch order within an epoch are fixed by the
     generator, so a (data, cfg, seed) triple reproduces the report
     bit-for-bit.  Every alpha trains through ``_kernels.sgd_epoch``; for
-    alpha > 1 the frozen initial network is subtracted batch by batch.
+    alpha > 1 the frozen initial network is subtracted batch by batch, and
+    its test outputs are computed once per call.
     Overlap diagnostics need the true spike u; pass None (e.g. NLGP task)
     to skip them.
     """
@@ -154,6 +179,8 @@ def train_2lnn(
     frozen = None if alpha == 1.0 else net0.forward
     X, y = train.values, train.labels
     n = X.shape[0]
+    hidden = np.empty((test.values.shape[0], net.width))
+    frozen_out = None if alpha == 1.0 else net0.forward(test.values)
     report = TrainReport()
     for epoch in range(cfg.epochs):
         net.c = _kernels.sgd_epoch(
@@ -164,13 +191,13 @@ def train_2lnn(
         if not (np.all(np.isfinite(net.W)) and np.all(np.isfinite(net.v))):
             report.diverged_at_epoch = epoch
             raise DivergenceError(epoch)
-        report.test_accuracy.append(_evaluate(net, net0, alpha, test.values, test.labels))
+        report.test_accuracy.append(
+            _accuracy(net, test.values, test.labels, hidden, frozen_out, alpha)
+        )
         report.overlap_trajectory.append(
             max_spike_overlap(net.W, u) if u is not None else float("nan")
         )
-        report.ipr_trajectory.append(
-            max((ipr(w) for w in net.W if np.any(w)), default=float("nan"))
-        )
+        report.ipr_trajectory.append(_max_ipr(net.W))
     report.early_stop_accuracy = max(report.test_accuracy, default=0.0)
     return report, net
 
@@ -186,7 +213,8 @@ def fit_random_features(train: DataMatrix, test: DataMatrix, cfg: RFConfig) -> f
     """ReLU random-features ridge regression; returns sign-readout accuracy.
 
     Features are relu(F x) with F drawn once, rows i.i.d. N(0, 1/d); the
-    readout solves (Phi^T Phi + ridge I) w = Phi^T y by Cholesky.
+    readout solves (Phi^T Phi + ridge I) w = Phi^T y with ``np.linalg.solve``
+    (LU with partial pivoting; the ridge keeps the system positive definite).
     """
     if cfg.ridge <= 0:
         raise ValueError("ridge regulariser must be positive")
@@ -195,8 +223,5 @@ def fit_random_features(train: DataMatrix, test: DataMatrix, cfg: RFConfig) -> f
     phi_tr = np.maximum(train.values @ F.T, 0.0)
     phi_te = np.maximum(test.values @ F.T, 0.0)
     gram = phi_tr.T @ phi_tr + cfg.ridge * np.eye(cfg.width)
-    try:
-        w = cho_solve(cho_factor(gram), phi_tr.T @ train.labels)
-    except np.linalg.LinAlgError as exc:  # pragma: no cover - ridge > 0 keeps it PD
-        raise RuntimeError("ridge normal equations not positive definite") from exc
+    w = np.linalg.solve(gram, phi_tr.T @ train.labels)
     return float(np.mean(np.sign(phi_te @ w) == test.labels))

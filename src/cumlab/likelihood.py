@@ -27,7 +27,6 @@ from __future__ import annotations
 from typing import NamedTuple
 
 import numpy as np
-from scipy.special import gammaln, logsumexp
 
 from .hermite import RADEMACHER, STANDARD_GAUSSIAN, UNIFORM, GDistribution
 
@@ -36,6 +35,8 @@ _UNIFORM_QUAD_ORDER = 64
 
 def log_binom(n, k) -> np.ndarray:
     """log C(n, k) via log-gamma; reaches d = 1e4 without factorial tables."""
+    from scipy.special import gammaln  # lazy: only LR norms and LDLR bounds use it
+
     n = np.asarray(n, dtype=np.float64)
     k = np.asarray(k, dtype=np.float64)
     return gammaln(n + 1.0) - gammaln(k + 1.0) - gammaln(n - k + 1.0)
@@ -98,6 +99,8 @@ def f_overlap(beta: float, lam, g_dist: GDistribution, quad_order: int = _UNIFOR
 
 def lr_norm_sq_log(n: int, d: int, beta: float, g_dist: GDistribution) -> float:
     """log ||L_{n,d}||^2 by log-sum-exp over the exact overlap sum."""
+    from scipy.special import logsumexp
+
     if n < 0 or d < 1:
         raise ValueError("need n >= 0 and d >= 1")
     j = np.arange(d + 1)

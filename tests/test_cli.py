@@ -336,6 +336,31 @@ def test_worker_blas_threads_keep_user_values_and_thread_count():
     assert not any(var.endswith("_NUM_THREADS") for var in env)
 
 
+def test_wishart_and_cumulant_points_load_no_scipy():
+    # scipy loads a second OpenBLAS and an array-API shim: the CLI import and
+    # the network and random-features path of a spiked point must not need it
+    env = dict(os.environ)
+    root = os.path.dirname(os.path.dirname(cumlab.__file__))
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [root, env.get("PYTHONPATH")]))
+    code = (
+        "import sys, cumlab.cli\n"
+        "from cumlab import datagen, learn, rng\n"
+        "from cumlab.hermite import GDistribution\n"
+        "u = datagen.draw_spike(8, rng.generator(1, 'spike'))\n"
+        "for spec in (datagen.ModelSpec(kind=datagen.SPIKED_WISHART, d=8, beta=5.0, spike=u),\n"
+        "             datagen.ModelSpec(kind=datagen.SPIKED_CUMULANT, d=8, beta=5.0, spike=u,\n"
+        "                               g_dist=GDistribution.rademacher())):\n"
+        "    train = datagen.make_dataset(spec, 40, 2)\n"
+        "    test = datagen.make_dataset(spec, 40, 3)\n"
+        "    learn.train_2lnn(train, test, u, learn.TrainConfig(epochs=2, batch_size=8))\n"
+        "    learn.fit_random_features(train, test, learn.RFConfig(width=40))\n"
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
+
+
 def test_import_leaves_scipy_integrate_unloaded():
     # A fresh interpreter, so modules imported by other tests do not count;
     # it imports the same cumlab package as this process.
@@ -381,6 +406,37 @@ GENERATE_CFG = {
 ])
 def test_bad_grid_value_is_refused(tmp_path, capsys, experiment, payload, message):
     # a value of the wrong type is refused, never truncated or cast
+    cfg = write_config(tmp_path, "bad.json", payload)
+    out = str(tmp_path / "bad")
+    assert run_cli([experiment, "--config", cfg, "--out", out]) == 2
+    assert message in capsys.readouterr().err
+    assert not os.path.exists(out)
+
+
+NLGP_CFG = {"experiment": "nlgp-localisation", "seed": 2, "d": 8, "n_per_d": [10]}
+LR_CFG = {"experiment": "lr-curve", "seed": 1, "d": [8], "theta": [1.0], "beta": [1.0]}
+LDLR_CFG = {"experiment": "ldlr-bounds", "seed": 1, "d": [8], "n": [20], "beta": [1.0]}
+
+
+@pytest.mark.parametrize("experiment, payload, message", [
+    ("train-sweep", dict(TINY_TRAIN_CFG, runs=2.5), "'runs' has value 2.5"),
+    ("train-sweep", dict(TINY_TRAIN_CFG, rf="false"), "'rf' has value 'false'"),
+    ("train-sweep", dict(TINY_TRAIN_CFG, rf_ridge=True), "'rf_ridge' has value True"),
+    ("train-sweep", dict(TINY_TRAIN_CFG, n_test_per_class="x"),
+     "'n_test_per_class' has value 'x'"),
+    ("train-sweep", dict(TINY_TRAIN_CFG, beta="x"), "'beta' has value 'x'"),
+    ("train-sweep", dict(TINY_TRAIN_CFG, gain=[2.0]), "'gain' has value [2.0]"),
+    ("search-curve", dict(SEARCH_CFG, beta=True), "'beta' has value True"),
+    ("search-curve", {k: v for k, v in SEARCH_CFG.items() if k != "beta"},
+     "missing config key 'beta'"),
+    ("nlgp-localisation", dict(NLGP_CFG, xi="1"), "'xi' has value '1'"),
+    ("nlgp-localisation", dict(NLGP_CFG, periodic=1), "'periodic' has value 1"),
+    ("lr-curve", dict(LR_CFG, log10="yes"), "'log10' has value 'yes'"),
+    ("ldlr-bounds", dict(LDLR_CFG, exact=0), "'exact' has value 0"),
+])
+def test_bad_scalar_value_is_refused(tmp_path, capsys, experiment, payload, message):
+    # scalar keys are checked like grid values: never truncated, cast or
+    # read as a truth value
     cfg = write_config(tmp_path, "bad.json", payload)
     out = str(tmp_path / "bad")
     assert run_cli([experiment, "--config", cfg, "--out", out]) == 2

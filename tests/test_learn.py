@@ -34,6 +34,28 @@ def test_ipr_scale_invariance_and_zero():
         learn.ipr(np.zeros(5))
 
 
+def scalar_max_ipr(W):
+    return max((learn.ipr(w) for w in W if np.any(w)), default=float("nan"))
+
+
+@pytest.mark.parametrize("d", [8, 30, 64])
+def test_screened_max_ipr_equals_scalar_max(d):
+    # the vectorised screen only selects rows; the value is always ipr's
+    rng = np.random.default_rng(d)
+    base = rng.standard_normal(d)
+    cases = [rng.standard_normal((150, d)) for _ in range(20)]
+    # near-ties: permuted and rescaled copies of one row have the same IPR
+    # up to the last bits of ipr's sums
+    cases.append(np.array([rng.permutation(base) * rng.uniform(0.1, 10.0)
+                           for _ in range(150)]))
+    with_zeros = rng.standard_normal((150, d))
+    with_zeros[rng.choice(150, 40, replace=False)] = 0.0
+    cases.append(with_zeros)
+    for W in cases:
+        assert learn._max_ipr(W) == scalar_max_ipr(W)
+    assert np.isnan(learn._max_ipr(np.zeros((5, d))))
+
+
 def test_max_spike_overlap_basic():
     d = 12
     u = datagen.draw_spike(d, np.random.default_rng(1))
@@ -109,19 +131,19 @@ def test_divergence_aborts_with_epoch():
 
 
 def test_centred_forward_and_alpha_scaling():
-    rng = generator(123, "t")
-    net = learn.init_network(6, 20, rng)
-    net0 = net.copy()
-    X = rng.standard_normal((40, 6))
-    # alpha = 1 centred forward equals plain forward minus the frozen
-    # initial function
-    centred = learn._centred_forward(net, net0, 1.0, X)
-    np.testing.assert_allclose(centred, net.forward(X) - net0.forward(X), atol=1e-14)
-    # after an update the identity still holds against the frozen copy
-    net.W += 0.01
-    net.v -= 0.02
-    centred = learn._centred_forward(net, net0, 1.0, X)
-    np.testing.assert_allclose(centred, net.forward(X) - net0.forward(X), atol=1e-13)
+    # each epoch's test accuracy is the sign readout of the plain network at
+    # alpha = 1 and of alpha * (phi - phi0) against the frozen initial
+    # network otherwise, exactly as net.forward computes them
+    data, u = wishart_data(8, 60, 5.0, seed=19)
+    test, _ = wishart_data(8, 200, 5.0, seed=20)
+    for alpha in (1.0, 10.0):
+        cfg = learn.TrainConfig(alpha_lazy=alpha, epochs=3, batch_size=16, seed=9)
+        rep, net = learn.train_2lnn(data, test, u, cfg)
+        net0 = learn.init_network(8, cfg.width_factor * 8, generator(cfg.seed, "train2lnn"))
+        out = net.forward(test.values)
+        if alpha != 1.0:
+            out = alpha * (out - net0.forward(test.values))
+        assert rep.test_accuracy[-1] == float(np.mean(np.sign(out) == test.labels))
 
 
 def test_gradients_match_finite_differences():
@@ -193,6 +215,20 @@ def test_rf_duplication_invariance():
     acc1 = learn.fit_random_features(data, test, learn.RFConfig(width=50, ridge=0.1, seed=3))
     acc2 = learn.fit_random_features(doubled, test, learn.RFConfig(width=50, ridge=0.2, seed=3))
     assert acc1 == acc2
+
+
+def test_rf_readout_matches_cholesky_reference():
+    from scipy.linalg import cho_factor, cho_solve
+
+    data, _ = wishart_data(16, 300, 5.0, seed=29)
+    test, _ = wishart_data(16, 1000, 5.0, seed=30)
+    cfg = learn.RFConfig(width=80, ridge=0.1, seed=31)
+    F = generator(cfg.seed, "rf").standard_normal((cfg.width, 16)) / np.sqrt(16)
+    phi_tr = np.maximum(data.values @ F.T, 0.0)
+    gram = phi_tr.T @ phi_tr + cfg.ridge * np.eye(cfg.width)
+    w = cho_solve(cho_factor(gram), phi_tr.T @ data.labels)
+    ref = float(np.mean(np.sign(np.maximum(test.values @ F.T, 0.0) @ w) == test.labels))
+    assert learn.fit_random_features(data, test, cfg) == ref
 
 
 def test_strong_signal_wishart_run():
