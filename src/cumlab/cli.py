@@ -32,7 +32,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import __version__, datagen, detect, ldlr, learn, likelihood
+from . import __version__, cumtensor, datagen, detect, ldlr, learn, likelihood
 from .hermite import GDistribution
 from .rng import generator, spawn_seed
 
@@ -124,6 +124,15 @@ def _scalar(cfg: dict, key: str, kind: type, default=None):
     return _checked(key, cfg[key], kind)
 
 
+def _in_range(key: str, val, low, high=None, strict: bool = False):
+    """`val` when low <= val <= high (low < val when `strict`); no `high`
+    means no upper bound."""
+    if (val <= low if strict else val < low) or (high is not None and val > high):
+        bound = f"{'>' if strict else '>='} {low}" + ("" if high is None else f" and <= {high}")
+        raise ConfigError(f"config key {key!r} has value {val!r}, expected {bound}")
+    return val
+
+
 def _g_dist(cfg: dict, default: str = "rademacher") -> GDistribution:
     try:
         return GDistribution.from_kind(cfg.get("g", default))
@@ -165,16 +174,12 @@ def _validate(raw: dict) -> ExperimentConfig:
     if experiment not in _EXPERIMENTS:
         raise ConfigError(f"unknown experiment {experiment!r}; expected one of {_EXPERIMENTS}")
     seed = int(os.environ.get("CUMLAB_SEED", raw.get("seed", 0)))
-    runs = _scalar(raw, "runs", int, 1)
-    if runs < 1:
-        raise ConfigError("runs must be >= 1")
+    runs = _in_range("runs", _scalar(raw, "runs", int, 1), 1)
 
     tasks: list[dict] = []
     if experiment == "generate":
         model = _require(raw, "model", dict)
-        n = int(_require(raw, "n_per_class", int))
-        if n < 1:
-            raise ConfigError("n_per_class must be >= 1")
+        n = _in_range("n_per_class", _require(raw, "n_per_class", int), 1)
         fmt = raw.get("format", "both")
         if fmt not in ("csv", "binary", "both"):
             raise ConfigError("format must be csv, binary or both")
@@ -229,11 +234,11 @@ def _validate(raw: dict) -> ExperimentConfig:
             raise ConfigError(f"train-sweep task {task_name!r} not recognised")
         _g_dist(raw)
         beta = _scalar(raw, "beta", float, 0.0)
-        gain = _scalar(raw, "gain", float, 1.0)
-        xi = _scalar(raw, "xi", float, 1.0)
+        gain = _in_range("gain", _scalar(raw, "gain", float, 1.0), 0, strict=True)
+        xi = _in_range("xi", _scalar(raw, "xi", float, 1.0), 0, strict=True)
         with_rf = _scalar(raw, "rf", bool, True)
-        rf_ridge = _scalar(raw, "rf_ridge", float, 0.1)
-        n_test = _scalar(raw, "n_test_per_class", int, 2000)
+        rf_ridge = _in_range("rf_ridge", _scalar(raw, "rf_ridge", float, 0.1), 0, strict=True)
+        n_test = _in_range("n_test_per_class", _scalar(raw, "n_test_per_class", int, 2000), 1)
         cols = ("d", "n_per_class", "alpha_lazy")
         for d in _grid(raw, "d", int):
             for n in _grid(raw, "n_per_class", int):
@@ -250,13 +255,16 @@ def _validate(raw: dict) -> ExperimentConfig:
                             n_test_per_class=n_test,
                         ))
     elif experiment == "nlgp-localisation":
-        d = int(_require(raw, "d", int))
-        gain = _scalar(raw, "gain", float, 3.0)
-        xi = _scalar(raw, "xi", float, 1.0)
+        d = _in_range("d", _require(raw, "d", int), 1, cumtensor.MAX_CUMULANT_DIM)
+        gain = _in_range("gain", _scalar(raw, "gain", float, 3.0), 0, strict=True)
+        xi = _in_range("xi", _scalar(raw, "xi", float, 1.0), 0, strict=True)
         periodic = _scalar(raw, "periodic", bool, False)
         cols = ("d", "n", "data_class")
         for n_per_d in _grid(raw, "n_per_d", float):
             n = int(round(n_per_d * d))
+            if n < 2:
+                raise ConfigError(f"config key 'n_per_d' has value {n_per_d!r}, which gives "
+                                  f"n = {n} at d = {d}; the cumulant needs n >= 2")
             for cls in ("nlgp", "gp_match"):
                 for run in range(runs):
                     tasks.append(dict(kind="cp-run", coords=(d, n, cls), run=run,
@@ -396,8 +404,6 @@ def _run_train(task: dict, point_seed: int, out_dir: str) -> list[Record]:
 
 
 def _run_cp(task: dict, point_seed: int, out_dir: str) -> list[Record]:
-    from . import cumtensor  # heavy import kept local to the tasks that need it
-
     d, n, cls = task["coords"]
     kind = datagen.NLGP if cls == "nlgp" else datagen.GP_MATCH
     spec = datagen.ModelSpec(kind=kind, d=d, gain=task["gain"], xi=task["xi"],

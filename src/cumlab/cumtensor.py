@@ -3,30 +3,42 @@
 The plug-in estimator uses empirical moments of mean-centred data,
 
     k[i,j,k,l] = E[x_i x_j x_k x_l] - E[x_i x_j] E[x_k x_l]
-                 - E[x_i x_k] E[x_j x_l] - E[x_i x_l] E[x_j x_k],
+                 - E[x_i x_k] E[x_j x_l] - E[x_i x_l] E[x_j x_k].
 
-assembled from one (n, d^2) Gram product and then made exactly symmetric
-by averaging each index orbit once and scattering the result to all 24
-permutations (so permuted entries are equal bit for bit, not just up to
-rounding).  The O(1/n) bias of the plug-in form is negligible at the
-sample sizes used for the localisation diagnostics.
+The fourth moments come from G, the Gram matrix of the d(d+1)/2 unique
+pair products x_a x_b (a <= b), accumulated over fixed 4096-row blocks in
+a fixed order (bounded workspace, deterministic sums).  Each sorted index
+orbit i <= j <= k <= l is computed once, averaging the three pairings of
+the moment,
+
+    k = (G[ij,kl] + G[ik,jl] + G[il,jk]) / (3n)
+        - (m2_ij m2_kl + m2_ik m2_jl + m2_il m2_jk),
+
+and scattered to all 24 permutations, so permuted entries are equal bit
+for bit, not just up to rounding.  The O(1/n) bias of the plug-in form is
+negligible at the sample sizes used for the localisation diagnostics.
 
 The best rank-1 symmetric approximation gamma * v^(x4) is found by
 symmetric higher-order power iteration, v <- T(v,v,v,.)/|.|, run on -T
 when the dominant weight is negative, best of 8 random restarts by
-|gamma|.
+|gamma|.  T(v,v,v,.) of the current iterate is carried from step to step,
+where it also gives the weight T(v,v,v,v), so each step contracts the
+tensor once.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
-import json
+import math
 from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
 
 MAX_CUMULANT_DIM = 64
+
+_MOMENT_BLOCK_ROWS = 4096
 
 
 @dataclass
@@ -38,44 +50,40 @@ class FourthCumulant:
         return self.entries.shape[0]
 
     def contract3(self, v: np.ndarray) -> np.ndarray:
-        """T(v, v, v, .) as a d-vector."""
-        t = self.entries
-        for _ in range(3):
-            t = t @ v
-        return t
+        """T(v, v, v, .) as a d-vector: three matrix-vector products."""
+        d = self.d
+        t = self.entries.reshape(d**3, d) @ v
+        t = t.reshape(d * d, d) @ v
+        return t.reshape(d, d) @ v
 
     def contract4(self, v: np.ndarray) -> float:
         return float(self.contract3(v) @ v)
 
 
-def _symmetrize_exact(t: np.ndarray) -> np.ndarray:
-    """Average index orbits; every permutation of an index gets one value."""
-    d = t.shape[0]
-    idx = np.array(
-        [q for q in itertools.combinations_with_replacement(range(d), 4)], dtype=np.intp
-    )
-    cols = (idx[:, 0], idx[:, 1], idx[:, 2], idx[:, 3])
-    vals = np.zeros(len(idx))
-    perms = list(itertools.permutations(range(4)))
-    for p in perms:
-        vals += t[cols[p[0]], cols[p[1]], cols[p[2]], cols[p[3]]]
-    vals /= len(perms)
-    out = np.empty_like(t)
-    for p in perms:
-        out[cols[p[0]], cols[p[1]], cols[p[2]], cols[p[3]]] = vals
-    return out
+@functools.lru_cache(maxsize=2)
+def _orbit_indices(d: int):
+    """Index arrays for dimension d.
 
-
-_MOMENT_BLOCK_ROWS = 65536
+    Pairs a <= b are numbered in row-major order, so the pairs (i, i..d-1)
+    are rows offsets[i]:offsets[i+1] of the pair block.  Returns those
+    offsets; the sorted quadruples i <= j <= k <= l, as four arrays; and
+    the pair numbers of their three pairings (ij, kl), (ik, jl), (il, jk).
+    A quadruple is a pair (i, j) followed by a pair (k, l) with j <= k, so
+    no d^4 grid is built.
+    """
+    a, b = np.triu_indices(d)
+    offsets = np.concatenate([[0], np.cumsum(np.arange(d, 0, -1))])
+    pair_of = np.empty((d, d), dtype=np.intp)
+    pair_of[a, b] = pair_of[b, a] = np.arange(len(a))
+    first, second = np.nonzero(b[:, None] <= a[None, :])
+    quad = (a[first], b[first], a[second], b[second])
+    i, j, k, l = quad
+    pairings = ((first, second), (pair_of[i, k], pair_of[j, l]), (pair_of[i, l], pair_of[j, k]))
+    return offsets, quad, pairings
 
 
 def empirical_fourth_cumulant(data: np.ndarray) -> FourthCumulant:
-    """Plug-in fourth-cumulant tensor of an n x d sample (d <= 64).
-
-    Fourth moments accumulate over fixed-size row blocks (bounded pair
-    workspace, deterministic block order), so large n costs memory only in
-    the d^4 output.
-    """
+    """Plug-in fourth-cumulant tensor of an n x d sample (d <= 64)."""
     data = np.asarray(data, dtype=np.float64)
     n, d = data.shape
     if n < 2:
@@ -85,20 +93,33 @@ def empirical_fourth_cumulant(data: np.ndarray) -> FourthCumulant:
             f"d = {d} over the cap {MAX_CUMULANT_DIM}: the tensor alone is "
             f"{8 * d**4 / 2**20:.0f} MiB"
         )
+    offsets, quad, pairings = _orbit_indices(d)
     x = data - data.mean(axis=0)
     m2 = x.T @ x / n
-    gram4 = np.zeros((d * d, d * d))
+    # pair products laid out (pairs, rows): block @ block.T is a symmetric
+    # rank-k update that OpenBLAS runs several times faster than the
+    # (rows, pairs).T @ (rows, pairs) form, which is also slower to fill
+    xt = np.ascontiguousarray(x.T)
+    pairs = np.empty((offsets[-1], min(n, _MOMENT_BLOCK_ROWS)))
+    gram = np.zeros((offsets[-1], offsets[-1]))
     for start in range(0, n, _MOMENT_BLOCK_ROWS):
-        block = x[start : start + _MOMENT_BLOCK_ROWS]
-        pair = (block[:, :, None] * block[:, None, :]).reshape(len(block), d * d)
-        gram4 += pair.T @ pair
-    m4 = (gram4 / n).reshape(d, d, d, d)
-    k = m4 - (
-        np.einsum("ij,kl->ijkl", m2, m2)
-        + np.einsum("ik,jl->ijkl", m2, m2)
-        + np.einsum("il,jk->ijkl", m2, m2)
-    )
-    return FourthCumulant(entries=_symmetrize_exact(k))
+        cols = xt[:, start : start + _MOMENT_BLOCK_ROWS]
+        block = pairs[:, : cols.shape[1]]
+        for a in range(d):
+            np.multiply(cols[a], cols[a:], out=block[offsets[a] : offsets[a + 1]])
+        gram += block @ block.T
+    i, j, k, l = quad
+    moment = sum(gram[p, q] for p, q in pairings) / (3 * n)
+    vals = moment - (m2[i, j] * m2[k, l] + m2[i, k] * m2[j, l] + m2[i, l] * m2[j, k])
+    out = np.empty((d, d, d, d))
+    for p in itertools.permutations(quad):
+        out[p] = vals
+    return FourthCumulant(entries=out)
+
+
+def _norm(v: np.ndarray) -> float:
+    """np.linalg.norm of a real vector, bit for bit, without its call overhead."""
+    return math.sqrt(v @ v)
 
 
 class CpResult(NamedTuple):
@@ -127,47 +148,26 @@ def rank1_cp(
     best = CpResult(0.0, np.zeros(d), True)
     for _ in range(restarts):
         v = rng.standard_normal(d)
-        v /= np.linalg.norm(v)
-        sign = 1.0 if tensor.contract4(v) >= 0 else -1.0
-        gamma_abs = abs(tensor.contract4(v))
+        v /= _norm(v)
+        t = tensor.contract3(v)  # T(v,v,v,.) of the current iterate
+        gamma = float(t @ v)
+        sign = 1.0 if gamma >= 0 else -1.0
         for _ in range(max_iters):
-            w = sign * tensor.contract3(v)
-            norm = np.linalg.norm(w)
+            w = sign * t
+            norm = _norm(w)
             if norm == 0.0:
                 break
             w /= norm
-            new_gamma_abs = abs(tensor.contract4(w))
-            if new_gamma_abs < gamma_abs - 1e-12:
+            tw = tensor.contract3(w)
+            new_gamma = float(tw @ w)
+            if abs(new_gamma) < abs(gamma) - 1e-12:
                 break  # past the fixed point; keep the previous iterate
-            step = min(np.linalg.norm(w - v), np.linalg.norm(w + v))
-            v, gamma_abs = w, new_gamma_abs
+            step = min(_norm(w - v), _norm(w + v))
+            v, t, gamma = w, tw, new_gamma
             if step < tol:
                 break
-        gamma = tensor.contract4(v)
         if abs(gamma) > abs(best.weight):
-            best = CpResult(float(gamma), v, False)
+            best = CpResult(gamma, v, False)
     if best.degenerate:
         return CpResult(0.0, best.factor, True)
     return best
-
-
-def write_tensor(tensor: FourthCumulant, path, sidecar: dict | None = None) -> None:
-    """Flat d^4 little-endian float64 dump plus a JSON sidecar."""
-    arr = np.ascontiguousarray(tensor.entries, dtype="<f8")
-    with open(path, "wb") as fh:
-        fh.write(arr.tobytes())
-    meta = dict(sidecar or {})
-    meta["d"] = tensor.d
-    with open(str(path) + ".json", "w") as fh:
-        json.dump(meta, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-
-
-def read_tensor(path) -> FourthCumulant:
-    with open(str(path) + ".json") as fh:
-        d = int(json.load(fh)["d"])
-    with open(path, "rb") as fh:
-        arr = np.frombuffer(fh.read(), dtype="<f8").copy()
-    if arr.size != d**4:
-        raise ValueError(f"{path}: expected {d ** 4} entries, found {arr.size}")
-    return FourthCumulant(entries=arr.reshape(d, d, d, d))

@@ -1,4 +1,4 @@
-"""Samplers for the input model zoo and the whitening machinery.
+"""Samplers for the input model zoo and the dataset file formats.
 
 Input models, all in dimension d (spiked ones carry a spike u of norm
 sqrt(d)):
@@ -15,7 +15,8 @@ sqrt(d)):
                      the raw sample without materialising S.
 * NLGP            -- translation-invariant Gaussian field with covariance
                      C_ij = exp(-|i-j|/xi) pushed through x_i =
-                     erf(g z_i)/Z(g), Z chosen so E x_i^2 = 1.
+                     erf(g z_i)/Z(g), Z chosen so E x_i^2 = 1, from the
+                     closed form Z(g)^2 = (2/pi) asin(2 g^2/(1+2 g^2)).
 * GPMatch         -- Gaussian with the NLGP output covariance
                      Sigma_ij = (2/pi) asin(2 g^2 C_ij/(1+2 g^2)) / Z(g)^2.
 
@@ -30,7 +31,6 @@ from __future__ import annotations
 import io
 import struct
 from dataclasses import dataclass
-from math import erf
 
 import numpy as np
 
@@ -108,45 +108,6 @@ def draw_spike(d: int, rng: np.random.Generator) -> np.ndarray:
     return rng.choice(np.array([-1.0, 1.0]), size=d)
 
 
-def whitening_matrix(u: np.ndarray, beta: float) -> np.ndarray:
-    """S = 1 - beta/(1+beta+sqrt(1+beta)) u u^T / d.
-
-    Symmetric positive definite with S (1 + beta u u^T / d) S = 1; the
-    eigenvalue along u is 1/sqrt(1+beta), all others are 1.
-    """
-    if not np.isfinite(beta) or beta < 0:
-        raise ValueError("beta must be finite and >= 0")
-    u = np.asarray(u, dtype=np.float64)
-    d = u.shape[0]
-    if not np.isclose(u @ u, d):
-        raise ValueError("spike must have norm sqrt(d)")
-    coef = beta / (1.0 + beta + np.sqrt(1.0 + beta))
-    return np.eye(d) - coef * np.outer(u, u) / d
-
-
-def erf_variance_quadrature(gain: float) -> float:
-    """E[erf(g z)^2] for z ~ N(0,1) by adaptive quadrature.
-
-    Fixed-order Gauss-Hermite under-resolves the erf transition once the
-    gain exceeds ~2 (64 nodes are 2e-3 off at gain 3), which is enough to
-    break the unit-variance normalisation; adaptive Gauss-Kronrod on the
-    half line resolves every gain to near machine precision and still
-    works for any other saturating nonlinearity.
-    """
-    # Imported here, not at module level: scipy.integrate takes longer to
-    # import than the rest of cumlab together, and only NLGP sampling needs it.
-    from scipy.integrate import quad
-
-    val, err = quad(
-        lambda z: erf(gain * z) ** 2 * np.exp(-0.5 * z * z),
-        0.0,
-        np.inf,
-        epsabs=1e-14,
-        epsrel=1e-12,
-    )
-    return float(2.0 * val / np.sqrt(2.0 * np.pi))
-
-
 def erf_variance_closed_form(gain: float) -> float:
     """Closed form (2/pi) asin(2 g^2 / (1 + 2 g^2)) for E[erf(g z)^2]."""
     g2 = gain * gain
@@ -202,7 +163,7 @@ class _Sampler:
         if spec.kind == NLGP:
             cov = nlgp_latent_covariance(spec.d, spec.xi, spec.periodic)
             self.chol = _cholesky_or_raise(cov, "NLGP latent")
-            self.znorm = np.sqrt(erf_variance_quadrature(spec.gain))
+            self.znorm = np.sqrt(erf_variance_closed_form(spec.gain))
         if spec.kind == GP_MATCH:
             self.chol = _cholesky_or_raise(nlgp_output_covariance(spec), "GPMatch")
 

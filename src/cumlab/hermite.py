@@ -82,16 +82,6 @@ class HermiteBasis:
         self._check_degree(m)
         return list(self._rows[m])
 
-    def abs_coefficient_sum(self, m: int) -> int:
-        """S_m = sum_k |a_{m,k}|; satisfies S_m <= m!."""
-        self._check_degree(m)
-        return sum(abs(c) for c in self._rows[m])
-
-    def eval_exact(self, m: int, x: int) -> int:
-        """h_m at an integer point, in exact integer arithmetic."""
-        self._check_degree(m)
-        return sum(c * x**k for k, c in enumerate(self._rows[m]))
-
     def _check_degree(self, m: int) -> None:
         if not 0 <= m <= self.max_degree:
             raise DegreeError(

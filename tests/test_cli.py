@@ -433,10 +433,26 @@ LDLR_CFG = {"experiment": "ldlr-bounds", "seed": 1, "d": [8], "n": [20], "beta":
     ("nlgp-localisation", dict(NLGP_CFG, periodic=1), "'periodic' has value 1"),
     ("lr-curve", dict(LR_CFG, log10="yes"), "'log10' has value 'yes'"),
     ("ldlr-bounds", dict(LDLR_CFG, exact=0), "'exact' has value 0"),
+    ("train-sweep", dict(TINY_TRAIN_CFG, rf_ridge=0), "'rf_ridge' has value 0.0, expected > 0"),
+    ("train-sweep", dict(TINY_TRAIN_CFG, rf_ridge=-1.0),
+     "'rf_ridge' has value -1.0, expected > 0"),
+    ("train-sweep", dict(TINY_TRAIN_CFG, n_test_per_class=0),
+     "'n_test_per_class' has value 0, expected >= 1"),
+    ("train-sweep", dict(TINY_TRAIN_CFG, task="nlgp", gain=0.0),
+     "'gain' has value 0.0, expected > 0"),
+    ("train-sweep", dict(TINY_TRAIN_CFG, task="nlgp", xi=0), "'xi' has value 0.0, expected > 0"),
+    ("search-curve", dict(SEARCH_CFG, runs=0), "'runs' has value 0, expected >= 1"),
+    ("nlgp-localisation", dict(NLGP_CFG, gain=0), "'gain' has value 0.0, expected > 0"),
+    ("nlgp-localisation", dict(NLGP_CFG, xi=-1), "'xi' has value -1.0, expected > 0"),
+    ("nlgp-localisation", dict(NLGP_CFG, d=65), "'d' has value 65, expected >= 1 and <= 64"),
+    ("nlgp-localisation", dict(NLGP_CFG, d=0), "'d' has value 0, expected >= 1 and <= 64"),
+    ("nlgp-localisation", dict(NLGP_CFG, n_per_d=[0.1]),
+     "'n_per_d' has value 0.1, which gives n = 1 at d = 8"),
 ])
 def test_bad_scalar_value_is_refused(tmp_path, capsys, experiment, payload, message):
     # scalar keys are checked like grid values: never truncated, cast or
-    # read as a truth value
+    # read as a truth value, and out-of-range values are refused before
+    # any point runs
     cfg = write_config(tmp_path, "bad.json", payload)
     out = str(tmp_path / "bad")
     assert run_cli([experiment, "--config", cfg, "--out", out]) == 2

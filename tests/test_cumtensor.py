@@ -1,10 +1,14 @@
 """Fourth-cumulant estimator and rank-1 CP extraction."""
 
 import itertools
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import cumlab
 from cumlab import cumtensor, datagen, learn
 from cumlab.hermite import GDistribution
 
@@ -93,11 +97,115 @@ def test_rank1_on_noisy_planted_tensor():
     assert abs(res.factor[3]) > 0.99
 
 
-def test_tensor_export_round_trip(tmp_path):
-    rng = np.random.default_rng(8)
-    x = rng.standard_normal((300, 4))
-    k = cumtensor.empirical_fourth_cumulant(x)
-    path = tmp_path / "t.bin"
-    cumtensor.write_tensor(k, path, sidecar={"n": 300, "seed": 8})
-    loaded = cumtensor.read_tensor(path)
-    assert np.array_equal(loaded.entries, k.entries)
+def full_gram_cumulant(data):
+    """The estimator written out longhand: the Gram of all d^2 pair
+    products in one product, the d^4 moment tensor minus the three pairing
+    products, then every index orbit averaged over its 24 permutations."""
+    x = data - data.mean(axis=0)
+    n, d = x.shape
+    m2 = x.T @ x / n
+    pair = (x[:, :, None] * x[:, None, :]).reshape(n, d * d)
+    m4 = (pair.T @ pair / n).reshape(d, d, d, d)
+    k = m4 - (np.einsum("ij,kl->ijkl", m2, m2) + np.einsum("ik,jl->ijkl", m2, m2)
+              + np.einsum("il,jk->ijkl", m2, m2))
+    orbits = np.array(list(itertools.combinations_with_replacement(range(d), 4))).T
+    perms = list(itertools.permutations(orbits))
+    vals = sum(k[p] for p in perms) / len(perms)
+    out = np.empty_like(k)
+    for p in perms:
+        out[p] = vals
+    return out
+
+
+ROWS = cumtensor._MOMENT_BLOCK_ROWS
+
+
+@pytest.mark.parametrize("n", [ROWS // 8, ROWS, ROWS + ROWS // 4 + 1])
+@pytest.mark.parametrize("d", [1, 5, 20, 33])
+def test_estimator_matches_full_gram_reference(d, n):
+    # skewed, non-centred data, so that every moment term matters; n below,
+    # equal to and not a multiple of the row block
+    x = np.random.default_rng(d * n).exponential(size=(n, d)) + 0.5
+    new = cumtensor.empirical_fourth_cumulant(x).entries
+    ref = full_gram_cumulant(x)
+    assert np.abs(new - ref).max() <= 1e-13 * np.abs(ref).max()
+
+
+def reference_rank1_cp(tensor, rng, restarts=8, max_iters=1000, tol=1e-10):
+    """Power iteration that contracts afresh for every weight it needs.
+
+    Returns the best (weight, factor) and the number of candidate iterates
+    it evaluated: each accepted step, plus the step that ends a restart by
+    lowering |weight|.
+    """
+    def contract4(v):
+        return float(tensor.contract3(v) @ v)
+
+    best_weight, best_factor, evaluated = 0.0, None, 0
+    for _ in range(restarts):
+        v = rng.standard_normal(tensor.d)
+        v /= np.linalg.norm(v)
+        sign = 1.0 if contract4(v) >= 0 else -1.0
+        gamma_abs = abs(contract4(v))
+        for _ in range(max_iters):
+            w = sign * tensor.contract3(v)
+            norm = np.linalg.norm(w)
+            if norm == 0.0:
+                break
+            w /= norm
+            evaluated += 1
+            new_gamma_abs = abs(contract4(w))
+            if new_gamma_abs < gamma_abs - 1e-12:
+                break
+            step = min(np.linalg.norm(w - v), np.linalg.norm(w + v))
+            v, gamma_abs = w, new_gamma_abs
+            if step < tol:
+                break
+        gamma = contract4(v)
+        if abs(gamma) > abs(best_weight):
+            best_weight, best_factor = gamma, v
+    return best_weight, best_factor, evaluated
+
+
+def nlgp_cumulant(d, n, seed):
+    spec = datagen.ModelSpec(kind=datagen.NLGP, d=d, gain=3.0, xi=1.0)
+    return cumtensor.empirical_fourth_cumulant(datagen.sample_class(spec, n, seed))
+
+
+@pytest.mark.parametrize("make", [
+    lambda: nlgp_cumulant(12, 3000, 9),
+    lambda: rank1_tensor(np.random.default_rng(10).standard_normal(9), -2.0),
+], ids=["nlgp", "planted"])
+def test_rank1_cp_contracts_once_per_step(make, monkeypatch):
+    tensor = make()
+    weight, factor, evaluated = reference_rank1_cp(tensor, np.random.default_rng(11))
+    calls = []
+    contract3 = cumtensor.FourthCumulant.contract3
+
+    def counted(self, v):
+        calls.append(None)
+        return contract3(self, v)
+
+    monkeypatch.setattr(cumtensor.FourthCumulant, "contract3", counted)
+    res = cumtensor.rank1_cp(tensor, rng=np.random.default_rng(11))
+    assert len(calls) == 8 + evaluated  # one per restart and one per step
+    assert res.weight == pytest.approx(weight, rel=1e-12)
+    np.testing.assert_allclose(res.factor, factor, rtol=1e-12, atol=1e-15)
+
+
+def test_localisation_point_leaves_scipy_integrate_unloaded():
+    # a fresh interpreter, so modules imported by other tests do not count
+    env = dict(os.environ)
+    root = os.path.dirname(os.path.dirname(cumlab.__file__))
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [root, env.get("PYTHONPATH")]))
+    code = (
+        "import sys\n"
+        "from cumlab import cumtensor, datagen\n"
+        "spec = datagen.ModelSpec(kind=datagen.NLGP, d=6, gain=3.0, xi=1.0)\n"
+        "rows = datagen.sample_class(spec, 200, 1)\n"
+        "cumtensor.rank1_cp(cumtensor.empirical_fourth_cumulant(rows))\n"
+        "print('scipy.integrate' in sys.modules, 'scipy.special' in sys.modules)\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["False", "True"]
