@@ -24,7 +24,6 @@ import json
 import multiprocessing
 import os
 import sys
-import tempfile
 import time
 import traceback
 from collections.abc import Mapping
@@ -88,12 +87,13 @@ def _require(cfg: dict, key: str, types, what: str = ""):
 def _checked(key: str, val, kind: type):
     """`val` as `kind`, type-checked and never cast.
 
-    A bool key takes only true or false; an int key takes integers only, a
-    float key integers and floats.  A bool (JSON true/false is a Python
-    int), a string or (for an int key) a float is refused.
+    A bool key takes only true or false and a str key only a string.  An
+    int key takes integers only, a float key integers and floats; a bool
+    (JSON true/false is a Python int), a string or (for an int key) a float
+    is refused.
     """
-    if kind is bool:
-        ok = isinstance(val, bool)
+    if kind in (bool, str):
+        ok = isinstance(val, kind)
     else:
         allowed = int if kind is int else (int, float)
         ok = not isinstance(val, bool) and isinstance(val, allowed)
@@ -131,6 +131,39 @@ def _in_range(key: str, val, low, high=None, strict: bool = False):
         bound = f"{'>' if strict else '>='} {low}" + ("" if high is None else f" and <= {high}")
         raise ConfigError(f"config key {key!r} has value {val!r}, expected {bound}")
     return val
+
+
+# keys of the train-sweep `train` object, forwarded to learn.TrainConfig;
+# its other fields, alpha_lazy and seed, are set for each point
+_TRAIN_KEYS = {"epochs": int, "batch_size": int, "width_factor": int,
+               "learning_rate": float, "weight_decay": float, "loss": str}
+
+
+def _train_overrides(raw: dict) -> dict:
+    """The checked `train` object of a train-sweep config."""
+    checked = {}
+    for key, val in (_require(raw, "train", dict) if "train" in raw else {}).items():
+        if key in ("alpha_lazy", "seed"):
+            raise ConfigError(f"train key {key!r} is set for each point; "
+                              "it may not appear in the train object")
+        if key not in _TRAIN_KEYS:
+            raise ConfigError(f"unknown train key {key!r}; expected one of "
+                              f"{', '.join(_TRAIN_KEYS)}")
+        checked[key] = _checked(f"train.{key}", val, _TRAIN_KEYS[key])
+    try:
+        learn.TrainConfig(**checked)
+    except ValueError as exc:
+        raise ConfigError(f"train object: {exc}") from None
+    return checked
+
+
+def _dataset_name(raw: dict) -> str:
+    """`generate`'s `name`: a file name stem, with no directory part."""
+    name = _scalar(raw, "name", str, "dataset")
+    if name in ("", ".", "..") or os.path.basename(name) != name:
+        raise ConfigError(f"config key 'name' has value {name!r}, expected a file name "
+                          "with no path separator")
+    return name
 
 
 def _g_dist(cfg: dict, default: str = "rademacher") -> GDistribution:
@@ -188,7 +221,7 @@ def _validate(raw: dict) -> ExperimentConfig:
             raise ConfigError("negative_model dimension differs from model dimension")
         cols = ("name",)
         tasks.append(
-            dict(kind="generate", coords=(raw.get("name", "dataset"),), run=0,
+            dict(kind="generate", coords=(_dataset_name(raw),), run=0,
                  model=model, n_per_class=n, format=fmt,
                  negative_model=raw.get("negative_model"))
         )
@@ -239,6 +272,7 @@ def _validate(raw: dict) -> ExperimentConfig:
         with_rf = _scalar(raw, "rf", bool, True)
         rf_ridge = _in_range("rf_ridge", _scalar(raw, "rf_ridge", float, 0.1), 0, strict=True)
         n_test = _in_range("n_test_per_class", _scalar(raw, "n_test_per_class", int, 2000), 1)
+        train = _train_overrides(raw)
         cols = ("d", "n_per_class", "alpha_lazy")
         for d in _grid(raw, "d", int):
             for n in _grid(raw, "n_per_class", int):
@@ -250,7 +284,7 @@ def _validate(raw: dict) -> ExperimentConfig:
                             run=run, task=task_name, beta=beta,
                             g=raw.get("g", "rademacher"),
                             gain=gain, xi=xi,
-                            train=raw.get("train", {}),
+                            train=train,
                             with_rf=with_rf, rf_ridge=rf_ridge,
                             n_test_per_class=n_test,
                         ))
@@ -384,7 +418,7 @@ def _run_train(task: dict, point_seed: int, out_dir: str) -> list[Record]:
                                      spawn_seed(point_seed, "test"), neg=neg)
     overrides = dict(task["train"])
     epochs = overrides.pop("epochs", 200 if task["task"] != datagen.SPIKED_WISHART else 50)
-    cfg = learn.TrainConfig(alpha_lazy=alpha, epochs=int(epochs),
+    cfg = learn.TrainConfig(alpha_lazy=alpha, epochs=epochs,
                             seed=spawn_seed(point_seed, "net"), **overrides)
     report, _net = learn.train_2lnn(train_data, test_data, u, cfg)
     records = [
@@ -434,15 +468,8 @@ _RUNNERS = {
 
 
 def _atomic_write(path: str, text: str) -> None:
-    fd, tmp = tempfile.mkstemp(dir=os.path.dirname(path) or ".", suffix=".tmp")
-    try:
-        with os.fdopen(fd, "w") as fh:
-            fh.write(text)
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
+    with datagen.atomic_open(path) as fh:
+        fh.write(text)
 
 
 def _fmt(value: float) -> str:
@@ -472,9 +499,13 @@ def _write_outputs(cfg: ExperimentConfig, results: list[TaskResult], out_dir: st
         _write_search_curve(cfg, results, out_dir)
     if cfg.experiment == "ldlr-bounds" and by_metric:
         _write_bound_rows(cfg, results, out_dir)
+    errors_path = os.path.join(out_dir, "errors.csv")
     if errors:
         text = f"{header_coords},run,error\n" + "\n".join(errors) + "\n"
-        _atomic_write(os.path.join(out_dir, "errors.csv"), text)
+        _atomic_write(errors_path, text)
+    else:  # a clean rerun leaves no errors.csv from an earlier run behind
+        with contextlib.suppress(FileNotFoundError):
+            os.unlink(errors_path)
     manifest = {
         "version": f"cumlab-{__version__}",
         "experiment": cfg.experiment,

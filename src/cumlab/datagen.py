@@ -28,7 +28,8 @@ output.
 
 from __future__ import annotations
 
-import io
+import contextlib
+import os
 import struct
 from dataclasses import dataclass
 
@@ -242,19 +243,40 @@ def make_dataset(
 # then the n x d row-major float64 value block.
 # ---------------------------------------------------------------------------
 
+# The CSV goes out a block of rows at a time, about this many values per
+# block, so the writer's memory depends on neither n nor d.
+_CSV_BLOCK_VALUES = 2**16
+
+
+@contextlib.contextmanager
+def atomic_open(path, mode: str = "w"):
+    """Yield a file open for writing that replaces `path` when the block ends.
+
+    The data goes to a temp file in the same directory, which is renamed
+    onto `path` only after a clean exit and deleted on any exception, so
+    `path` never holds a partial file.
+    """
+    tmp = f"{os.fspath(path)}.{os.getpid()}.tmp"
+    try:
+        with open(tmp, mode) as fh:
+            yield fh
+        os.replace(tmp, path)
+    except BaseException:
+        with contextlib.suppress(FileNotFoundError):
+            os.unlink(tmp)
+        raise
+
 
 def write_csv(data: DataMatrix, path) -> None:
     d = data.d
-    header = "label," + ",".join(f"x_{i}" for i in range(d))
-    buf = io.StringIO()
-    buf.write(header + "\n")
-    for lab, row in zip(data.labels, data.values):
-        buf.write(repr(float(lab)))
-        for v in row:
-            buf.write("," + repr(float(v)))
-        buf.write("\n")
-    with open(path, "w") as fh:
-        fh.write(buf.getvalue())
+    block = max(1, _CSV_BLOCK_VALUES // (d + 1))
+    with atomic_open(path) as fh:
+        fh.write("label," + ",".join(f"x_{i}" for i in range(d)) + "\n")
+        for start in range(0, data.n, block):
+            labels = data.labels[start:start + block].tolist()
+            rows = data.values[start:start + block].tolist()
+            fh.write("".join(repr(lab) + "," + ",".join(map(repr, row)) + "\n"
+                             for lab, row in zip(labels, rows)))
 
 
 def read_csv(path) -> DataMatrix:
@@ -262,18 +284,17 @@ def read_csv(path) -> DataMatrix:
         header = fh.readline().strip().split(",")
         if header[0] != "label":
             raise ValueError(f"{path}: not a cumlab dataset CSV")
-        rows = [line.strip().split(",") for line in fh if line.strip()]
-    arr = np.array([[float(v) for v in row] for row in rows])
+        arr = np.loadtxt(fh, delimiter=",", ndmin=2)
     return DataMatrix(values=arr[:, 1:], labels=arr[:, 0])
 
 
 def write_binary(data: DataMatrix, path) -> None:
     n, d = data.values.shape
-    with open(path, "wb") as fh:
+    with atomic_open(path, "wb") as fh:
         fh.write(_BINARY_MAGIC)
         fh.write(struct.pack("<II", n, d))
-        fh.write(np.ascontiguousarray(data.labels, dtype="<f8").tobytes())
-        fh.write(np.ascontiguousarray(data.values, dtype="<f8").tobytes())
+        fh.write(memoryview(np.ascontiguousarray(data.labels, dtype="<f8")))
+        fh.write(memoryview(np.ascontiguousarray(data.values, dtype="<f8")))
 
 
 def read_binary(path) -> DataMatrix:

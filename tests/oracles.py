@@ -4,6 +4,7 @@ Each computes, by a slower or more explicit route, a quantity that cumlab
 obtains another way, so that a test can compare the two.
 """
 
+import io
 from math import erf
 
 import numpy as np
@@ -54,3 +55,23 @@ def abs_coefficient_sum(basis, m: int) -> int:
 def eval_exact(basis, m: int, x: int) -> int:
     """h_m at an integer point, in exact integer arithmetic."""
     return sum(c * x**k for k, c in enumerate(basis.coefficients(m)))
+
+
+def write_csv_unbuffered(data, path) -> None:
+    """The dataset CSV, built one value at a time in one in-memory string.
+
+    Each value is written as repr(float(v)); the whole file is held in
+    memory before it is written.  `datagen.write_csv` streams the same
+    bytes a block of rows at a time.
+    """
+    d = data.d
+    header = "label," + ",".join(f"x_{i}" for i in range(d))
+    buf = io.StringIO()
+    buf.write(header + "\n")
+    for lab, row in zip(data.labels, data.values):
+        buf.write(repr(float(lab)))
+        for v in row:
+            buf.write("," + repr(float(v)))
+        buf.write("\n")
+    with open(path, "w") as fh:
+        fh.write(buf.getvalue())

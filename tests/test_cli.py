@@ -118,6 +118,21 @@ def test_partial_failure_exit_code(tmp_path):
     assert os.path.exists(os.path.join(out, "log_lower.csv"))
 
 
+def test_clean_rerun_removes_stale_errors_csv(tmp_path):
+    # a failed point writes errors.csv; a clean rerun into the same
+    # directory must not leave it behind
+    cfg = {"experiment": "ldlr-bounds", "seed": 2, "d": [3, 16], "n": [40], "D": [8],
+           "beta": [10.0], "exact": True}
+    out = str(tmp_path / "rerun")
+    failing = write_config(tmp_path, "failing.json", cfg)
+    assert run_cli(["ldlr-bounds", "--config", failing, "--out", out]) == 1
+    assert os.path.exists(os.path.join(out, "errors.csv"))
+    clean = write_config(tmp_path, "clean.json", dict(cfg, d=[3]))
+    assert run_cli(["ldlr-bounds", "--config", clean, "--out", out]) == 0
+    assert not os.path.exists(os.path.join(out, "errors.csv"))
+    assert json.loads(read_bytes(os.path.join(out, "manifest.json")))["failed_points"] == 0
+
+
 def test_generate_round_trip(tmp_path):
     cfg = write_config(
         tmp_path,
@@ -138,6 +153,8 @@ def test_generate_round_trip(tmp_path):
     assert np.array_equal(a.values, b.values)
     assert np.array_equal(a.labels, b.labels)
     assert a.n == 60 and a.d == 5
+    # both files were renamed into place; no temp file is left over
+    assert sorted(os.listdir(out)) == ["manifest.json", "rows_written.csv", "toy.bin", "toy.csv"]
 
 
 def test_ldlr_bounds_csv_and_plotdata(tmp_path):
@@ -448,6 +465,29 @@ LDLR_CFG = {"experiment": "ldlr-bounds", "seed": 1, "d": [8], "n": [20], "beta":
     ("nlgp-localisation", dict(NLGP_CFG, d=0), "'d' has value 0, expected >= 1 and <= 64"),
     ("nlgp-localisation", dict(NLGP_CFG, n_per_d=[0.1]),
      "'n_per_d' has value 0.1, which gives n = 1 at d = 8"),
+    ("train-sweep", dict(TINY_TRAIN_CFG, train={"epochz": 3}), "unknown train key 'epochz'"),
+    ("train-sweep", dict(TINY_TRAIN_CFG, train={"alpha_lazy": 2.0}),
+     "train key 'alpha_lazy' is set for each point"),
+    ("train-sweep", dict(TINY_TRAIN_CFG, train={"seed": 3}), "train key 'seed' is set"),
+    ("train-sweep", dict(TINY_TRAIN_CFG, train={"epochs": 2.5}),
+     "'train.epochs' has value 2.5, expected int"),
+    ("train-sweep", dict(TINY_TRAIN_CFG, train={"batch_size": "8"}),
+     "'train.batch_size' has value '8', expected int"),
+    ("train-sweep", dict(TINY_TRAIN_CFG, train={"width_factor": True}),
+     "'train.width_factor' has value True, expected int"),
+    ("train-sweep", dict(TINY_TRAIN_CFG, train={"learning_rate": "0.1"}),
+     "'train.learning_rate' has value '0.1', expected float"),
+    ("train-sweep", dict(TINY_TRAIN_CFG, train={"weight_decay": None}),
+     "'train.weight_decay' has value None, expected float"),
+    ("train-sweep", dict(TINY_TRAIN_CFG, train={"loss": 5}), "'train.loss' has value 5"),
+    ("train-sweep", dict(TINY_TRAIN_CFG, train={"loss": "hinge"}),
+     "only the squared loss is supported"),
+    ("generate", dict(GENERATE_CFG, name="sub/x"),
+     "'name' has value 'sub/x', expected a file name with no path separator"),
+    ("generate", dict(GENERATE_CFG, name=5), "'name' has value 5, expected str"),
+    ("generate", dict(GENERATE_CFG, name=""), "'name' has value '', expected a file name"),
+    ("generate", dict(GENERATE_CFG, name="."), "'name' has value '.', expected a file name"),
+    ("generate", dict(GENERATE_CFG, name=".."), "'name' has value '..', expected a file name"),
 ])
 def test_bad_scalar_value_is_refused(tmp_path, capsys, experiment, payload, message):
     # scalar keys are checked like grid values: never truncated, cast or

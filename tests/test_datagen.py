@@ -1,5 +1,8 @@
 """Samplers, whitening, exports, and their statistical contracts."""
 
+import os
+import tracemalloc
+
 import numpy as np
 import pytest
 from scipy import stats
@@ -7,7 +10,7 @@ from scipy import stats
 from cumlab import datagen
 from cumlab.hermite import GDistribution
 from cumlab.rng import block_generator, spawn_seed
-from oracles import erf_variance_quadrature, whitening_matrix
+from oracles import erf_variance_quadrature, whitening_matrix, write_csv_unbuffered
 
 RADEM = GDistribution.rademacher()
 
@@ -224,3 +227,116 @@ def test_binary_bad_magic(tmp_path):
     path.write_bytes(b"NOTMAGIC" + b"\0" * 24)
     with pytest.raises(ValueError, match="bad magic"):
         datagen.read_binary(path)
+
+
+# values whose repr is easy to get wrong: signed zero, non-finite values,
+# the smallest subnormal and the largest double, and the points where repr
+# switches between positional and exponent notation
+SPECIAL_VALUES = [-0.0, np.nan, np.inf, -np.inf, 5e-324, 1.7976931348623157e308,
+                  1e-5, 9.999e-5, 1e16, 1e-16]
+
+
+def special_dataset(n, d, seed=0):
+    rng = np.random.default_rng(seed)
+    values = rng.standard_normal((n, d)) * 10.0 ** rng.integers(-300, 300, (n, d))
+    flat = values.reshape(-1)
+    flat[: len(SPECIAL_VALUES)] = SPECIAL_VALUES[: flat.size]
+    labels = np.where(rng.random(n) < 0.5, 1.0, -1.0)
+    return datagen.DataMatrix(values=values, labels=labels)
+
+
+CSV_D = 20
+CSV_BLOCK = datagen._CSV_BLOCK_VALUES // (CSV_D + 1)  # rows per written block
+
+
+@pytest.mark.parametrize("n", [1, CSV_BLOCK - 1, CSV_BLOCK, 2 * CSV_BLOCK + 1])
+def test_write_csv_matches_unbuffered_writer(tmp_path, n):
+    data = special_dataset(n, CSV_D, seed=n)
+    datagen.write_csv(data, tmp_path / "blocks.csv")
+    write_csv_unbuffered(data, tmp_path / "reference.csv")
+    assert (tmp_path / "blocks.csv").read_bytes() == (tmp_path / "reference.csv").read_bytes()
+    back = datagen.read_csv(tmp_path / "blocks.csv")
+    assert back.values.tobytes() == data.values.tobytes()
+    assert back.labels.tobytes() == data.labels.tobytes()
+
+
+def test_read_csv_keeps_one_row_two_dimensional(tmp_path):
+    data = special_dataset(1, 1)
+    datagen.write_csv(data, tmp_path / "one.csv")
+    back = datagen.read_csv(tmp_path / "one.csv")
+    assert back.values.shape == (1, 1) and back.labels.shape == (1,)
+    assert back.values.tobytes() == data.values.tobytes()
+
+
+def test_read_csv_refuses_foreign_header(tmp_path):
+    path = tmp_path / "other.csv"
+    path.write_text("a,b\n1.0,2.0\n")
+    with pytest.raises(ValueError, match="not a cumlab dataset CSV"):
+        datagen.read_csv(path)
+
+
+def traced_peak(call) -> int:
+    """Peak bytes allocated through Python while `call()` runs."""
+    tracemalloc.start()
+    try:
+        call()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_write_csv_memory_does_not_grow_with_rows(tmp_path):
+    # the writer holds one block of rows, never the whole file
+    n = CSV_BLOCK
+    small_data, large_data = special_dataset(n, CSV_D), special_dataset(4 * n, CSV_D)
+    small = traced_peak(lambda: datagen.write_csv(small_data, tmp_path / "a.csv"))
+    large = traced_peak(lambda: datagen.write_csv(large_data, tmp_path / "b.csv"))
+    assert large <= 1.1 * small, (small, large)
+
+
+def test_write_binary_makes_no_full_copy(tmp_path):
+    data = special_dataset(20_000, CSV_D)
+    peak = traced_peak(lambda: datagen.write_binary(data, tmp_path / "data.bin"))
+    assert peak < data.values.nbytes / 10, (peak, data.values.nbytes)
+
+
+def test_read_csv_holds_little_beyond_the_parsed_array(tmp_path):
+    # parsed straight into one float array, not via a list of string rows
+    data = special_dataset(5_000, CSV_D)
+    datagen.write_csv(data, tmp_path / "data.csv")
+    peak = traced_peak(lambda: datagen.read_csv(tmp_path / "data.csv"))
+    assert peak < 3 * (data.values.nbytes + data.labels.nbytes), peak
+
+
+class FailingValues:
+    """A value matrix whose rows past the first cannot be read, as if the
+    disk filled up part-way through the file."""
+
+    def __init__(self, values):
+        self.values = values
+        self.shape = values.shape
+
+    def __getitem__(self, rows):
+        if rows.start:
+            raise OSError("injected write failure")
+        return self.values[rows]
+
+    def __array__(self, dtype=None, copy=None):
+        raise OSError("injected write failure")
+
+
+@pytest.mark.parametrize("write", [datagen.write_csv, datagen.write_binary])
+def test_failed_write_leaves_no_file(tmp_path, monkeypatch, write):
+    monkeypatch.setattr(datagen, "_CSV_BLOCK_VALUES", 8)  # two rows a block at d = 3
+    data = special_dataset(6, 3)
+    failing = datagen.DataMatrix(values=FailingValues(data.values), labels=data.labels)
+    with pytest.raises(OSError, match="injected"):
+        write(failing, tmp_path / "data.out")
+    assert os.listdir(tmp_path) == []
+    # an existing file is left as it was, not truncated
+    write(data, tmp_path / "data.out")
+    before = (tmp_path / "data.out").read_bytes()
+    with pytest.raises(OSError, match="injected"):
+        write(failing, tmp_path / "data.out")
+    assert os.listdir(tmp_path) == ["data.out"]
+    assert (tmp_path / "data.out").read_bytes() == before
