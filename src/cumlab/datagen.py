@@ -44,7 +44,7 @@ SPIKED_CUMULANT = "spiked_cumulant"
 NLGP = "nlgp"
 GP_MATCH = "gp_match"
 
-_KINDS = (NULL, SPIKED_WISHART, SPIKED_CUMULANT, NLGP, GP_MATCH)
+KINDS = (NULL, SPIKED_WISHART, SPIKED_CUMULANT, NLGP, GP_MATCH)
 
 _BLOCK_ROWS = 65536
 
@@ -65,8 +65,8 @@ class ModelSpec:
     periodic: bool = False  # NLGP index distance; open boundary by default
 
     def __post_init__(self):
-        if self.kind not in _KINDS:
-            raise ValueError(f"unknown model kind {self.kind!r}; expected one of {_KINDS}")
+        if self.kind not in KINDS:
+            raise ValueError(f"unknown model kind {self.kind!r}; expected one of {KINDS}")
         if self.d < 1:
             raise ValueError("dimension d must be >= 1")
         if not np.isfinite(self.beta) or self.beta < 0:
@@ -298,11 +298,18 @@ def write_binary(data: DataMatrix, path) -> None:
 
 
 def read_binary(path) -> DataMatrix:
+    """Read a binary dataset straight into its label and value arrays."""
     with open(path, "rb") as fh:
         magic = fh.read(8)
         if magic != _BINARY_MAGIC:
             raise ValueError(f"{path}: bad magic {magic!r}")
-        n, d = struct.unpack("<II", fh.read(8))
-        labels = np.frombuffer(fh.read(8 * n), dtype="<f8").copy()
-        values = np.frombuffer(fh.read(8 * n * d), dtype="<f8").copy().reshape(n, d)
+        header = fh.read(8)
+        if len(header) < 8:
+            raise ValueError(f"{path}: truncated file, no n and d after the magic")
+        n, d = struct.unpack("<II", header)
+        labels, values = np.empty(n, dtype="<f8"), np.empty((n, d), dtype="<f8")
+        for arr in (labels, values):
+            if fh.readinto(arr) < arr.nbytes:
+                raise ValueError(f"{path}: truncated file, shorter than its header's "
+                                 f"n = {n}, d = {d}")
     return DataMatrix(values=values, labels=labels)

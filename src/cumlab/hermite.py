@@ -38,7 +38,7 @@ RADEMACHER = "rademacher"
 UNIFORM = "uniform"
 STANDARD_GAUSSIAN = "standard_gaussian"
 
-_G_KINDS = (RADEMACHER, UNIFORM, STANDARD_GAUSSIAN)
+G_KINDS = (RADEMACHER, UNIFORM, STANDARD_GAUSSIAN)
 
 
 class DegreeError(ValueError):
@@ -143,8 +143,8 @@ class GDistribution:
 
     @staticmethod
     def from_kind(kind: str) -> "GDistribution":
-        if kind not in _G_KINDS:
-            raise ValueError(f"unknown g distribution {kind!r}; expected one of {_G_KINDS}")
+        if kind not in G_KINDS:
+            raise ValueError(f"unknown g distribution {kind!r}; expected one of {G_KINDS}")
         return {
             RADEMACHER: GDistribution.rademacher,
             UNIFORM: GDistribution.uniform,

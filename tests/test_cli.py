@@ -430,6 +430,14 @@ def test_bad_grid_value_is_refused(tmp_path, capsys, experiment, payload, messag
     assert not os.path.exists(out)
 
 
+class WithEnv(dict):
+    """A config payload that runs with extra environment variables."""
+
+    def __init__(self, payload, **env):
+        super().__init__(payload)
+        self.env = env
+
+
 NLGP_CFG = {"experiment": "nlgp-localisation", "seed": 2, "d": 8, "n_per_d": [10]}
 LR_CFG = {"experiment": "lr-curve", "seed": 1, "d": [8], "theta": [1.0], "beta": [1.0]}
 LDLR_CFG = {"experiment": "ldlr-bounds", "seed": 1, "d": [8], "n": [20], "beta": [1.0]}
@@ -488,11 +496,38 @@ LDLR_CFG = {"experiment": "ldlr-bounds", "seed": 1, "d": [8], "n": [20], "beta":
     ("generate", dict(GENERATE_CFG, name=""), "'name' has value '', expected a file name"),
     ("generate", dict(GENERATE_CFG, name="."), "'name' has value '.', expected a file name"),
     ("generate", dict(GENERATE_CFG, name=".."), "'name' has value '..', expected a file name"),
+    ("generate", dict(GENERATE_CFG, model={"kind": "foo", "d": 2}),
+     "'model.kind' has value 'foo', expected one of null, spiked_wishart"),
+    ("generate", dict(GENERATE_CFG, model={"kind": "null", "d": "5"}),
+     "'model.d' has value '5', expected int"),
+    ("generate", dict(GENERATE_CFG, model={"kind": "null", "d": 2, "bta": 3}),
+     "unknown model key 'bta'"),
+    ("generate", dict(GENERATE_CFG, model={"kind": "null", "d": 0}),
+     "model object: dimension d must be >= 1"),
+    ("search-curve", dict(SEARCH_CFG, seed=2.7), "'seed' has value 2.7, expected int"),
+    ("search-curve", dict(SEARCH_CFG, seed=True), "'seed' has value True, expected int"),
+    ("search-curve", dict(SEARCH_CFG, seed="x"), "'seed' has value 'x', expected int"),
+    ("search-curve", WithEnv(SEARCH_CFG, CUMLAB_SEED="abc"),
+     "CUMLAB_SEED has value 'abc', expected int"),
+    ("search-curve", dict(SEARCH_CFG, runz=5), "unknown config key 'runz'"),
+    ("lr-curve", dict(LR_CFG, runs=2), "unknown config key 'runs'"),
+    ("generate", dict(GENERATE_CFG, negative_model={"kind": "null", "d": 5, "dd": 5}),
+     "unknown negative_model key 'dd'"),
+    ("train-sweep", dict(TINY_TRAIN_CFG, alpha_lazy=[1.0, 0.5]),
+     "'alpha_lazy' has value 0.5, expected >= 1"),
+    ("train-sweep", dict(TINY_TRAIN_CFG, train={"epochs": 0}),
+     "'train.epochs' has value 0, expected >= 1"),
+    ("lr-curve", dict(LR_CFG, beta=-1), "'beta' has value -1.0, expected >= 0"),
+    ("ldlr-bounds", dict(LDLR_CFG, D=[4, -2]), "'D' has value -2, expected >= 0"),
+    ("search-curve", dict(SEARCH_CFG, d=0), "'d' has value 0, expected >= 1 and <= 30"),
+    ("search-curve", [SEARCH_CFG], "the config is a JSON list, not an object"),
 ])
-def test_bad_scalar_value_is_refused(tmp_path, capsys, experiment, payload, message):
+def test_bad_scalar_value_is_refused(tmp_path, capsys, monkeypatch, experiment, payload, message):
     # scalar keys are checked like grid values: never truncated, cast or
     # read as a truth value, and out-of-range values are refused before
     # any point runs
+    for var, val in getattr(payload, "env", {}).items():
+        monkeypatch.setenv(var, val)
     cfg = write_config(tmp_path, "bad.json", payload)
     out = str(tmp_path / "bad")
     assert run_cli([experiment, "--config", cfg, "--out", out]) == 2
@@ -524,3 +559,80 @@ def test_success_rate_leaves_out_failed_runs(tmp_path, monkeypatch):
         f"0.5,{hits['0.5'] / 5},5,7,10.0,21",
         f"1.25,{hits['1.25'] / 6},6,7,10.0,21",
     ]
+
+
+# Fixed values: rng.derive_key renders each coordinate with str(), so a
+# coordinate read as 1 instead of 1.0 would move every seed.  The ldlr-bounds
+# config sends "D": "auto", which gives D = 1 at n = 2 and D = 6 at n = 20.
+PINNED_SEEDS = [
+    ({"experiment": "generate", "seed": 3, "n_per_class": 2,
+      "model": {"kind": "null", "d": 2}, "format": "csv"},
+     {"dataset#0": 4988806115026997936}),
+    ({"experiment": "lr-curve", "seed": 1, "d": 8, "theta": [1, 1.5], "beta": 2},
+     {"8,1.0,2.0#0": 17201372366182443092, "8,1.5,2.0#0": 16341161950635149572}),
+    ({"experiment": "ldlr-bounds", "seed": 1, "d": 3, "n": [2, 20], "D": "auto", "beta": 1},
+     {"3,2,1,1.0#0": 1957275678044806748, "3,20,6,1.0#0": 11692785613645657184}),
+    ({"experiment": "search-curve", "seed": 21, "d": 4, "theta": 1, "beta": 10, "runs": 2},
+     {"4,1.0#0": 11529923857033211459, "4,1.0#1": 3339359314873694545}),
+    ({"experiment": "train-sweep", "seed": 6, "task": "nlgp", "d": 4, "n_per_class": 8,
+      "alpha_lazy": [1, 10], "n_test_per_class": 4, "train": {"epochs": 1}, "rf": False},
+     {"4,8,1.0#0": 2505864309745939901, "4,8,10.0#0": 15814498051973090716}),
+    ({"experiment": "nlgp-localisation", "seed": 7, "d": 4, "n_per_d": [1, 2.5], "runs": 2},
+     {"4,4,nlgp#0": 514460247355037930, "4,4,nlgp#1": 14150707050999293990,
+      "4,4,gp_match#0": 5585671326017380919, "4,4,gp_match#1": 4571038558550077936,
+      "4,10,nlgp#0": 5919477147589199855, "4,10,nlgp#1": 191750432496125631,
+      "4,10,gp_match#0": 2833860317993880910, "4,10,gp_match#1": 9493547002783410989}),
+]
+
+
+@pytest.mark.parametrize("payload, seeds", PINNED_SEEDS,
+                         ids=[payload["experiment"] for payload, _ in PINNED_SEEDS])
+def test_point_seeds_are_pinned(tmp_path, payload, seeds):
+    cfg = write_config(tmp_path, "cfg.json", payload)
+    out = str(tmp_path / "out")
+    assert run_cli([payload["experiment"], "--config", cfg, "--out", out]) == 0
+    assert json.loads(read_bytes(os.path.join(out, "manifest.json")))["point_seeds"] == seeds
+
+
+def describe(name, key):
+    """Key `name` as the README's config schema lists it."""
+    if key is cli.PER_POINT:
+        return f"`{name}` (set for each point, refused)"
+    if key.kind is None:
+        kind = "one of `" + "|".join(map(str, key.choices)) + "`"
+    else:
+        kind = ("object" if key.kind is dict else key.kind.__name__) + " grid" * key.grid
+        kind += "".join(f" or `{json.dumps(choice)}`" for choice in key.choices)
+    parts = [kind] + ([key.check[1]] if key.check else [])
+    if key.default is cli.REQUIRED or key.default is cli.OPTIONAL:
+        parts.append("required" if key.default is cli.REQUIRED else "optional")
+    else:
+        parts.append(f"default `{json.dumps(key.default)}`")
+    return f"`{name}` ({', '.join(parts)})"
+
+
+def schema_lines():
+    """The lines of the README's config schema that list the keys."""
+    yield "Keys of every experiment: " + ", ".join(
+        describe(n, k) for n, k in cli.COMMON_KEYS.items()) + "."
+    objects = {}
+    for name, exp in cli.EXPERIMENTS.items():
+        yield f"* `{name}`: " + ", ".join(describe(n, k) for n, k in exp.keys.items()) + "."
+        for n, k in exp.keys.items():
+            if k.keys is not None:
+                objects.setdefault(id(k.keys), (k.keys, set()))[1].add(n)
+    for keys, names in objects.values():
+        yield (" and ".join(f"`{n}`" for n in sorted(names)) + " object keys: "
+               + ", ".join(describe(n, k) for n, k in keys.items()) + ".")
+
+
+def test_readme_schema_lists_every_key():
+    # the schema section is generated from the experiment table: print the
+    # lines of schema_lines() and paste them over the stale ones
+    readme = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "README.md")
+    with open(readme) as fh:
+        text = fh.read()
+    section = text[text.index("### Config schema"):]
+    section = section[:section.index("\n### ", 1)]
+    for line in schema_lines():
+        assert f"\n{line}\n" in section, line

@@ -229,6 +229,18 @@ def test_binary_bad_magic(tmp_path):
         datagen.read_binary(path)
 
 
+def test_binary_truncated_file_is_refused(tmp_path):
+    path = tmp_path / "short.bin"
+    datagen.write_binary(special_dataset(50, 4), path)
+    payload = path.read_bytes()
+    # cut in the header, in the labels and in the last value
+    for size in (12, 16 + 8 * 25, len(payload) - 1):
+        path.write_bytes(payload[:size])
+        with pytest.raises(ValueError, match="truncated file") as info:
+            datagen.read_binary(path)
+        assert str(path) in str(info.value)
+
+
 # values whose repr is easy to get wrong: signed zero, non-finite values,
 # the smallest subnormal and the largest double, and the points where repr
 # switches between positional and exponent notation
@@ -306,6 +318,14 @@ def test_read_csv_holds_little_beyond_the_parsed_array(tmp_path):
     datagen.write_csv(data, tmp_path / "data.csv")
     peak = traced_peak(lambda: datagen.read_csv(tmp_path / "data.csv"))
     assert peak < 3 * (data.values.nbytes + data.labels.nbytes), peak
+
+
+def test_read_binary_reads_straight_into_its_arrays(tmp_path):
+    # no bytes object or view copy beside the arrays it returns
+    data = special_dataset(20_000, CSV_D)
+    datagen.write_binary(data, tmp_path / "data.bin")
+    peak = traced_peak(lambda: datagen.read_binary(tmp_path / "data.bin"))
+    assert peak < 1.25 * (data.values.nbytes + data.labels.nbytes), peak
 
 
 class FailingValues:
