@@ -9,6 +9,8 @@ depend on how the candidate space is split into blocks.
 
 from __future__ import annotations
 
+from functools import lru_cache
+
 import numpy as np
 
 
@@ -21,31 +23,56 @@ import numpy as np
 # the score are broken toward the smallest code.
 # ---------------------------------------------------------------------------
 
-# cap on n * block, so a per-sample score that expands each projection over
-# 64 quadrature nodes keeps its (n, block, 64) workspace at 2^24 elements
-_SEARCH_WORKSPACE = 1 << 18
+# cap on n * block: 2^14 float64 values (128 KB), so the projection buffer
+# and the Rademacher score's temporaries stay in cache and the allocator
+# reuses them block after block instead of mapping fresh pages; the Uniform
+# score's (n, block, 64) quadrature workspace stays at 2^20 values (8 MB)
+_SEARCH_WORKSPACE = 1 << 14
+
+
+@lru_cache(maxsize=8)
+def _low_signs(bits: int) -> np.ndarray:
+    """(2^bits, bits) signs of every `bits`-bit code, most significant first."""
+    codes = np.arange(1 << bits)[:, None]
+    shifts = np.arange(bits - 1, -1, -1)[None, :]
+    signs = np.where((codes >> shifts) & 1 == 1, 1.0, -1.0)
+    signs.flags.writeable = False
+    return signs
 
 
 def search_best_code(X, scale, terms, block: int = 2048):
     """Best candidate code and its score sum_mu terms(scale * x_mu . v).
 
     `terms` maps an array of scaled projections to per-sample scores of the
-    same shape (``likelihood.loglik_terms`` with beta and g bound).
+    same shape (``likelihood.loglik_terms`` with beta and g bound); it must
+    not write to its input, which is the reused projection buffer.
+
+    `block` is rounded down to a power of two, so each block is one fixed
+    pattern of the low code bits under constant high bits.  A block keeps at
+    least two columns when there are two candidates or more: numpy sums a
+    one-column array pairwise but a wider one row by row, so every score is
+    the row-by-row sum whatever the block.
     """
     n, d = X.shape
     ncand = 1 << (d - 1)
     block = max(1, min(block, ncand, _SEARCH_WORKSPACE // max(1, n)))
-    shifts = d - 1 - np.arange(1, d)
+    block = max(min(2, ncand), 1 << (block.bit_length() - 1))
+    bits = block.bit_length() - 1
+    high = d - bits  # V[:, 1:high] hold the high bits, constant in a block
+    V = np.empty((block, d))
+    V[:, 0] = 1.0
+    V[:, high:] = _low_signs(bits)
+    T = np.empty((n, block))
+    shifts = np.arange(high - 2, -1, -1)
     best_score, best_code = -np.inf, 0
-    for start in range(0, ncand, block):
-        codes = np.arange(start, min(start + block, ncand), dtype=np.int64)
-        V = np.ones((len(codes), d))
-        V[:, 1:] = np.where((codes[:, None] >> shifts[None, :]) & 1 == 1, 1.0, -1.0)
-        T = scale * (X @ V.T)  # (n, block)
+    for k in range(ncand // block):
+        V[:, 1:high] = np.where((k >> shifts) & 1 == 1, 1.0, -1.0)
+        np.matmul(X, V.T, out=T)
+        T *= scale
         scores = terms(T).sum(axis=0)
         j = int(np.argmax(scores))  # first max = smallest code within the block
         if scores[j] > best_score:
-            best_score, best_code = float(scores[j]), int(codes[j])
+            best_score, best_code = float(scores[j]), k * block + j
     return best_code, best_score
 
 

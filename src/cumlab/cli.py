@@ -182,8 +182,8 @@ _TRAIN = Key(dict, {}, keys={
     "epochs": Key(int, OPTIONAL, check=_at_least(1)),
     "batch_size": Key(int, OPTIONAL, check=_at_least(1)),
     "width_factor": Key(int, OPTIONAL, check=_at_least(1)),
-    "learning_rate": Key(float, OPTIONAL),
-    "weight_decay": Key(float, OPTIONAL),
+    "learning_rate": Key(float, OPTIONAL, check=_above(0)),
+    "weight_decay": Key(float, OPTIONAL, check=_at_least(0)),
     "loss": Key(str, OPTIONAL),
     "alpha_lazy": PER_POINT,
     "seed": PER_POINT,
@@ -482,9 +482,27 @@ def _fmt(value: float) -> str:
     return repr(float(value))
 
 
+def _previous_outputs(out_dir: str) -> set[str]:
+    """The metric CSVs and the aggregate that the manifest in `out_dir`
+    lists; empty when there is no readable manifest."""
+    try:
+        with open(os.path.join(out_dir, "manifest.json")) as fh:
+            old = json.load(fh)
+        metrics, aggregate = old["metrics"], EXPERIMENTS[old["experiment"]].aggregate
+    except (OSError, ValueError, LookupError, TypeError):
+        return set()
+    if not isinstance(metrics, list):
+        return set()
+    names = {f"{metric}.csv" for metric in metrics if isinstance(metric, str)}
+    if aggregate:
+        names.add(aggregate[0])
+    return {name for name in names if os.path.basename(name) == name}
+
+
 def _write_outputs(cfg: ExperimentConfig, results: list[TaskResult], out_dir: str,
                    blas_threads: dict[str, str] | None = None) -> int:
     exp = EXPERIMENTS[cfg.experiment]
+    stale = _previous_outputs(out_dir)
     results = sorted(results, key=lambda r: r.index)
     by_metric: dict[str, list[str]] = {}
     errors: list[str] = []
@@ -502,16 +520,22 @@ def _write_outputs(cfg: ExperimentConfig, results: list[TaskResult], out_dir: st
     for metric, rows in by_metric.items():
         text = f"{header_coords},run,value\n" + "\n".join(rows) + "\n"
         _atomic_write(os.path.join(out_dir, f"{metric}.csv"), text)
+        stale.discard(f"{metric}.csv")
     if exp.aggregate and done:
         name, make_text = exp.aggregate
         _atomic_write(os.path.join(out_dir, name), make_text(cfg, done))
+        stale.discard(name)
     errors_path = os.path.join(out_dir, "errors.csv")
     if errors:
         text = f"{header_coords},run,error\n" + "\n".join(errors) + "\n"
         _atomic_write(errors_path, text)
-    else:  # a clean rerun leaves no errors.csv from an earlier run behind
+    else:
+        stale.add("errors.csv")
+    # a metric CSV, aggregate or errors.csv of an earlier run into
+    # `out_dir` that this run does not write is removed
+    for name in stale:
         with contextlib.suppress(FileNotFoundError):
-            os.unlink(errors_path)
+            os.unlink(os.path.join(out_dir, name))
     manifest = {
         "version": f"cumlab-{__version__}",
         "experiment": cfg.experiment,

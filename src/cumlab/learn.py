@@ -22,6 +22,8 @@ pool and costs more than the rest of ``import cumlab.cli``.
 
 from __future__ import annotations
 
+import math
+import sys
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -99,12 +101,28 @@ class DivergenceError(RuntimeError):
         self.epoch = epoch
 
 
+# the largest sum of squares whose square is finite
+_MAX_SUM_SQ = math.sqrt(sys.float_info.max)
+
+
+def _unit_rows(W: np.ndarray) -> np.ndarray:
+    """W with each row divided by its largest absolute entry."""
+    return W / np.max(np.abs(W), axis=-1, keepdims=True)
+
+
 def ipr(w: np.ndarray) -> float:
-    """Inverse participation ratio sum w_i^4 / (sum w_i^2)^2, in [1/d, 1]."""
+    """Inverse participation ratio sum w_i^4 / (sum w_i^2)^2, in [1/d, 1].
+
+    The ratio is scale-invariant; a vector whose powers would overflow is
+    rescaled first, and any other keeps the bits of the plain formula.
+    """
     w = np.asarray(w, dtype=np.float64)
     s2 = float(w @ w)
     if s2 == 0.0:
         raise ValueError("IPR of the zero vector is undefined")
+    if s2 > _MAX_SUM_SQ:
+        w = _unit_rows(w)
+        s2 = float(w @ w)
     return float(np.sum(w**4) / s2**2)
 
 
@@ -131,7 +149,13 @@ def _max_ipr(W: np.ndarray) -> float:
     if rows.shape[0] == 0:
         return float("nan")
     sq = rows * rows
-    screen = np.sum(sq * sq, axis=1) / np.sum(sq, axis=1) ** 2
+    s2 = np.sum(sq, axis=1)
+    if s2.max() > _MAX_SUM_SQ:  # huge but finite weights: rescale those rows
+        big = s2 > _MAX_SUM_SQ
+        rows[big] = _unit_rows(rows[big])
+        sq = rows * rows
+        s2 = np.sum(sq, axis=1)
+    screen = np.sum(sq * sq, axis=1) / s2**2
     near = np.flatnonzero(screen >= screen.max() - 1e-9)
     return max(ipr(rows[k]) for k in near)
 

@@ -130,9 +130,20 @@ def loglik_terms(proj, beta: float, g_dist: GDistribution) -> np.ndarray:
         return np.zeros_like(t)
     a = 0.5 * (1.0 + beta)
     if g_dist.kind == RADEMACHER:
-        x = np.abs((2.0 * a) * t)
+        # const + x - x * x / (4a) + log1p(exp(-2x)), op for op, in three
+        # buffers; `t` is never written
         const = 0.5 * np.log1p(beta) + 0.5 - a - np.log(2.0)
-        return const + x - x * x / (4.0 * a) + np.log1p(np.exp(-2.0 * x))
+        x = np.multiply(t, 2.0 * a, out=np.empty_like(t))
+        np.abs(x, out=x)
+        sq = np.multiply(x, x, out=np.empty_like(t))
+        sq /= 4.0 * a
+        soft = np.multiply(x, -2.0, out=np.empty_like(t))
+        np.exp(soft, out=soft)
+        np.log1p(soft, out=soft)
+        x += const
+        x -= sq
+        x += soft
+        return x if x.ndim else x[()]
     nodes, weights = g_dist.quadrature()
     E = np.log(weights) - a * (nodes - t[..., None]) ** 2 + 0.5 * nodes**2
     mx = E.max(axis=-1)

@@ -133,6 +133,48 @@ def test_clean_rerun_removes_stale_errors_csv(tmp_path):
     assert json.loads(read_bytes(os.path.join(out, "manifest.json")))["failed_points"] == 0
 
 
+def test_rerun_removes_metric_csv_it_does_not_write(tmp_path):
+    # the first run writes rf_acc.csv; a rerun without random features into
+    # the same directory must not leave it behind
+    cfg = dict(TINY_TRAIN_CFG, n_per_class=[40])
+    out = str(tmp_path / "rf")
+    with_rf = write_config(tmp_path, "rf.json", cfg)
+    assert run_cli(["train-sweep", "--config", with_rf, "--out", out]) == 0
+    assert os.path.exists(os.path.join(out, "rf_acc.csv"))
+    without_rf = write_config(tmp_path, "norf.json", dict(cfg, rf=False))
+    assert run_cli(["train-sweep", "--config", without_rf, "--out", out]) == 0
+    assert not os.path.exists(os.path.join(out, "rf_acc.csv"))
+    manifest = json.loads(read_bytes(os.path.join(out, "manifest.json")))
+    assert sorted(f for f in os.listdir(out) if f.endswith(".csv")) == sorted(
+        f"{m}.csv" for m in manifest["metrics"])
+
+
+def test_failed_rerun_removes_every_earlier_output(tmp_path):
+    # a clean run, then one whose only point fails: no metric CSV and no
+    # aggregate of the first run survives beside the new errors.csv
+    cfg = {"experiment": "ldlr-bounds", "seed": 2, "d": [3], "n": [40], "D": [8],
+           "beta": [10.0], "exact": True}
+    out = str(tmp_path / "failed")
+    clean = write_config(tmp_path, "clean.json", cfg)
+    assert run_cli(["ldlr-bounds", "--config", clean, "--out", out]) == 0
+    first = set(os.listdir(out))
+    assert {"ldlr_bounds.csv", "log_lower.csv", "log_exact.csv"} <= first
+    failing = write_config(tmp_path, "failing.json", dict(cfg, d=[16]))
+    assert run_cli(["ldlr-bounds", "--config", failing, "--out", out]) == 1
+    assert sorted(os.listdir(out)) == ["errors.csv", "manifest.json"]
+
+
+def test_unreadable_manifest_removes_nothing(tmp_path):
+    out = tmp_path / "keep"
+    out.mkdir()
+    (out / "manifest.json").write_text("{not json")
+    (out / "kept.csv").write_text("x\n")
+    cfg = write_config(tmp_path, "cfg.json", {"experiment": "ldlr-bounds", "seed": 2, "d": [3],
+                                              "n": [4], "D": [2], "beta": [1.0]})
+    assert run_cli(["ldlr-bounds", "--config", cfg, "--out", str(out)]) == 0
+    assert (out / "kept.csv").read_text() == "x\n"
+
+
 def test_generate_round_trip(tmp_path):
     cfg = write_config(
         tmp_path,
@@ -521,6 +563,12 @@ LDLR_CFG = {"experiment": "ldlr-bounds", "seed": 1, "d": [8], "n": [20], "beta":
     ("ldlr-bounds", dict(LDLR_CFG, D=[4, -2]), "'D' has value -2, expected >= 0"),
     ("search-curve", dict(SEARCH_CFG, d=0), "'d' has value 0, expected >= 1 and <= 30"),
     ("search-curve", [SEARCH_CFG], "the config is a JSON list, not an object"),
+    ("train-sweep", dict(TINY_TRAIN_CFG, train={"learning_rate": -1}),
+     "'train.learning_rate' has value -1.0, expected > 0"),
+    ("train-sweep", dict(TINY_TRAIN_CFG, train={"learning_rate": 0}),
+     "'train.learning_rate' has value 0.0, expected > 0"),
+    ("train-sweep", dict(TINY_TRAIN_CFG, train={"weight_decay": -0.5}),
+     "'train.weight_decay' has value -0.5, expected >= 0"),
 ])
 def test_bad_scalar_value_is_refused(tmp_path, capsys, monkeypatch, experiment, payload, message):
     # scalar keys are checked like grid values: never truncated, cast or

@@ -56,6 +56,23 @@ def test_screened_max_ipr_equals_scalar_max(d):
     assert np.isnan(learn._max_ipr(np.zeros((5, d))))
 
 
+def test_ipr_of_huge_but_finite_weights():
+    # w**4 and (w . w)^2 overflow, so the rows are rescaled: the IPR is the
+    # scale-invariant value, where it raised before
+    want = learn.ipr(np.array([1.0, 2.0, 0.0]))
+    assert want == pytest.approx(0.68, rel=1e-15)
+    assert learn.ipr(np.array([1e100, 2e100, 0.0])) == pytest.approx(want, rel=1e-15)
+    assert learn._max_ipr(np.array([[1e100, 2e100, 0.0], [1.0, 0.0, 0.0]])) == 1.0
+    assert learn._max_ipr(np.array([[1e100, 2e100, 0.0], [1.0, 1.0, 1.0]])) == pytest.approx(
+        want, rel=1e-15)
+    # the rows the screen leaves alone keep their bits
+    rng = np.random.default_rng(6)
+    W = rng.standard_normal((50, 8))
+    W[3] *= 1e120
+    assert learn._max_ipr(W) == scalar_max_ipr(W)
+    assert learn._max_ipr(np.delete(W, 3, axis=0)) == scalar_max_ipr(np.delete(W, 3, axis=0))
+
+
 def test_max_spike_overlap_basic():
     d = 12
     u = datagen.draw_spike(d, np.random.default_rng(1))
