@@ -1,7 +1,8 @@
 """Config-driven experiment runner and figure-data emitter.
 
 Usage:
-    cumlab <subcommand> --config cfg.json [--jobs N] [--out DIR]
+    cumlab <experiment> --config cfg.json --out DIR [--jobs N]
+    cumlab emit-plotdata --out DIR
 
 Subcommands: generate, lr-curve, ldlr-bounds, search-curve, train-sweep,
 nlgp-localisation, emit-plotdata.  The config is a single JSON document
@@ -13,7 +14,9 @@ SHA-256(seed : experiment : point-coordinates : run) feeding a Philox
 generator, so results are independent of execution order and of the
 worker count: rerunning a config with any --jobs overwrites the metric
 CSVs byte-identically.  Wall-clock times and other non-reproducible
-metadata go to the manifest, never to the metric CSVs.
+metadata go to the manifest, never to the metric CSVs.  The manifest's
+`outputs` names every file cumlab wrote into --out, and a rerun removes
+those it does not write again.
 """
 
 from __future__ import annotations
@@ -23,7 +26,6 @@ import contextlib
 import dataclasses
 import itertools
 import json
-import multiprocessing
 import os
 import sys
 import time
@@ -161,11 +163,6 @@ def _with_spike(spec: datagen.ModelSpec, seed: int) -> datagen.ModelSpec:
     return dataclasses.replace(spec, spike=datagen.draw_spike(spec.d, generator(seed, "spike")))
 
 
-def _train_overrides(train: dict) -> dict:
-    learn.TrainConfig(**train)  # refuses a value TrainConfig does not take
-    return train
-
-
 _G = Key(None, "rademacher", choices=G_KINDS)
 _RUNS = Key(int, 1, check=_at_least(1))
 _MODEL = Key(dict, keys={
@@ -184,17 +181,16 @@ _TRAIN = Key(dict, {}, keys={
     "width_factor": Key(int, OPTIONAL, check=_at_least(1)),
     "learning_rate": Key(float, OPTIONAL, check=_above(0)),
     "weight_decay": Key(float, OPTIONAL, check=_at_least(0)),
-    "loss": Key(str, OPTIONAL),
     "alpha_lazy": PER_POINT,
     "seed": PER_POINT,
-}, build=_train_overrides)
+}, build=dict)
 COMMON_KEYS = {"experiment": Key(str, OPTIONAL), "seed": Key(int, 0)}
 
 
 # ---------------------------------------------------------------------------
 # grid points and runners.  A runner takes the checked config with the
-# point's coordinates in place of their grids, the point seed and the
-# output directory, and returns {metric: value}.
+# point's coordinates in place of their grids, the point seed and `out`,
+# which gives the path in --out of each file it writes; it returns {metric: value}.
 # ---------------------------------------------------------------------------
 
 
@@ -204,19 +200,19 @@ def _generate_points(v: dict) -> list[tuple]:
     return [(v["name"],)]
 
 
-def _run_generate(p: dict, point_seed: int, out_dir: str) -> dict:
+def _run_generate(p: dict, point_seed: int, out: Callable[[str], str]) -> dict:
     pos = _with_spike(p["model"], point_seed)
     neg = p["negative_model"] and _with_spike(p["negative_model"],
                                               spawn_seed(point_seed, "negmodel"))
     data = datagen.make_dataset(pos, p["n_per_class"], point_seed, neg=neg)
     if p["format"] in ("csv", "both"):
-        datagen.write_csv(data, os.path.join(out_dir, f"{p['name']}.csv"))
+        datagen.write_csv(data, out(f"{p['name']}.csv"))
     if p["format"] in ("binary", "both"):
-        datagen.write_binary(data, os.path.join(out_dir, f"{p['name']}.bin"))
+        datagen.write_binary(data, out(f"{p['name']}.bin"))
     return {"rows_written": float(2 * p["n_per_class"])}
 
 
-def _run_lr_point(p: dict, point_seed: int, out_dir: str) -> dict:
+def _run_lr_point(p: dict, point_seed: int, out: Callable[[str], str]) -> dict:
     g = GDistribution.from_kind(p["g"])
     log_norm = likelihood.lr_norm_sq_log(int(np.ceil(p["d"] ** p["theta"])), p["d"], p["beta"], g)
     if p["log10"]:  # display option; internals stay in natural log
@@ -231,7 +227,7 @@ def _ldlr_points(v: dict) -> list[tuple]:
             for beta in v["beta"]]
 
 
-def _run_ldlr_point(p: dict, point_seed: int, out_dir: str) -> dict:
+def _run_ldlr_point(p: dict, point_seed: int, out: Callable[[str], str]) -> dict:
     budget = ldlr.EXACT_ENUMERATION_BUDGET if p["exact"] else None
     rep = ldlr.bound_report(p["n"], p["d"], p["D"], p["beta"], GDistribution.from_kind(p["g"]),
                             exact_budget=budget)
@@ -246,7 +242,7 @@ def _bound_rows(cfg: ExperimentConfig, done: list[tuple]) -> str:
         for (d, n, D, beta), _, metrics in done]) + "\n"
 
 
-def _run_search(p: dict, point_seed: int, out_dir: str) -> dict:
+def _run_search(p: dict, point_seed: int, out: Callable[[str], str]) -> dict:
     spec = _with_spike(_model_spec({"kind": datagen.SPIKED_CUMULANT, "d": p["d"],
                                     "beta": p["beta"], "g": p["g"]}), point_seed)
     rows = datagen.sample_class(spec, int(np.ceil(p["d"] ** p["theta"])),
@@ -270,7 +266,7 @@ def _success_rate(cfg: ExperimentConfig, done: list[tuple]) -> str:
         f"{cfg.seed}" for d, theta in sorted(runs)]) + "\n"
 
 
-def _run_train(p: dict, point_seed: int, out_dir: str) -> dict:
+def _run_train(p: dict, point_seed: int, out: Callable[[str], str]) -> dict:
     model = {key: p[key] for key in ("d", "beta", "g", "gain", "xi")}
     pos = _with_spike(_model_spec(dict(model, kind=p["task"])), point_seed)
     # the NLGP class is told from the Gaussian class of the same covariance
@@ -309,7 +305,7 @@ def _cp_points(v: dict) -> list[tuple]:
     return points
 
 
-def _run_cp(p: dict, point_seed: int, out_dir: str) -> dict:
+def _run_cp(p: dict, point_seed: int, out: Callable[[str], str]) -> dict:
     spec = datagen.ModelSpec(kind=p["data_class"], d=p["d"], gain=p["gain"], xi=p["xi"],
                              periodic=p["periodic"])
     rows = datagen.sample_class(spec, p["n"], spawn_seed(point_seed, "data"))
@@ -332,7 +328,7 @@ class Experiment:
 
     keys: dict[str, Key]
     coords: tuple[str, ...]
-    run: Callable[[dict, int, str], dict]
+    run: Callable[[dict, int, Callable[[str], str]], dict]
     points: Callable[[dict], list[tuple]] | None = None
     aggregate: tuple[str, Callable[[ExperimentConfig, list[tuple]], str]] | None = None
 
@@ -414,6 +410,7 @@ class TaskResult:
     metrics: dict[str, float] = field(default_factory=dict)
     error: str | None = None
     wall_time_s: float = 0.0
+    files: list[str] = field(default_factory=list)  # names the runner wrote in --out
 
 
 @dataclass
@@ -458,10 +455,15 @@ def _run_task(args: tuple) -> TaskResult:
     index, experiment, values, point, run, seed, out_dir = args
     exp = EXPERIMENTS[experiment]
     result = TaskResult(index=index)
+
+    def out(name: str) -> str:
+        result.files.append(name)
+        return os.path.join(out_dir, name)
+
     start = time.perf_counter()
     try:
         point_seed = spawn_seed(seed, experiment, *point, run)
-        result.metrics = exp.run({**values, **dict(zip(exp.coords, point))}, point_seed, out_dir)
+        result.metrics = exp.run({**values, **dict(zip(exp.coords, point))}, point_seed, out)
     except Exception:
         result.error = traceback.format_exc(limit=8)
     result.wall_time_s = time.perf_counter() - start
@@ -482,28 +484,31 @@ def _fmt(value: float) -> str:
     return repr(float(value))
 
 
-def _previous_outputs(out_dir: str) -> set[str]:
-    """The metric CSVs and the aggregate that the manifest in `out_dir`
-    lists; empty when there is no readable manifest."""
+def _read_manifest(out_dir: str) -> dict | None:
+    """The manifest in `out_dir`, None when missing or no JSON object.  `outputs`,
+    the files cumlab wrote there, keeps only the file names of a list, else is []."""
     try:
         with open(os.path.join(out_dir, "manifest.json")) as fh:
-            old = json.load(fh)
-        metrics, aggregate = old["metrics"], EXPERIMENTS[old["experiment"]].aggregate
-    except (OSError, ValueError, LookupError, TypeError):
-        return set()
-    if not isinstance(metrics, list):
-        return set()
-    names = {f"{metric}.csv" for metric in metrics if isinstance(metric, str)}
-    if aggregate:
-        names.add(aggregate[0])
-    return {name for name in names if os.path.basename(name) == name}
+            manifest = json.load(fh)
+    except (OSError, ValueError):
+        return None
+    if not isinstance(manifest, dict):
+        return None
+    outputs = manifest.get("outputs")
+    manifest["outputs"] = [name for name in outputs if isinstance(name, str)
+                           and _FILE_NAME[0](name)] if isinstance(outputs, list) else []
+    return manifest
 
 
 def _write_outputs(cfg: ExperimentConfig, results: list[TaskResult], out_dir: str,
                    blas_threads: dict[str, str] | None = None) -> int:
     exp = EXPERIMENTS[cfg.experiment]
-    stale = _previous_outputs(out_dir)
-    results = sorted(results, key=lambda r: r.index)
+    written: set[str] = set()
+
+    def write(name: str, text: str) -> None:
+        _atomic_write(os.path.join(out_dir, name), text)
+        written.add(name)
+
     by_metric: dict[str, list[str]] = {}
     errors: list[str] = []
     done: list[tuple] = []
@@ -514,26 +519,19 @@ def _write_outputs(cfg: ExperimentConfig, results: list[TaskResult], out_dir: st
             errors.append(prefix + f"\"{res.error.strip().splitlines()[-1]}\"")
             continue
         done.append((point, run, res.metrics))
+        written.update(res.files)
         for metric, value in res.metrics.items():
             by_metric.setdefault(metric, []).append(prefix + _fmt(value))
     header_coords = ",".join(exp.coords)
     for metric, rows in by_metric.items():
-        text = f"{header_coords},run,value\n" + "\n".join(rows) + "\n"
-        _atomic_write(os.path.join(out_dir, f"{metric}.csv"), text)
-        stale.discard(f"{metric}.csv")
+        write(f"{metric}.csv", f"{header_coords},run,value\n" + "\n".join(rows) + "\n")
     if exp.aggregate and done:
         name, make_text = exp.aggregate
-        _atomic_write(os.path.join(out_dir, name), make_text(cfg, done))
-        stale.discard(name)
-    errors_path = os.path.join(out_dir, "errors.csv")
+        write(name, make_text(cfg, done))
     if errors:
-        text = f"{header_coords},run,error\n" + "\n".join(errors) + "\n"
-        _atomic_write(errors_path, text)
-    else:
-        stale.add("errors.csv")
-    # a metric CSV, aggregate or errors.csv of an earlier run into
-    # `out_dir` that this run does not write is removed
-    for name in stale:
+        write("errors.csv", f"{header_coords},run,error\n" + "\n".join(errors) + "\n")
+    previous = _read_manifest(out_dir) or {"outputs": []}
+    for name in set(previous["outputs"]) - written:
         with contextlib.suppress(FileNotFoundError):
             os.unlink(os.path.join(out_dir, name))
     manifest = {
@@ -542,6 +540,7 @@ def _write_outputs(cfg: ExperimentConfig, results: list[TaskResult], out_dir: st
         "seed": cfg.seed,
         "config": cfg.raw,
         "metrics": sorted(by_metric),
+        "outputs": sorted(written),
         "point_seeds": {
             ",".join(map(str, point)) + f"#{run}": spawn_seed(cfg.seed, cfg.experiment, *point, run)
             for point, run in cfg.tasks
@@ -592,12 +591,24 @@ def run(cfg: ExperimentConfig, out_dir: str, jobs: int = 1) -> int:
             for i, (point, r) in enumerate(cfg.tasks)]
     blas_threads = None
     if jobs > 1 and len(args) > 1:
+        import multiprocessing  # lazy, with the next line: they take 18 ms to import
+        from concurrent.futures.process import BrokenProcessPool, ProcessPoolExecutor
         blas_threads = worker_blas_threads(os.environ)
         # Spawn workers inherit os.environ and read these when BLAS loads;
         # the parent's BLAS is loaded already, so only the workers see them.
         with _environ_defaults(blas_threads):
-            with multiprocessing.get_context("spawn").Pool(jobs) as pool:
-                results = pool.map(_run_task, args)
+            pool = ProcessPoolExecutor(min(jobs, len(args)),
+                                       mp_context=multiprocessing.get_context("spawn"))
+            try:
+                futures = [pool.submit(_run_task, a) for a in args]
+                results = []
+                for i, future in enumerate(futures):
+                    try:
+                        results.append(future.result())
+                    except BrokenProcessPool:  # a worker died: every unfinished point fails
+                        results.append(TaskResult(index=i, error=traceback.format_exc(limit=8)))
+            finally:
+                pool.shutdown(cancel_futures=True)  # an interrupt waits for running points only
     else:
         results = [_run_task(a) for a in args]
     return _write_outputs(cfg, results, out_dir, blas_threads)
@@ -610,18 +621,17 @@ def run(cfg: ExperimentConfig, out_dir: str, jobs: int = 1) -> int:
 
 def emit_plotdata(results_dir: str) -> int:
     """Aggregate per-run metric CSVs into mean/sd/count per grid point."""
-    manifest_path = os.path.join(results_dir, "manifest.json")
-    if not os.path.exists(manifest_path):
-        print(f"error: no manifest.json in {results_dir} (no results to aggregate)",
+    manifest = _read_manifest(results_dir)
+    if manifest is None:
+        print(f"error: no readable manifest.json in {results_dir} (no results to aggregate)",
               file=sys.stderr)
         return 2
-    with open(manifest_path) as fh:
-        manifest = json.load(fh)
-    metrics = manifest.get("metrics", [])
-    if not metrics:
-        print("error: manifest lists no metrics", file=sys.stderr)
+    metrics = manifest.get("metrics")
+    if not (isinstance(metrics, list) and metrics and all(
+            isinstance(m, str) and _FILE_NAME[0](f"plot_{m}.csv") for m in metrics)):
+        print("error: manifest.json's metrics is not a list of metric names", file=sys.stderr)
         return 2
-    missing = []
+    missing, written = [], set()
     for metric in metrics:
         path = os.path.join(results_dir, f"{metric}.csv")
         if not os.path.exists(path):
@@ -642,6 +652,10 @@ def emit_plotdata(results_dir: str) -> int:
                 + f",{_fmt(vals.mean())},{_fmt(vals.std(ddof=0))},{len(vals)}"
             )
         _atomic_write(os.path.join(results_dir, f"plot_{metric}.csv"), "\n".join(lines) + "\n")
+        written.add(f"plot_{metric}.csv")
+    manifest["outputs"] = sorted(set(manifest["outputs"]) | written)  # a rerun removes them
+    _atomic_write(os.path.join(results_dir, "manifest.json"),
+                  json.dumps(manifest, indent=2, sort_keys=True) + "\n")
     if missing:
         print(f"error: metric CSVs missing: {', '.join(missing)}", file=sys.stderr)
         return 1
@@ -662,9 +676,7 @@ def _parser() -> argparse.ArgumentParser:
         sp.add_argument("--jobs", type=int, default=1, help="worker processes")
         sp.add_argument("--out", required=True, help="output directory")
     sp = sub.add_parser("emit-plotdata")
-    sp.add_argument("--config", help="ignored; present for interface uniformity")
     sp.add_argument("--out", required=True, help="results directory to aggregate")
-    sp.add_argument("--jobs", type=int, default=1)
     return p
 
 

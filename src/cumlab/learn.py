@@ -66,14 +66,11 @@ class TrainConfig:
     weight_decay: float = 0.002
     epochs: int = 50  # 200 for the spiked cumulant task
     batch_size: int = 128
-    loss: str = "squared"
     alpha_lazy: float = 1.0
     width_factor: int = 5  # hidden neurons per input dimension
     seed: int = 0
 
     def __post_init__(self):
-        if self.loss != "squared":
-            raise ValueError("only the squared loss is supported")
         if self.alpha_lazy < 1.0:
             raise ValueError("alpha_lazy must be >= 1")
 
@@ -84,15 +81,6 @@ class TrainReport:
     overlap_trajectory: list[float] = field(default_factory=list)
     ipr_trajectory: list[float] = field(default_factory=list)
     early_stop_accuracy: float = 0.0
-    diverged_at_epoch: int | None = None
-
-    def csv_rows(self) -> list[str]:
-        rows = ["epoch,test_acc,max_overlap,max_ipr"]
-        for e, (a, o, i) in enumerate(
-            zip(self.test_accuracy, self.overlap_trajectory, self.ipr_trajectory)
-        ):
-            rows.append(f"{e},{a},{o},{i}")
-        return rows
 
 
 class DivergenceError(RuntimeError):
@@ -213,7 +201,6 @@ def train_2lnn(
             alpha=alpha, frozen=frozen,
         )
         if not (np.all(np.isfinite(net.W)) and np.all(np.isfinite(net.v))):
-            report.diverged_at_epoch = epoch
             raise DivergenceError(epoch)
         report.test_accuracy.append(
             _accuracy(net, test.values, test.labels, hidden, frozen_out, alpha)

@@ -1,7 +1,10 @@
 """CLI runner: determinism, idempotence, error handling, aggregation."""
 
+import contextlib
 import json
 import os
+import resource
+import signal
 import subprocess
 import sys
 
@@ -175,6 +178,52 @@ def test_unreadable_manifest_removes_nothing(tmp_path):
     assert (out / "kept.csv").read_text() == "x\n"
 
 
+def listing_is_outputs(out):
+    """Whether the manifest's outputs name every other file in `out`."""
+    manifest = json.loads(read_bytes(os.path.join(out, "manifest.json")))
+    return manifest["outputs"] == sorted(set(os.listdir(out)) - {"manifest.json"})
+
+
+def test_rerun_removes_plot_files(tmp_path):
+    # plot files of the exact run would sit beside metric CSVs of the new one
+    cfg = {"experiment": "ldlr-bounds", "seed": 2, "d": [3], "n": [2], "D": [4],
+           "beta": [1.0], "exact": True}
+    out = str(tmp_path / "plots")
+    exact = write_config(tmp_path, "exact.json", cfg)
+    assert run_cli(["ldlr-bounds", "--config", exact, "--out", out]) == 0
+    assert run_cli(["emit-plotdata", "--out", out]) == 0
+    assert "plot_log_exact.csv" in os.listdir(out)
+    plain = write_config(tmp_path, "plain.json", dict(cfg, exact=False))
+    assert run_cli(["ldlr-bounds", "--config", plain, "--out", out]) == 0
+    assert not [name for name in os.listdir(out) if name.startswith("plot_")]
+    assert listing_is_outputs(out)
+
+
+def test_generate_rerun_removes_dataset_of_another_name(tmp_path):
+    out = str(tmp_path / "names")
+    for name in ("a", "b"):
+        cfg = write_config(tmp_path, f"{name}.json", dict(GENERATE_CFG, name=name))
+        assert run_cli(["generate", "--config", cfg, "--out", out]) == 0
+    assert sorted(os.listdir(out)) == ["b.bin", "b.csv", "manifest.json", "rows_written.csv"]
+    assert listing_is_outputs(out)
+
+
+def test_failed_generate_rerun_keeps_no_dataset(tmp_path, monkeypatch):
+    # the files of a failed point are not written by this run: the old
+    # dataset is removed, not adopted
+    cfg = write_config(tmp_path, "gen.json", GENERATE_CFG)
+    out = str(tmp_path / "gen")
+    assert run_cli(["generate", "--config", cfg, "--out", out, "--jobs", "1"]) == 0
+
+    def broken(*args, **kwargs):
+        raise RuntimeError("injected sampler failure")
+
+    monkeypatch.setattr(cli.datagen, "make_dataset", broken)
+    assert run_cli(["generate", "--config", cfg, "--out", out, "--jobs", "1"]) == 1
+    assert sorted(os.listdir(out)) == ["errors.csv", "manifest.json"]
+    assert listing_is_outputs(out)
+
+
 def test_generate_round_trip(tmp_path):
     cfg = write_config(
         tmp_path,
@@ -238,6 +287,10 @@ def test_emit_plotdata_errors(tmp_path):
     empty = tmp_path / "empty"
     empty.mkdir()
     assert run_cli(["emit-plotdata", "--out", str(empty)]) == 2
+    # a malformed manifest is refused, never a traceback
+    for text in ("{", "[1,2]", '{"metrics": "abc"}'):
+        (empty / "manifest.json").write_text(text)
+        assert run_cli(["emit-plotdata", "--out", str(empty)]) == 2, text
     # manifest present but a metric CSV deleted -> exit 1, missing listed
     cfg = write_config(tmp_path, "cfg.json", SEARCH_CFG)
     out = str(tmp_path / "pd")
@@ -529,9 +582,8 @@ LDLR_CFG = {"experiment": "ldlr-bounds", "seed": 1, "d": [8], "n": [20], "beta":
      "'train.learning_rate' has value '0.1', expected float"),
     ("train-sweep", dict(TINY_TRAIN_CFG, train={"weight_decay": None}),
      "'train.weight_decay' has value None, expected float"),
-    ("train-sweep", dict(TINY_TRAIN_CFG, train={"loss": 5}), "'train.loss' has value 5"),
-    ("train-sweep", dict(TINY_TRAIN_CFG, train={"loss": "hinge"}),
-     "only the squared loss is supported"),
+    ("train-sweep", dict(TINY_TRAIN_CFG, train={"loss": 5}), "unknown train key 'loss'"),
+    ("train-sweep", dict(TINY_TRAIN_CFG, train={"loss": "squared"}), "unknown train key 'loss'"),
     ("generate", dict(GENERATE_CFG, name="sub/x"),
      "'name' has value 'sub/x', expected a file name with no path separator"),
     ("generate", dict(GENERATE_CFG, name=5), "'name' has value 5, expected str"),
@@ -640,6 +692,54 @@ def test_point_seeds_are_pinned(tmp_path, payload, seeds):
     out = str(tmp_path / "out")
     assert run_cli([payload["experiment"], "--config", cfg, "--out", out]) == 0
     assert json.loads(read_bytes(os.path.join(out, "manifest.json")))["point_seeds"] == seeds
+
+
+@pytest.mark.parametrize("payload, jobs", [(payload, "1") for payload, _ in PINNED_SEEDS]
+                         + [(TINY_TRAIN_CFG, "2")],
+                         ids=[payload["experiment"] for payload, _ in PINNED_SEEDS]
+                         + ["train-sweep-jobs2"])
+def test_manifest_outputs_list_every_file(tmp_path, payload, jobs):
+    cfg = write_config(tmp_path, "cfg.json", payload)
+    out = str(tmp_path / "out")
+    assert run_cli([payload["experiment"], "--config", cfg, "--out", out, "--jobs", jobs]) == 0
+    assert listing_is_outputs(out)
+
+
+def test_dead_worker_fails_its_point(tmp_path):
+    # Under a 3 s CPU limit, inherited by the spawned workers, the worker
+    # on the large point dies of SIGXCPU.  The sweep must record that point
+    # as failed, write the small one and exit, not hang.  The run has its
+    # own process group, killed at the end, so no worker outlives the test.
+    cfg = write_config(tmp_path, "cfg.json", {
+        "experiment": "train-sweep", "seed": 1, "task": "spiked_wishart", "beta": 5.0,
+        "d": [32], "n_per_class": [20, 20000], "n_test_per_class": 50, "rf": False,
+        "train": {"epochs": 400, "batch_size": 8}})
+    out = str(tmp_path / "dead")
+    env = dict(os.environ)
+    root = os.path.dirname(os.path.dirname(cumlab.__file__))
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [root, env.get("PYTHONPATH")]))
+
+    def limit_cpu():
+        resource.setrlimit(resource.RLIMIT_CPU, (3, 3))
+        resource.setrlimit(resource.RLIMIT_CORE, (0, 0))
+
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "cumlab.cli", "train-sweep", "--config", cfg, "--out", out,
+         "--jobs", "2"], env=env, preexec_fn=limit_cpu, start_new_session=True,
+        stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL)
+    try:
+        assert proc.wait(timeout=60) == 1
+    finally:
+        with contextlib.suppress(ProcessLookupError):
+            os.killpg(proc.pid, signal.SIGKILL)
+    with open(os.path.join(out, "errors.csv")) as fh:
+        errors = fh.read().strip().splitlines()
+    assert len(errors) == 2 and errors[1].startswith("32,20000,1.0,0,")
+    assert "BrokenProcessPool" in errors[1]
+    with open(os.path.join(out, "nn_early_stop_acc.csv")) as fh:
+        rows = fh.read().strip().splitlines()
+    assert [row.split(",")[:4] for row in rows[1:]] == [["32", "20", "1.0", "0"]]
+    assert listing_is_outputs(out)
 
 
 def describe(name, key):
