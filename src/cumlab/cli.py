@@ -512,10 +512,12 @@ def _write_outputs(cfg: ExperimentConfig, results: list[TaskResult], out_dir: st
     by_metric: dict[str, list[str]] = {}
     errors: list[str] = []
     done: list[tuple] = []
+    failed: set[str] = set()
     for res in results:
         point, run = cfg.tasks[res.index]
         prefix = ",".join(map(str, point)) + f",{run},"
         if res.error is not None:
+            failed.update(res.files)  # a failed point owns no file, so leaves none
             errors.append(prefix + f"\"{res.error.strip().splitlines()[-1]}\"")
             continue
         done.append((point, run, res.metrics))
@@ -531,7 +533,7 @@ def _write_outputs(cfg: ExperimentConfig, results: list[TaskResult], out_dir: st
     if errors:
         write("errors.csv", f"{header_coords},run,error\n" + "\n".join(errors) + "\n")
     previous = _read_manifest(out_dir) or {"outputs": []}
-    for name in set(previous["outputs"]) - written:
+    for name in (set(previous["outputs"]) | failed) - written:
         with contextlib.suppress(FileNotFoundError):
             os.unlink(os.path.join(out_dir, name))
     manifest = {

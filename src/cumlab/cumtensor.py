@@ -5,31 +5,30 @@ The plug-in estimator uses empirical moments of mean-centred data,
     k[i,j,k,l] = E[x_i x_j x_k x_l] - E[x_i x_j] E[x_k x_l]
                  - E[x_i x_k] E[x_j x_l] - E[x_i x_l] E[x_j x_k].
 
-The fourth moments come from G, the Gram matrix of the d(d+1)/2 unique
-pair products x_a x_b (a <= b), accumulated over fixed 4096-row blocks in
-a fixed order (bounded workspace, deterministic sums).  Each sorted index
-orbit i <= j <= k <= l is computed once, averaging the three pairings of
-the moment,
+The fourth moments come from G, the Gram matrix of the P = d(d+1)/2
+unique pair products x_a x_b (a <= b), accumulated over fixed 4096-row
+blocks in a fixed order (bounded workspace, deterministic sums).  Each
+sorted index orbit i <= j <= k <= l is computed once, averaging the three
+pairings of the moment,
 
     k = (G[ij,kl] + G[ik,jl] + G[il,jk]) / (3n)
         - (m2_ij m2_kl + m2_ik m2_jl + m2_il m2_jk),
 
-and scattered to all 24 permutations, so permuted entries are equal bit
-for bit, not just up to rounding.  The O(1/n) bias of the plug-in form is
-negligible at the sample sizes used for the localisation diagnostics.
+and gathered into the P x P pair-space matrix K[(ij),(kl)] = k_ijkl (i <= j,
+k <= l): K is exactly symmetric, and no d^4 tensor is built.  The O(1/n)
+bias of the plug-in form is negligible at the localisation sample sizes.
 
 The best rank-1 symmetric approximation gamma * v^(x4) is found by
 symmetric higher-order power iteration, v <- T(v,v,v,.)/|.|, run on -T
 when the dominant weight is negative, best of 8 random restarts by
 |gamma|.  T(v,v,v,.) of the current iterate is carried from step to step,
 where it also gives the weight T(v,v,v,v), so each step contracts the
-tensor once.
+cumulant once, with one P x P matrix-vector product.
 """
 
 from __future__ import annotations
 
 import functools
-import itertools
 import math
 from dataclasses import dataclass
 from typing import NamedTuple
@@ -41,59 +40,61 @@ MAX_CUMULANT_DIM = 64
 _MOMENT_BLOCK_ROWS = 4096
 
 
+@functools.lru_cache(maxsize=2)
+def _pair_numbering(d: int):
+    """Pairs a <= b in row-major order: a, b, weights 1 (a == b) or 2, d x d pair numbers."""
+    a, b = np.triu_indices(d)
+    pair_of = np.empty((d, d), dtype=np.intp)
+    pair_of[a, b] = pair_of[b, a] = np.arange(len(a))
+    return a, b, np.where(a == b, 1.0, 2.0), pair_of
+
+
 @dataclass
 class FourthCumulant:
-    entries: np.ndarray  # (d, d, d, d), exactly symmetric
+    matrix: np.ndarray  # (P, P), K[(ij),(kl)] = k_ijkl for i <= j, k <= l; exactly symmetric
 
     @property
     def d(self) -> int:
-        return self.entries.shape[0]
+        return (math.isqrt(8 * self.matrix.shape[0] + 1) - 1) // 2
 
     def contract3(self, v: np.ndarray) -> np.ndarray:
-        """T(v, v, v, .) as a d-vector: three matrix-vector products."""
-        d = self.d
-        t = self.entries.reshape(d**3, d) @ v
-        t = t.reshape(d * d, d) @ v
-        return t.reshape(d, d) @ v
-
-    def contract4(self, v: np.ndarray) -> float:
-        return float(self.contract3(v) @ v)
+        """T(v, v, v, .) as a d-vector: one P x P matrix-vector product."""
+        a, b, weights, pair_of = _pair_numbering(self.d)
+        q = self.matrix @ (weights * v[a] * v[b])  # T(e_i, e_j, v, v) at pair (ij)
+        return q[pair_of] @ v
 
 
 @functools.lru_cache(maxsize=2)
 def _orbit_indices(d: int):
-    """Index arrays for dimension d.
+    """Index arrays for dimension d, on the pair numbering of _pair_numbering.
 
-    Pairs a <= b are numbered in row-major order, so the pairs (i, i..d-1)
-    are rows offsets[i]:offsets[i+1] of the pair block.  Returns those
-    offsets; the sorted quadruples i <= j <= k <= l, as four arrays; and
-    the pair numbers of their three pairings (ij, kl), (ik, jl), (il, jk).
-    A quadruple is a pair (i, j) followed by a pair (k, l) with j <= k, so
-    no d^4 grid is built.
-    """
-    a, b = np.triu_indices(d)
+    The offsets of the pairs (i, i..d-1) in the pair block; the sorted
+    quadruples i <= j <= k <= l, as four arrays; the pair numbers of their
+    pairings (ij, kl), (ik, jl), (il, jk); and the P x P table of the
+    quadruple that each entry of K is a pairing of.  A quadruple is a pair
+    (i, j) followed by a pair (k, l) with j <= k: no d^4 grid is built."""
+    a, b, _, pair_of = _pair_numbering(d)
     offsets = np.concatenate([[0], np.cumsum(np.arange(d, 0, -1))])
-    pair_of = np.empty((d, d), dtype=np.intp)
-    pair_of[a, b] = pair_of[b, a] = np.arange(len(a))
     first, second = np.nonzero(b[:, None] <= a[None, :])
     quad = (a[first], b[first], a[second], b[second])
     i, j, k, l = quad
     pairings = ((first, second), (pair_of[i, k], pair_of[j, l]), (pair_of[i, l], pair_of[j, k]))
-    return offsets, quad, pairings
+    orbit_of = np.empty((len(a), len(a)), dtype=np.int32)
+    for p, q in pairings:
+        orbit_of[p, q] = orbit_of[q, p] = np.arange(len(first))
+    return offsets, quad, pairings, orbit_of
 
 
 def empirical_fourth_cumulant(data: np.ndarray) -> FourthCumulant:
-    """Plug-in fourth-cumulant tensor of an n x d sample (d <= 64)."""
+    """Plug-in fourth cumulant of an n x d sample (d <= 64), on the pair space."""
     data = np.asarray(data, dtype=np.float64)
     n, d = data.shape
     if n < 2:
         raise ValueError("need at least two samples")
     if d > MAX_CUMULANT_DIM:
-        raise ValueError(
-            f"d = {d} over the cap {MAX_CUMULANT_DIM}: the tensor alone is "
-            f"{8 * d**4 / 2**20:.0f} MiB"
-        )
-    offsets, quad, pairings = _orbit_indices(d)
+        raise ValueError(f"d = {d} over the config cap d <= {MAX_CUMULANT_DIM}: the pair-space "
+                         f"cumulant alone is {2 * (d * (d + 1)) ** 2 / 2**20:.0f} MiB")
+    offsets, quad, pairings, orbit_of = _orbit_indices(d)
     x = data - data.mean(axis=0)
     m2 = x.T @ x / n
     # pair products laid out (pairs, rows): block @ block.T is a symmetric
@@ -111,10 +112,7 @@ def empirical_fourth_cumulant(data: np.ndarray) -> FourthCumulant:
     i, j, k, l = quad
     moment = sum(gram[p, q] for p, q in pairings) / (3 * n)
     vals = moment - (m2[i, j] * m2[k, l] + m2[i, k] * m2[j, l] + m2[i, l] * m2[j, k])
-    out = np.empty((d, d, d, d))
-    for p in itertools.permutations(quad):
-        out[p] = vals
-    return FourthCumulant(entries=out)
+    return FourthCumulant(matrix=vals[orbit_of])
 
 
 def _norm(v: np.ndarray) -> float:
@@ -135,7 +133,7 @@ def rank1_cp(
     rng: np.random.Generator | None = None,
     restarts: int = 8,
 ) -> CpResult:
-    """Best rank-1 symmetric approximation weight*v^(x4) of the tensor.
+    """Best rank-1 symmetric approximation weight*v^(x4) of the cumulant.
 
     Each restart runs power iteration on sign-corrected T (so the iterated
     tensor has positive weight along the current direction); |T(v,v,v,v)|

@@ -5,9 +5,12 @@ obtains another way, so that a test can compare the two.
 """
 
 import io
+import itertools
 from math import erf
 
 import numpy as np
+
+from cumlab.cumtensor import FourthCumulant
 
 
 def whitening_matrix(u: np.ndarray, beta: float) -> np.ndarray:
@@ -75,3 +78,47 @@ def write_csv_unbuffered(data, path) -> None:
         buf.write("\n")
     with open(path, "w") as fh:
         fh.write(buf.getvalue())
+
+
+def _pair_table(d: int) -> np.ndarray:
+    """The symmetric d x d table of pair numbers, pairs a <= b in row-major order."""
+    a, b = np.triu_indices(d)
+    table = np.empty((d, d), dtype=np.intp)
+    table[a, b] = table[b, a] = np.arange(len(a))
+    return table
+
+
+def full_tensor(k: FourthCumulant) -> np.ndarray:
+    """The (d, d, d, d) tensor of a pair-space cumulant: entry ijkl is K[(ij), (kl)]."""
+    table = _pair_table(k.d)
+    return k.matrix[table[:, :, None, None], table[None, None, :, :]]
+
+
+def from_full(t: np.ndarray) -> FourthCumulant:
+    """The pair-space cumulant of a full symmetric tensor: its (i <= j, k <= l) block."""
+    a, b = np.triu_indices(t.shape[0])
+    return FourthCumulant(np.ascontiguousarray(t[a, b][:, a, b]))
+
+
+def orbit_tensor(d: int, vals: np.ndarray) -> np.ndarray:
+    """The (d, d, d, d) tensor with one value per sorted index orbit
+    i <= j <= k <= l (`vals`, in itertools.combinations_with_replacement
+    order) scattered to all 24 permutations, so it is exactly symmetric."""
+    quad = np.array(list(itertools.combinations_with_replacement(range(d), 4))).T
+    out = np.empty((d,) * 4)
+    for p in itertools.permutations(quad):
+        out[p] = vals
+    return out
+
+
+def contract3_full(t: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """T(v, v, v, .) of a full tensor: three matrix-vector products that read all d^4 entries."""
+    d = t.shape[0]
+    x = t.reshape(d**3, d) @ v
+    x = x.reshape(d * d, d) @ v
+    return x.reshape(d, d) @ v
+
+
+def contract4(k: FourthCumulant, v: np.ndarray) -> float:
+    """T(v, v, v, v)."""
+    return float(k.contract3(v) @ v)

@@ -224,6 +224,21 @@ def test_failed_generate_rerun_keeps_no_dataset(tmp_path, monkeypatch):
     assert listing_is_outputs(out)
 
 
+def test_failed_generate_point_leaves_no_dataset(tmp_path, monkeypatch):
+    # the point writes a.csv, then its binary write fails: the CSV is
+    # removed, not left in --out with no manifest naming it
+    cfg = write_config(tmp_path, "gen.json", dict(GENERATE_CFG, name="a", format="both"))
+    out = str(tmp_path / "gen")
+
+    def broken(*args, **kwargs):
+        raise OSError("injected write failure")
+
+    monkeypatch.setattr(cli.datagen, "write_binary", broken)
+    assert run_cli(["generate", "--config", cfg, "--out", out, "--jobs", "1"]) == 1
+    assert sorted(os.listdir(out)) == ["errors.csv", "manifest.json"]
+    assert listing_is_outputs(out)
+
+
 def test_generate_round_trip(tmp_path):
     cfg = write_config(
         tmp_path,

@@ -11,18 +11,19 @@ import pytest
 import cumlab
 from cumlab import cumtensor, datagen, learn
 from cumlab.hermite import GDistribution
+from oracles import contract3_full, contract4, from_full, full_tensor, orbit_tensor
 
 RADEM = GDistribution.rademacher()
 
 
 def rank1_tensor(w, weight=1.0):
-    return cumtensor.FourthCumulant(weight * np.einsum("i,j,k,l->ijkl", w, w, w, w))
+    return from_full(weight * np.einsum("i,j,k,l->ijkl", w, w, w, w))
 
 
 def test_gaussian_cumulant_is_noise():
     rng = np.random.default_rng(0)
     x = rng.standard_normal((100_000, 8))
-    k = cumtensor.empirical_fourth_cumulant(x).entries
+    k = full_tensor(cumtensor.empirical_fourth_cumulant(x))
     # all-distinct entries have per-sample SD ~ 1, diagonal ones ~ sqrt 96
     assert np.abs(k).max() < 5 * np.sqrt(96 / 100_000)
 
@@ -30,7 +31,7 @@ def test_gaussian_cumulant_is_noise():
 def test_symmetry_is_exact():
     rng = np.random.default_rng(1)
     x = rng.standard_normal((500, 5))
-    k = cumtensor.empirical_fourth_cumulant(x).entries
+    k = full_tensor(cumtensor.empirical_fourth_cumulant(x))
     for perm in itertools.permutations(range(4)):
         assert np.array_equal(k, np.transpose(k, perm)), perm
 
@@ -45,7 +46,7 @@ def test_spiked_cumulant_projection():
     x = datagen.sample_class(spec, n, 33)
     ubar = u / np.sqrt(d)
     k = cumtensor.empirical_fourth_cumulant(x)
-    contracted = k.contract4(ubar)
+    contracted = contract4(k, ubar)
     t = x @ ubar
     t -= t.mean()
     oracle = np.mean(t**4) - 3 * np.mean(t**2) ** 2
@@ -57,7 +58,7 @@ def test_spiked_cumulant_projection():
 
 def test_degenerate_inputs():
     row = np.ones((4, 6))  # repeated rows: defined and finite
-    k = cumtensor.empirical_fourth_cumulant(row).entries
+    k = full_tensor(cumtensor.empirical_fourth_cumulant(row))
     assert np.all(np.isfinite(k))
     with pytest.raises(ValueError, match="two samples"):
         cumtensor.empirical_fourth_cumulant(np.ones((1, 4)))
@@ -79,7 +80,7 @@ def test_rank1_recovery():
 
 
 def test_rank1_zero_tensor_flags_degenerate():
-    res = cumtensor.rank1_cp(cumtensor.FourthCumulant(np.zeros((5,) * 4)),
+    res = cumtensor.rank1_cp(from_full(np.zeros((5,) * 4)),
                              rng=np.random.default_rng(5))
     assert res.degenerate and res.weight == 0.0
 
@@ -90,8 +91,8 @@ def test_rank1_on_noisy_planted_tensor():
     w[3] = 1.0
     noise = rng.standard_normal((10,) * 4)
     noise = (noise + noise.transpose(1, 0, 2, 3)) / 2  # rough symmetrisation
-    t = cumtensor.FourthCumulant(
-        5.0 * rank1_tensor(w).entries + 0.01 * (noise + noise.transpose(2, 3, 0, 1)) / 2
+    t = from_full(
+        5.0 * full_tensor(rank1_tensor(w)) + 0.01 * (noise + noise.transpose(2, 3, 0, 1)) / 2
     )
     res = cumtensor.rank1_cp(t, rng=np.random.default_rng(7))
     assert abs(res.factor[3]) > 0.99
@@ -126,7 +127,7 @@ def test_estimator_matches_full_gram_reference(d, n):
     # skewed, non-centred data, so that every moment term matters; n below,
     # equal to and not a multiple of the row block
     x = np.random.default_rng(d * n).exponential(size=(n, d)) + 0.5
-    new = cumtensor.empirical_fourth_cumulant(x).entries
+    new = full_tensor(cumtensor.empirical_fourth_cumulant(x))
     ref = full_gram_cumulant(x)
     assert np.abs(new - ref).max() <= 1e-13 * np.abs(ref).max()
 
@@ -191,6 +192,41 @@ def test_rank1_cp_contracts_once_per_step(make, monkeypatch):
     assert len(calls) == 8 + evaluated  # one per restart and one per step
     assert res.weight == pytest.approx(weight, rel=1e-12)
     np.testing.assert_allclose(res.factor, factor, rtol=1e-12, atol=1e-15)
+
+
+@pytest.mark.parametrize("d", [1, 2, 5, 20])
+def test_contract3_matches_full_tensor_oracle(d):
+    rng = np.random.default_rng(20 + d)
+    vals = rng.standard_normal(len(list(itertools.combinations_with_replacement(range(d), 4))))
+    t = orbit_tensor(d, vals)
+    k = from_full(t)
+    for _ in range(3):
+        v = rng.standard_normal(d)
+        np.testing.assert_allclose(k.contract3(v), contract3_full(t, v), rtol=1e-12)
+
+
+def test_contract3_matches_full_tensor_oracle_on_nlgp_cumulant():
+    k = nlgp_cumulant(12, 3000, 9)
+    t = full_tensor(k)
+    rng = np.random.default_rng(12)
+    for _ in range(3):
+        v = rng.standard_normal(12)
+        np.testing.assert_allclose(k.contract3(v), contract3_full(t, v), rtol=1e-12)
+
+
+@pytest.mark.parametrize("d", [1, 5, 12])
+def test_pair_matrix_is_the_orbit_scatter(d):
+    # one value per sorted orbit, read at its (ij, kl) entry, scattered to
+    # its 24 permutations gives the full tensor bit for bit: every entry of
+    # K is the value computed for its orbit
+    x = np.random.default_rng(30 + d).exponential(size=(700, d))
+    k = cumtensor.empirical_fourth_cumulant(x)
+    a, b = np.triu_indices(d)
+    pair = {(i, j): p for p, (i, j) in enumerate(zip(a, b))}
+    orbits = list(itertools.combinations_with_replacement(range(d), 4))
+    vals = np.array([k.matrix[pair[i, j], pair[m, l]] for i, j, m, l in orbits])
+    assert np.array_equal(full_tensor(k), orbit_tensor(d, vals))
+    assert np.array_equal(k.matrix, k.matrix.T)
 
 
 def test_localisation_point_leaves_scipy_integrate_unloaded():
