@@ -85,6 +85,9 @@ def _at_least(low, high=None):
 
 _FILE_NAME = ((lambda name: name not in ("", ".", "..") and os.path.basename(name) == name),
               "a file name with no path separator")
+# a dataset name is also a coordinate in the metric CSVs
+_DATASET_NAME = ((lambda name: _FILE_NAME[0](name) and not set(name) & set(',"\n\r')),
+                 _FILE_NAME[1] + ", comma, double quote or line break")
 
 
 def _scalar(name: str, val, key: Key):
@@ -338,7 +341,7 @@ EXPERIMENTS = {
         keys={
             "model": _MODEL,
             "n_per_class": Key(int, check=_at_least(1)),
-            "name": Key(str, "dataset", check=_FILE_NAME),
+            "name": Key(str, "dataset", check=_DATASET_NAME),
             "format": Key(None, "both", choices=("csv", "binary", "both")),
             "negative_model": dataclasses.replace(_MODEL, default=None, choices=(None,)),
         },
@@ -518,7 +521,8 @@ def _write_outputs(cfg: ExperimentConfig, results: list[TaskResult], out_dir: st
         prefix = ",".join(map(str, point)) + f",{run},"
         if res.error is not None:
             failed.update(res.files)  # a failed point owns no file, so leaves none
-            errors.append(prefix + f"\"{res.error.strip().splitlines()[-1]}\"")
+            message = res.error.strip().splitlines()[-1].replace('"', '""')
+            errors.append(prefix + f'"{message}"')
             continue
         done.append((point, run, res.metrics))
         written.update(res.files)

@@ -195,16 +195,18 @@ class _Sampler:
         raise AssertionError(spec.kind)
 
 
-def sample_class(spec: ModelSpec, n: int, seed: int) -> np.ndarray:
+def sample_class(spec: ModelSpec, n: int, seed: int, out: np.ndarray | None = None) -> np.ndarray:
     """Draw n rows of the given class, bit-reproducible from the seed.
 
     Rows are generated in blocks of 65536, each block from its own
     counter-derived stream, so generation order cannot affect the output.
+    The rows fill `out`, an (n, d) float64 array, when one is given.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
     sampler = _Sampler(spec)
-    out = np.empty((n, spec.d))
+    if out is None:
+        out = np.empty((n, spec.d))
     for b, start in enumerate(range(0, n, _BLOCK_ROWS)):
         stop = min(start + _BLOCK_ROWS, n)
         out[start:stop] = sampler.block(stop - start, block_generator(seed, b))
@@ -229,9 +231,9 @@ def make_dataset(
         neg = null_spec(pos.d)
     if neg.d != pos.d:
         raise ValueError("class dimensions differ")
-    xp = sample_class(pos, n_per_class, spawn_seed(seed, "pos"))
-    xn = sample_class(neg, n_per_class, spawn_seed(seed, "neg"))
-    values = np.vstack([xp, xn])
+    values = np.empty((2 * n_per_class, pos.d))
+    sample_class(pos, n_per_class, spawn_seed(seed, "pos"), out=values[:n_per_class])
+    sample_class(neg, n_per_class, spawn_seed(seed, "neg"), out=values[n_per_class:])
     labels = np.concatenate([np.ones(n_per_class), -np.ones(n_per_class)])
     return DataMatrix(values=values, labels=labels, seed=seed, spec_pair=(pos, neg))
 
@@ -267,16 +269,31 @@ def atomic_open(path, mode: str = "w"):
         raise
 
 
+def _csv_block(rows: np.ndarray) -> str:
+    """The CSV lines of `rows`, each value its `repr`, from one orjson call.
+
+    orjson picks the digits `repr` picks, but writes no exponent where `repr`
+    does (0 < |x| < 1e-4, |x| >= 1e16) and `null` for NaN and +-inf.  Rows
+    holding such a value are written again with `repr`; the mask's
+    ~(|x| < 1e16) is true for NaN as well.
+    """
+    import orjson  # imported here, so that `import cumlab.cli` does not load it
+
+    lines = orjson.dumps(rows, option=orjson.OPT_SERIALIZE_NUMPY)[2:-2].decode().split("],[")
+    size = np.abs(rows)
+    for i in np.flatnonzero(((size < 1e-4) & (rows != 0) | ~(size < 1e16)).any(axis=1)):
+        lines[i] = ",".join(map(repr, rows[i].tolist()))
+    return "\n".join(lines) + "\n"
+
+
 def write_csv(data: DataMatrix, path) -> None:
     d = data.d
     block = max(1, _CSV_BLOCK_VALUES // (d + 1))
     with atomic_open(path) as fh:
         fh.write("label," + ",".join(f"x_{i}" for i in range(d)) + "\n")
         for start in range(0, data.n, block):
-            labels = data.labels[start:start + block].tolist()
-            rows = data.values[start:start + block].tolist()
-            fh.write("".join(repr(lab) + "," + ",".join(map(repr, row)) + "\n"
-                             for lab, row in zip(labels, rows)))
+            fh.write(_csv_block(np.column_stack((data.labels[start:start + block],
+                                                 data.values[start:start + block]))))
 
 
 def read_csv(path) -> DataMatrix:

@@ -1,6 +1,7 @@
 """CLI runner: determinism, idempotence, error handling, aggregation."""
 
 import contextlib
+import csv
 import json
 import os
 import resource
@@ -239,6 +240,22 @@ def test_failed_generate_point_leaves_no_dataset(tmp_path, monkeypatch):
     assert listing_is_outputs(out)
 
 
+def test_errors_csv_quotes_the_message(tmp_path, monkeypatch):
+    # an OSError reprs a path holding ' in double quotes; errors.csv doubles
+    # every embedded quote, so the row still parses as CSV (RFC 4180)
+    def broken(*args, **kwargs):
+        raise OSError(2, "No such file or directory", "it's, a.csv")
+
+    monkeypatch.setattr(cli.datagen, "make_dataset", broken)
+    cfg = write_config(tmp_path, "gen.json", GENERATE_CFG)
+    out = str(tmp_path / "gen")
+    assert run_cli(["generate", "--config", cfg, "--out", out, "--jobs", "1"]) == 1
+    with open(os.path.join(out, "errors.csv"), newline="") as fh:
+        rows = list(csv.reader(fh))
+    assert rows == [["name", "run", "error"], ["dataset", "0", "FileNotFoundError: [Errno 2] "
+                                               "No such file or directory: \"it's, a.csv\""]]
+
+
 def test_generate_round_trip(tmp_path):
     cfg = write_config(
         tmp_path,
@@ -463,12 +480,20 @@ def test_worker_blas_threads_keep_user_values_and_thread_count():
     assert not any(var.endswith("_NUM_THREADS") for var in env)
 
 
-def test_wishart_and_cumulant_points_load_no_scipy():
-    # scipy loads a second OpenBLAS and an array-API shim: the CLI import and
-    # the network and random-features path of a spiked point must not need it
+def run_fresh_python(code):
+    """Run `code` in a fresh interpreter, so modules imported by other tests
+    do not count; it imports the same cumlab package as this process."""
     env = dict(os.environ)
     root = os.path.dirname(os.path.dirname(cumlab.__file__))
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [root, env.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout.strip()
+
+
+def test_wishart_and_cumulant_points_load_no_scipy():
+    # scipy loads a second OpenBLAS and an array-API shim: the CLI import and
+    # the network and random-features path of a spiked point must not need it
     code = (
         "import sys, cumlab.cli\n"
         "from cumlab import datagen, learn, rng\n"
@@ -483,21 +508,18 @@ def test_wishart_and_cumulant_points_load_no_scipy():
         "    learn.fit_random_features(train, test, learn.RFConfig(width=40))\n"
         "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
     )
-    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
-    assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "[]"
+    assert run_fresh_python(code) == "[]"
 
 
 def test_import_leaves_scipy_integrate_unloaded():
-    # A fresh interpreter, so modules imported by other tests do not count;
-    # it imports the same cumlab package as this process.
-    env = dict(os.environ)
-    root = os.path.dirname(os.path.dirname(cumlab.__file__))
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [root, env.get("PYTHONPATH")]))
     code = "import sys, cumlab.cli; print('scipy.integrate' in sys.modules)"
-    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
-    assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "False"
+    assert run_fresh_python(code) == "False"
+
+
+def test_import_leaves_orjson_unloaded():
+    # only the dataset CSV writer needs orjson, and it imports it itself
+    code = "import sys, cumlab.cli; print('orjson' in sys.modules)"
+    assert run_fresh_python(code) == "False"
 
 
 @pytest.mark.parametrize("experiment, payload, point", [
@@ -636,6 +658,11 @@ LDLR_CFG = {"experiment": "ldlr-bounds", "seed": 1, "d": [8], "n": [20], "beta":
      "'train.learning_rate' has value 0.0, expected > 0"),
     ("train-sweep", dict(TINY_TRAIN_CFG, train={"weight_decay": -0.5}),
      "'train.weight_decay' has value -0.5, expected >= 0"),
+    ("generate", dict(GENERATE_CFG, name="a,b"),
+     "'name' has value 'a,b', expected a file name with no path separator, comma, double quote"),
+    ("generate", dict(GENERATE_CFG, name='a"b'), "'name' has value 'a\"b', expected a file name"),
+    ("generate", dict(GENERATE_CFG, name="a\nb"), "'name' has value 'a\\nb', expected a file name"),
+    ("generate", dict(GENERATE_CFG, name="a\rb"), "'name' has value 'a\\rb', expected a file name"),
 ])
 def test_bad_scalar_value_is_refused(tmp_path, capsys, monkeypatch, experiment, payload, message):
     # scalar keys are checked like grid values: never truncated, cast or

@@ -192,6 +192,7 @@ def test_make_dataset_labels_and_pairing():
     null_rows = data.values[data.labels < 0]
     expected = datagen.sample_class(datagen.null_spec(6), 40, spawn_seed(4, "neg"))
     assert np.array_equal(null_rows, expected)
+    assert np.array_equal(data.values[:40], datagen.sample_class(spec, 40, spawn_seed(4, "pos")))
 
 
 def test_model_spec_validation():
@@ -243,9 +244,10 @@ def test_binary_truncated_file_is_refused(tmp_path):
 
 # values whose repr is easy to get wrong: signed zero, non-finite values,
 # the smallest subnormal and the largest double, and the points where repr
-# switches between positional and exponent notation
+# switches between positional and exponent notation, from either side
 SPECIAL_VALUES = [-0.0, np.nan, np.inf, -np.inf, 5e-324, 1.7976931348623157e308,
-                  1e-5, 9.999e-5, 1e16, 1e-16]
+                  1e-5, 9.999e-5, 1e16, 1e-16, 1e-4, -1e-4, np.nextafter(1e-4, 0),
+                  np.nextafter(1e16, 0)]
 
 
 def special_dataset(n, d, seed=0):
@@ -270,6 +272,24 @@ def test_write_csv_matches_unbuffered_writer(tmp_path, n):
     back = datagen.read_csv(tmp_path / "blocks.csv")
     assert back.values.tobytes() == data.values.tobytes()
     assert back.labels.tobytes() == data.labels.tobytes()
+
+
+def test_write_csv_matches_unbuffered_writer_on_gaussian_rows(tmp_path):
+    # special_dataset spans 10^-300..10^300, so nearly all of its rows take
+    # the repr fallback; Gaussian rows mostly do not.  Each special value
+    # goes alone into a row that has no other value below 1e-4, so every
+    # edge of the fallback's mask decides how its row is written.
+    d = 100
+    block = datagen._CSV_BLOCK_VALUES // (d + 1)
+    rng = np.random.default_rng(3)
+    values = rng.standard_normal((3 * block + 7, d))
+    clean = np.flatnonzero((np.abs(values) >= 1e-4).all(axis=1))
+    values[clean[: len(SPECIAL_VALUES)], 0] = SPECIAL_VALUES
+    labels = np.where(rng.random(len(values)) < 0.5, 1.0, -1.0)
+    data = datagen.DataMatrix(values=values, labels=labels)
+    datagen.write_csv(data, tmp_path / "blocks.csv")
+    write_csv_unbuffered(data, tmp_path / "reference.csv")
+    assert (tmp_path / "blocks.csv").read_bytes() == (tmp_path / "reference.csv").read_bytes()
 
 
 def test_read_csv_keeps_one_row_two_dimensional(tmp_path):
@@ -304,6 +324,14 @@ def test_write_csv_memory_does_not_grow_with_rows(tmp_path):
     small = traced_peak(lambda: datagen.write_csv(small_data, tmp_path / "a.csv"))
     large = traced_peak(lambda: datagen.write_csv(large_data, tmp_path / "b.csv"))
     assert large <= 1.1 * small, (small, large)
+
+
+def test_make_dataset_samples_into_one_value_array():
+    # each class is drawn straight into its half of the returned array, so
+    # beside that array only one class's sampler output is ever held
+    n, d = 2_000, 50
+    peak = traced_peak(lambda: datagen.make_dataset(datagen.null_spec(d), n, 1))
+    assert peak < 1.75 * (2 * n * d * 8), peak
 
 
 def test_write_binary_makes_no_full_copy(tmp_path):
