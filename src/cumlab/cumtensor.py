@@ -68,21 +68,21 @@ class FourthCumulant:
 def _orbit_indices(d: int):
     """Index arrays for dimension d, on the pair numbering of _pair_numbering.
 
-    The offsets of the pairs (i, i..d-1) in the pair block; the sorted
-    quadruples i <= j <= k <= l, as four arrays; the pair numbers of their
-    pairings (ij, kl), (ik, jl), (il, jk); and the P x P table of the
+    The offsets of the pairs (i, i..d-1) in the pair block; the pair
+    numbers of the pairings (ij, kl), (ik, jl), (il, jk) of each sorted
+    quadruple i <= j <= k <= l, as int32; and the P x P table of the
     quadruple that each entry of K is a pairing of.  A quadruple is a pair
     (i, j) followed by a pair (k, l) with j <= k: no d^4 grid is built."""
     a, b, _, pair_of = _pair_numbering(d)
     offsets = np.concatenate([[0], np.cumsum(np.arange(d, 0, -1))])
     first, second = np.nonzero(b[:, None] <= a[None, :])
-    quad = (a[first], b[first], a[second], b[second])
-    i, j, k, l = quad
-    pairings = ((first, second), (pair_of[i, k], pair_of[j, l]), (pair_of[i, l], pair_of[j, k]))
+    i, j, k, l = a[first], b[first], a[second], b[second]
+    pairings = tuple((p.astype(np.int32), q.astype(np.int32)) for p, q in (
+        (first, second), (pair_of[i, k], pair_of[j, l]), (pair_of[i, l], pair_of[j, k])))
     orbit_of = np.empty((len(a), len(a)), dtype=np.int32)
     for p, q in pairings:
         orbit_of[p, q] = orbit_of[q, p] = np.arange(len(first))
-    return offsets, quad, pairings, orbit_of
+    return offsets, pairings, orbit_of
 
 
 def empirical_fourth_cumulant(data: np.ndarray) -> FourthCumulant:
@@ -94,7 +94,7 @@ def empirical_fourth_cumulant(data: np.ndarray) -> FourthCumulant:
     if d > MAX_CUMULANT_DIM:
         raise ValueError(f"d = {d} over the config cap d <= {MAX_CUMULANT_DIM}: the pair-space "
                          f"cumulant alone is {2 * (d * (d + 1)) ** 2 / 2**20:.0f} MiB")
-    offsets, quad, pairings, orbit_of = _orbit_indices(d)
+    offsets, pairings, orbit_of = _orbit_indices(d)
     x = data - data.mean(axis=0)
     m2 = x.T @ x / n
     # pair products laid out (pairs, rows): block @ block.T is a symmetric
@@ -109,9 +109,10 @@ def empirical_fourth_cumulant(data: np.ndarray) -> FourthCumulant:
         for a in range(d):
             np.multiply(cols[a], cols[a:], out=block[offsets[a] : offsets[a + 1]])
         gram += block @ block.T
-    i, j, k, l = quad
     moment = sum(gram[p, q] for p, q in pairings) / (3 * n)
-    vals = moment - (m2[i, j] * m2[k, l] + m2[i, k] * m2[j, l] + m2[i, l] * m2[j, k])
+    m2p = m2[np.triu_indices(d)]  # m2[i, j] at pair (ij)
+    (ij, kl), (ik, jl), (il, jk) = pairings
+    vals = moment - (m2p[ij] * m2p[kl] + m2p[ik] * m2p[jl] + m2p[il] * m2p[jk])
     return FourthCumulant(matrix=vals[orbit_of])
 
 

@@ -575,6 +575,34 @@ LR_CFG = {"experiment": "lr-curve", "seed": 1, "d": [8], "theta": [1.0], "beta":
 LDLR_CFG = {"experiment": "ldlr-bounds", "seed": 1, "d": [8], "n": [20], "beta": [1.0]}
 
 
+# One small config per subcommand, with the NLGP sampler wherever it can run.
+# Only the LR norms and the LDLR bounds use scipy; a subcommand that stops
+# needing it leaves SCIPY_USERS.
+SCIPY_USERS = {"lr-curve", "ldlr-bounds"}
+TINY_CONFIGS = {
+    "generate": dict(GENERATE_CFG, model={"kind": "nlgp", "d": 5, "gain": 3.0}),
+    "lr-curve": LR_CFG,
+    "ldlr-bounds": LDLR_CFG,
+    "search-curve": SEARCH_CFG,
+    "train-sweep": dict(TINY_TRAIN_CFG, task="nlgp"),
+    "nlgp-localisation": NLGP_CFG,
+}
+
+
+@pytest.mark.parametrize("experiment", sorted(cli.EXPERIMENTS))
+def test_only_lr_and_ldlr_subcommands_load_scipy(tmp_path, experiment):
+    # --jobs 1 runs every point in this interpreter, so its modules count
+    cfg = write_config(tmp_path, "cfg.json", TINY_CONFIGS[experiment])
+    argv = [experiment, "--config", cfg, "--out", str(tmp_path / "out"), "--jobs", "1"]
+    code = (
+        "import sys\n"
+        "from cumlab import cli\n"
+        f"assert cli.main({argv!r}) == 0\n"
+        "print(any(m.split('.')[0] == 'scipy' for m in sys.modules))\n"
+    )
+    assert run_fresh_python(code) == str(experiment in SCIPY_USERS)
+
+
 @pytest.mark.parametrize("experiment, payload, message", [
     ("train-sweep", dict(TINY_TRAIN_CFG, runs=2.5), "'runs' has value 2.5"),
     ("train-sweep", dict(TINY_TRAIN_CFG, rf="false"), "'rf' has value 'false'"),

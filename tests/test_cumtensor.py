@@ -229,7 +229,7 @@ def test_pair_matrix_is_the_orbit_scatter(d):
     assert np.array_equal(k.matrix, k.matrix.T)
 
 
-def test_localisation_point_leaves_scipy_integrate_unloaded():
+def test_localisation_point_loads_no_scipy():
     # a fresh interpreter, so modules imported by other tests do not count
     env = dict(os.environ)
     root = os.path.dirname(os.path.dirname(cumlab.__file__))
@@ -240,8 +240,18 @@ def test_localisation_point_leaves_scipy_integrate_unloaded():
         "spec = datagen.ModelSpec(kind=datagen.NLGP, d=6, gain=3.0, xi=1.0)\n"
         "rows = datagen.sample_class(spec, 200, 1)\n"
         "cumtensor.rank1_cp(cumtensor.empirical_fourth_cumulant(rows))\n"
-        "print('scipy.integrate' in sys.modules, 'scipy.special' in sys.modules)\n"
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
     )
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.split() == ["False", "True"]
+    assert proc.stdout.strip() == "[]"
+
+
+def test_orbit_index_cache_is_about_the_size_of_k():
+    # K alone is 33 MiB at d = 64; the cached indices hold no sorted
+    # quadruples and store int32
+    def nbytes(item):
+        return sum(map(nbytes, item)) if isinstance(item, tuple) else item.nbytes
+
+    assert nbytes(cumtensor._orbit_indices(64)) <= 35 * 2**20
+    cumtensor._orbit_indices.cache_clear()

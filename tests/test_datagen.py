@@ -5,7 +5,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from scipy import stats
+from scipy import special, stats
 
 from cumlab import datagen
 from cumlab.hermite import GDistribution
@@ -157,6 +157,41 @@ def test_erf_normalisation_quadrature_vs_closed_form():
         q = erf_variance_quadrature(gain)
         c = datagen.erf_variance_closed_form(gain)
         assert q == pytest.approx(c, abs=1e-12)
+
+
+def ordered_bits(x):
+    """The float64 values as integers in the order of the reals, so that adjacent
+    doubles differ by 1 (+0 and -0 both map to 0)."""
+    bits = x.view(np.int64)
+    return np.where(bits < 0, np.int64(-(2**63)) - bits, bits)
+
+
+def test_erf_matches_scipy_to_one_ulp():
+    # a dense grid, both sides of each Cephes branch edge (|x| = 1, 8 and
+    # sqrt(MAXLOG), where exp(-x^2) underflows), subnormals and the specials
+    edges = np.array([1.0, 8.0, np.sqrt(7.09782712893383996843e2)])
+    near = np.concatenate([edges, np.nextafter(edges, 0), np.nextafter(edges, np.inf)])
+    tiny = np.array([5e-324, 1e-310, np.nextafter(2.2250738585072014e-308, 0), 1e-300])
+    x = np.concatenate([np.linspace(0, 30, 600_001), near, tiny, [np.inf]])
+    x = np.concatenate([x, -x, [np.nan]])[None, :]
+    got = x.copy()
+    with np.errstate(all="raise"):
+        datagen._erf(got)
+    want = special.erf(x)
+    assert np.abs(ordered_bits(got) - ordered_bits(want)).max() <= 1
+    exact = (x == 0) | np.isinf(x)
+    assert np.array_equal(got[exact].view(np.int64), want[exact].view(np.int64))  # signs of 0
+    assert np.isnan(got[:, -1]).all()
+    half = (x.size - 1) // 2
+    assert np.array_equal(got[:, half:-1].view(np.int64), (-got[:, :half]).view(np.int64))
+
+
+def test_erf_works_in_row_chunks_of_any_width():
+    for shape in ((3, 1), (7, 2**14 + 3), (5000, 7)):
+        x = np.random.default_rng(shape[1]).normal(scale=3.0, size=shape)
+        got = x.copy()
+        datagen._erf(got)
+        assert np.abs(ordered_bits(got) - ordered_bits(special.erf(x))).max() <= 1
 
 
 def test_gp_match_covariance_matches_nlgp():
@@ -332,6 +367,21 @@ def test_make_dataset_samples_into_one_value_array():
     n, d = 2_000, 50
     peak = traced_peak(lambda: datagen.make_dataset(datagen.null_spec(d), n, 1))
     assert peak < 1.75 * (2 * n * d * 8), peak
+
+
+def test_spiked_class_is_sampled_into_its_output_rows():
+    # the export-dataset config: each block is drawn into the rows that
+    # sample_class hands it, with one (rows, d) temporary beside them
+    spec = cumulant_spec(100, 10.0)
+    peak = traced_peak(lambda: datagen.make_dataset(spec, 10_000, 1))
+    assert peak <= 24.5e6, peak
+
+
+@pytest.mark.parametrize("out", [np.empty((4, 3)), np.empty((5, 4)), np.empty((5, 3), np.float32),
+                                 np.empty((3, 5)).T])
+def test_sample_class_refuses_an_unfit_output(out):
+    with pytest.raises(ValueError, match="C-contiguous float64 array of shape"):
+        datagen.sample_class(datagen.null_spec(3), 5, 1, out=out)
 
 
 def test_write_binary_makes_no_full_copy(tmp_path):
