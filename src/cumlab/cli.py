@@ -31,12 +31,12 @@ import sys
 import time
 import traceback
 from collections import Counter
-from collections.abc import Callable, Mapping
+from collections.abc import Callable
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import __version__, cumtensor, datagen, detect, ldlr, learn, likelihood
+from . import BLAS_IDLE_WAIT, __version__, cumtensor, datagen, detect, ldlr, learn, likelihood
 from .hermite import G_KINDS, GDistribution
 from .rng import generator, spawn_seed
 
@@ -503,8 +503,7 @@ def _read_manifest(out_dir: str) -> dict | None:
     return manifest
 
 
-def _write_outputs(cfg: ExperimentConfig, results: list[TaskResult], out_dir: str,
-                   blas_threads: dict[str, str] | None = None) -> int:
+def _write_outputs(cfg: ExperimentConfig, results: list[TaskResult], out_dir: str) -> int:
     exp = EXPERIMENTS[cfg.experiment]
     written: set[str] = set()
 
@@ -553,41 +552,11 @@ def _write_outputs(cfg: ExperimentConfig, results: list[TaskResult], out_dir: st
         },
         "wall_time_s": {str(r.index): round(r.wall_time_s, 6) for r in results},
         "failed_points": len(errors),
-        "worker_blas_threads": blas_threads,
+        "blas_idle_wait": BLAS_IDLE_WAIT,
     }
     _atomic_write(os.path.join(out_dir, "manifest.json"),
                   json.dumps(manifest, indent=2, sort_keys=True) + "\n")
     return 1 if errors else 0
-
-
-# Idle BLAS threads busy-wait for work before they sleep: OpenBLAS for
-# 2^28 cycles by default, OpenMP runtimes in their active wait policy.  In
-# a pool of several workers those spinning threads take the cores from the
-# other workers.  These settings make idle threads sleep at once.  They
-# leave the thread count alone: BLAS rounding depends on how a product is
-# split between threads, and workers that kept the thread count of an
-# in-process run give the same bits at any --jobs.
-_WORKER_BLAS_WAIT = {"OPENBLAS_THREAD_TIMEOUT": "4", "OMP_WAIT_POLICY": "PASSIVE"}
-
-
-def worker_blas_threads(environ: Mapping[str, str]) -> dict[str, str]:
-    """The BLAS thread settings pool workers start with.
-
-    A variable already set in `environ` is passed on unchanged.
-    """
-    return {var: environ.get(var, val) for var, val in _WORKER_BLAS_WAIT.items()}
-
-
-@contextlib.contextmanager
-def _environ_defaults(values: Mapping[str, str]):
-    """Set the variables of `values` that os.environ lacks; unset them on exit."""
-    added = {var: val for var, val in values.items() if var not in os.environ}
-    os.environ.update(added)
-    try:
-        yield
-    finally:
-        for var in added:
-            del os.environ[var]
 
 
 def run(cfg: ExperimentConfig, out_dir: str, jobs: int = 1) -> int:
@@ -595,29 +564,27 @@ def run(cfg: ExperimentConfig, out_dir: str, jobs: int = 1) -> int:
     os.makedirs(out_dir, exist_ok=True)
     args = [(i, cfg.experiment, cfg.values, point, r, cfg.seed, out_dir)
             for i, (point, r) in enumerate(cfg.tasks)]
-    blas_threads = None
     if jobs > 1 and len(args) > 1:
         import multiprocessing  # lazy, with the next line: they take 18 ms to import
         from concurrent.futures.process import BrokenProcessPool, ProcessPoolExecutor
-        blas_threads = worker_blas_threads(os.environ)
-        # Spawn workers inherit os.environ and read these when BLAS loads;
-        # the parent's BLAS is loaded already, so only the workers see them.
-        with _environ_defaults(blas_threads):
-            pool = ProcessPoolExecutor(min(jobs, len(args)),
-                                       mp_context=multiprocessing.get_context("spawn"))
-            try:
-                futures = [pool.submit(_run_task, a) for a in args]
-                results = []
-                for i, future in enumerate(futures):
-                    try:
-                        results.append(future.result())
-                    except BrokenProcessPool:  # a worker died: every unfinished point fails
-                        results.append(TaskResult(index=i, error=traceback.format_exc(limit=8)))
-            finally:
-                pool.shutdown(cancel_futures=True)  # an interrupt waits for running points only
+        # Forked workers start with the parent's modules and BLAS settings
+        # loaded (POSIX only).  With fork the executor starts every worker at
+        # the first submit, before its manager thread, so no thread is forked.
+        pool = ProcessPoolExecutor(min(jobs, len(args)),
+                                   mp_context=multiprocessing.get_context("fork"))
+        try:
+            futures = [pool.submit(_run_task, a) for a in args]
+            results = []
+            for i, future in enumerate(futures):
+                try:
+                    results.append(future.result())
+                except BrokenProcessPool:  # a worker died: every unfinished point fails
+                    results.append(TaskResult(index=i, error=traceback.format_exc(limit=8)))
+        finally:
+            pool.shutdown(cancel_futures=True)  # an interrupt waits for running points only
     else:
         results = [_run_task(a) for a in args]
-    return _write_outputs(cfg, results, out_dir, blas_threads)
+    return _write_outputs(cfg, results, out_dir)
 
 
 # ---------------------------------------------------------------------------

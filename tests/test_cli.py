@@ -2,6 +2,7 @@
 
 import contextlib
 import csv
+import dataclasses
 import json
 import os
 import resource
@@ -444,46 +445,94 @@ def test_train_sweep_deterministic_across_jobs(tmp_path):
     assert csvs == sorted(n for n in os.listdir(out2) if n.endswith(".csv"))
     for name in csvs:
         assert read_bytes(os.path.join(out1, name)) == read_bytes(os.path.join(out2, name)), name
-    m1 = json.loads(read_bytes(os.path.join(out1, "manifest.json")))
-    assert m1["worker_blas_threads"] is None
+    # the BLAS idle-wait settings are recorded at every --jobs
+    m1, m2 = (json.loads(read_bytes(os.path.join(out, "manifest.json"))) for out in (out1, out2))
+    assert m1["blas_idle_wait"] == m2["blas_idle_wait"] == cumlab.BLAS_IDLE_WAIT
 
 
-BLAS_ENV_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS",
-                 *cli._WORKER_BLAS_WAIT)
+BLAS_IDLE_WAIT_DEFAULTS = {"OPENBLAS_THREAD_TIMEOUT": "4", "OMP_WAIT_POLICY": "PASSIVE"}
 
 
-def test_pool_restores_blas_environment(tmp_path, monkeypatch):
+def env_without_blas_settings(**values):
+    """os.environ without BLAS wait or thread-count variables, plus `values`."""
+    env = {var: val for var, val in os.environ.items()
+           if var not in BLAS_IDLE_WAIT_DEFAULTS and not var.endswith("_NUM_THREADS")}
+    return {**env, **values}
+
+
+def test_import_sets_blas_idle_wait_before_numpy():
+    # the hook sees os.environ as it is when numpy starts to load, which is
+    # when numpy's OpenBLAS reads it
+    code = (
+        "import importlib.abc, json, os, sys\n"
+        "seen = []\n"
+        "class Hook(importlib.abc.MetaPathFinder):\n"
+        "    def find_spec(self, name, path, target=None):\n"
+        "        if name == 'numpy' and not seen:\n"
+        "            seen.append({var: os.environ.get(var) for var in\n"
+        "                         ('OPENBLAS_THREAD_TIMEOUT', 'OMP_WAIT_POLICY')})\n"
+        "sys.meta_path.insert(0, Hook())\n"
+        "import cumlab\n"
+        "print(json.dumps([seen, cumlab.BLAS_IDLE_WAIT]))\n"
+    )
+    seen, recorded = json.loads(run_fresh_python(code, env_without_blas_settings()))
+    assert seen == [BLAS_IDLE_WAIT_DEFAULTS]
+    assert recorded == BLAS_IDLE_WAIT_DEFAULTS
+    # numpy loaded first has read its settings already: nothing is recorded
+    code = "import numpy, cumlab; print(cumlab.BLAS_IDLE_WAIT)"
+    assert run_fresh_python(code, env_without_blas_settings()) == "None"
+
+
+@pytest.mark.parametrize("jobs, user", [("1", {"OPENBLAS_THREAD_TIMEOUT": "30"}),
+                                        ("2", {"OMP_WAIT_POLICY": "ACTIVE"})], ids=["1", "2"])
+def test_blas_idle_wait_keeps_user_values(tmp_path, jobs, user):
     # the user set a thread count and one wait setting, not the other
-    for var in BLAS_ENV_VARS:
-        monkeypatch.delenv(var, raising=False)
-    monkeypatch.setenv("OPENBLAS_NUM_THREADS", "2")
-    monkeypatch.setenv("OMP_WAIT_POLICY", "ACTIVE")
-    before = {var: os.environ.get(var) for var in BLAS_ENV_VARS}
     cfg = write_config(tmp_path, "cfg.json", TINY_TRAIN_CFG)
-    out = str(tmp_path / "env")
-    assert run_cli(["train-sweep", "--config", cfg, "--out", out, "--jobs", "2"]) == 0
-    assert {var: os.environ.get(var) for var in BLAS_ENV_VARS} == before
+    out = str(tmp_path / "out")
+    code = (
+        "import json, os, sys\n"
+        "from cumlab import cli\n"
+        "before = dict(os.environ)\n"
+        f"code = cli.main(['train-sweep', '--config', {cfg!r}, '--out', {out!r},"
+        f" '--jobs', {jobs!r}])\n"
+        "print(json.dumps([code, dict(os.environ) == before, dict(os.environ)]))\n"
+    )
+    env = env_without_blas_settings(OPENBLAS_NUM_THREADS="2", **user)
+    code, unchanged, environ = json.loads(run_fresh_python(code, env))
+    assert code == 0 and unchanged  # the run itself changes no variable
+    expected = {**BLAS_IDLE_WAIT_DEFAULTS, **user}
+    assert {var: environ.get(var) for var in BLAS_IDLE_WAIT_DEFAULTS} == expected
+    # the thread count, user-set or default, is left as it is
+    assert {var: val for var, val in environ.items() if var.endswith("_NUM_THREADS")} == {
+        "OPENBLAS_NUM_THREADS": "2",
+    }
     manifest = json.loads(read_bytes(os.path.join(out, "manifest.json")))
-    assert manifest["worker_blas_threads"] == {
-        "OPENBLAS_THREAD_TIMEOUT": "4", "OMP_WAIT_POLICY": "ACTIVE",
-    }
+    assert manifest["blas_idle_wait"] == expected
 
 
-def test_worker_blas_threads_keep_user_values_and_thread_count():
-    assert cli.worker_blas_threads({}) == {
-        "OPENBLAS_THREAD_TIMEOUT": "4", "OMP_WAIT_POLICY": "PASSIVE",
-    }
-    user = {"OPENBLAS_THREAD_TIMEOUT": "30", "OPENBLAS_NUM_THREADS": "3", "PATH": "/bin"}
-    env = cli.worker_blas_threads(user)
-    assert env == {"OPENBLAS_THREAD_TIMEOUT": "30", "OMP_WAIT_POLICY": "PASSIVE"}
-    # workers inherit the thread count, user-set or default, as it is
-    assert not any(var.endswith("_NUM_THREADS") for var in env)
+@pytest.mark.filterwarnings("error::DeprecationWarning")
+def test_pool_workers_are_forked(tmp_path, monkeypatch):
+    # Only a forked worker runs a runner patched in this process.  Python
+    # 3.12 and later warn when a process forks while it has other threads,
+    # so this test also fails when the pool forks a live thread.
+    def worker_pid(params, point_seed, out):
+        return {"worker_pid": float(os.getpid())}
+
+    monkeypatch.setitem(cli.EXPERIMENTS, "search-curve", dataclasses.replace(
+        cli.EXPERIMENTS["search-curve"], run=worker_pid, aggregate=None))
+    cfg = write_config(tmp_path, "cfg.json", SEARCH_CFG)
+    out = str(tmp_path / "out")
+    assert run_cli(["search-curve", "--config", cfg, "--out", out, "--jobs", "2"]) == 0
+    with open(os.path.join(out, "worker_pid.csv")) as fh:
+        pids = {float(row["value"]) for row in csv.DictReader(fh)}
+    assert pids and float(os.getpid()) not in pids and len(pids) <= 2
 
 
-def run_fresh_python(code):
+def run_fresh_python(code, env=None):
     """Run `code` in a fresh interpreter, so modules imported by other tests
-    do not count; it imports the same cumlab package as this process."""
-    env = dict(os.environ)
+    do not count; it imports the same cumlab package as this process.  `env`
+    replaces os.environ as the interpreter's environment."""
+    env = dict(os.environ if env is None else env)
     root = os.path.dirname(os.path.dirname(cumlab.__file__))
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [root, env.get("PYTHONPATH")]))
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
@@ -776,7 +825,7 @@ def test_manifest_outputs_list_every_file(tmp_path, payload, jobs):
 
 
 def test_dead_worker_fails_its_point(tmp_path):
-    # Under a 3 s CPU limit, inherited by the spawned workers, the worker
+    # Under a 3 s CPU limit, inherited by the forked workers, the worker
     # on the large point dies of SIGXCPU.  The sweep must record that point
     # as failed, write the small one and exit, not hang.  The run has its
     # own process group, killed at the end, so no worker outlives the test.
