@@ -18,9 +18,9 @@ import numpy as np
 # Exhaustive spike search over the half-hypercube (first coordinate +1).
 #
 # Candidates are indexed by a (d-1)-bit code: bit (d-1-i) gives the sign of
-# coordinate i (set bit -> +1), so the code's integer order is the
-# lexicographic order with -1 < +1.  Codes are scored in blocks; ties in
-# the score are broken toward the smallest code.
+# coordinate i (set bit -> +1; ``code_signs`` decodes), so the code's
+# integer order is the lexicographic order with -1 < +1.  Codes are scored
+# in blocks; ties in the score are broken toward the smallest code.
 # ---------------------------------------------------------------------------
 
 # cap on n * block: 2^14 float64 values (128 KB), so the projection buffer
@@ -30,12 +30,17 @@ import numpy as np
 _SEARCH_WORKSPACE = 1 << 14
 
 
+def code_signs(codes, bits: int) -> np.ndarray:
+    """Signs of `bits`-bit codes, shape codes.shape + (bits,), most
+    significant bit first: a set bit gives +1, a clear bit -1."""
+    shifts = np.arange(bits - 1, -1, -1)
+    return np.where((np.asarray(codes)[..., None] >> shifts) & 1 == 1, 1.0, -1.0)
+
+
 @lru_cache(maxsize=8)
 def _low_signs(bits: int) -> np.ndarray:
-    """(2^bits, bits) signs of every `bits`-bit code, most significant first."""
-    codes = np.arange(1 << bits)[:, None]
-    shifts = np.arange(bits - 1, -1, -1)[None, :]
-    signs = np.where((codes >> shifts) & 1 == 1, 1.0, -1.0)
+    """(2^bits, bits) signs of every `bits`-bit code, read-only."""
+    signs = code_signs(np.arange(1 << bits), bits)
     signs.flags.writeable = False
     return signs
 
@@ -63,10 +68,9 @@ def search_best_code(X, scale, terms, block: int = 2048):
     V[:, 0] = 1.0
     V[:, high:] = _low_signs(bits)
     T = np.empty((n, block))
-    shifts = np.arange(high - 2, -1, -1)
     best_score, best_code = -np.inf, 0
     for k in range(ncand // block):
-        V[:, 1:high] = np.where((k >> shifts) & 1 == 1, 1.0, -1.0)
+        V[:, 1:high] = code_signs(k, high - 1)
         np.matmul(X, V.T, out=T)
         T *= scale
         scores = terms(T).sum(axis=0)

@@ -92,7 +92,8 @@ _DATASET_NAME = ((lambda name: _FILE_NAME[0](name) and not set(name) & set(',"\n
 
 def _scalar(name: str, val, key: Key):
     """`val` as `key.kind`, type-checked and never cast: a bool (JSON
-    true/false is a Python int) is no number, and an int key takes no float."""
+    true/false is a Python int) is no number, an int key takes no float,
+    and a float key takes no NaN or infinity (JSON NaN, Infinity)."""
     if key.kind in (bool, str):
         ok = isinstance(val, key.kind)
     else:
@@ -100,6 +101,8 @@ def _scalar(name: str, val, key: Key):
     if not ok:
         raise ConfigError(f"config key {name!r} has value {val!r}, expected {key.kind.__name__}")
     val = key.kind(val)
+    if key.kind is float and not np.isfinite(val):
+        raise ConfigError(f"config key {name!r} has value {val!r}, expected a finite number")
     if key.check and not key.check[0](val):
         raise ConfigError(f"config key {name!r} has value {val!r}, expected {key.check[1]}")
     return val
@@ -284,8 +287,8 @@ def _run_train(p: dict, point_seed: int, out: Callable[[str], str]) -> dict:
                             seed=spawn_seed(point_seed, "net"), **overrides)
     report, _net = learn.train_2lnn(train_data, test_data, pos.spike, cfg)
     metrics = {
-        "nn_early_stop_acc": report.early_stop_accuracy,
-        "nn_final_test_acc": report.test_accuracy[-1],
+        "nn_early_stop_acc": report.early_stop_acc,
+        "nn_final_test_acc": report.test_acc[-1],
         "nn_final_max_ipr": report.ipr_trajectory[-1],
     }
     if pos.spike is not None:
@@ -560,8 +563,7 @@ def _write_outputs(cfg: ExperimentConfig, results: list[TaskResult], out_dir: st
 
 
 def run(cfg: ExperimentConfig, out_dir: str, jobs: int = 1) -> int:
-    """Execute all grid points; returns the process exit code."""
-    os.makedirs(out_dir, exist_ok=True)
+    """Execute all grid points into the existing directory `out_dir`; returns the exit code."""
     args = [(i, cfg.experiment, cfg.values, point, r, cfg.seed, out_dir)
             for i, (point, r) in enumerate(cfg.tasks)]
     if jobs > 1 and len(args) > 1:
@@ -640,13 +642,19 @@ def emit_plotdata(results_dir: str) -> int:
 # ---------------------------------------------------------------------------
 
 
+def _jobs(text: str) -> int:
+    if not text.isdecimal() or int(text) < 1:
+        raise argparse.ArgumentTypeError(f"expected a worker count >= 1, got {text!r}")
+    return int(text)
+
+
 def _parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(prog="cumlab", description=__doc__.split("\n\n")[0])
     sub = p.add_subparsers(dest="command", required=True)
     for name in EXPERIMENTS:
         sp = sub.add_parser(name)
         sp.add_argument("--config", required=True, help="JSON experiment config")
-        sp.add_argument("--jobs", type=int, default=1, help="worker processes")
+        sp.add_argument("--jobs", type=_jobs, default=1, help="worker processes, 1 or more")
         sp.add_argument("--out", required=True, help="output directory")
     sp = sub.add_parser("emit-plotdata")
     sp.add_argument("--out", required=True, help="results directory to aggregate")
@@ -667,6 +675,11 @@ def main(argv=None) -> int:
         cfg = _validate(raw)
     except (OSError, json.JSONDecodeError, ConfigError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
+        return 2
+    try:
+        os.makedirs(ns.out, exist_ok=True)
+    except OSError as exc:
+        print(f"error: --out {ns.out!r} cannot be a directory: {exc.strerror}", file=sys.stderr)
         return 2
     code = run(cfg, ns.out, jobs=ns.jobs)
     if code:

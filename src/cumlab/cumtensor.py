@@ -95,12 +95,12 @@ def empirical_fourth_cumulant(data: np.ndarray) -> FourthCumulant:
         raise ValueError(f"d = {d} over the config cap d <= {MAX_CUMULANT_DIM}: the pair-space "
                          f"cumulant alone is {2 * (d * (d + 1)) ** 2 / 2**20:.0f} MiB")
     offsets, pairings, orbit_of = _orbit_indices(d)
-    x = data - data.mean(axis=0)
-    m2 = x.T @ x / n
-    # pair products laid out (pairs, rows): block @ block.T is a symmetric
-    # rank-k update that OpenBLAS runs several times faster than the
+    # the centred data, laid out (d, n) as the pair products are: pairs
+    # laid out (pairs, rows) make block @ block.T a symmetric rank-k update
+    # that OpenBLAS runs several times faster than the
     # (rows, pairs).T @ (rows, pairs) form, which is also slower to fill
-    xt = np.ascontiguousarray(x.T)
+    xt = np.subtract(data.T, data.mean(axis=0)[:, None], out=np.empty((d, n)))
+    m2 = xt @ xt.T / n
     pairs = np.empty((offsets[-1], min(n, _MOMENT_BLOCK_ROWS)))
     gram = np.zeros((offsets[-1], offsets[-1]))
     for start in range(0, n, _MOMENT_BLOCK_ROWS):
@@ -127,31 +127,31 @@ class CpResult(NamedTuple):
     degenerate: bool
 
 
-def rank1_cp(
-    tensor: FourthCumulant,
-    max_iters: int = 1000,
-    tol: float = 1e-10,
-    rng: np.random.Generator | None = None,
-    restarts: int = 8,
-) -> CpResult:
+CP_RESTARTS = 8
+CP_MAX_ITERS = 1000
+CP_TOL = 1e-10
+
+
+def rank1_cp(tensor: FourthCumulant, rng: np.random.Generator) -> CpResult:
     """Best rank-1 symmetric approximation weight*v^(x4) of the cumulant.
 
-    Each restart runs power iteration on sign-corrected T (so the iterated
-    tensor has positive weight along the current direction); |T(v,v,v,v)|
+    Each of CP_RESTARTS restarts starts from a Gaussian direction drawn
+    from `rng` and runs at most CP_MAX_ITERS steps of power iteration on
+    sign-corrected T (so the iterated tensor has positive weight along the
+    current direction); a step shorter than CP_TOL ends it.  |T(v,v,v,v)|
     is monotone over accepted steps and a decrease beyond tolerance stops
     the restart.  Returns the best restart by |weight|; a tensor whose
     every restart contracts to zero is flagged degenerate.
     """
-    rng = rng if rng is not None else np.random.default_rng(0)
     d = tensor.d
     best = CpResult(0.0, np.zeros(d), True)
-    for _ in range(restarts):
+    for _ in range(CP_RESTARTS):
         v = rng.standard_normal(d)
         v /= _norm(v)
         t = tensor.contract3(v)  # T(v,v,v,.) of the current iterate
         gamma = float(t @ v)
         sign = 1.0 if gamma >= 0 else -1.0
-        for _ in range(max_iters):
+        for _ in range(CP_MAX_ITERS):
             w = sign * t
             norm = _norm(w)
             if norm == 0.0:
@@ -163,7 +163,7 @@ def rank1_cp(
                 break  # past the fixed point; keep the previous iterate
             step = min(_norm(w - v), _norm(w + v))
             v, t, gamma = w, tw, new_gamma
-            if step < tol:
+            if step < CP_TOL:
                 break
         if abs(gamma) > abs(best.weight):
             best = CpResult(gamma, v, False)

@@ -37,14 +37,6 @@ class SearchResult:
     evaluations: int
 
 
-def _code_to_spike(code: int, d: int) -> np.ndarray:
-    v = np.ones(d)
-    for i in range(1, d):
-        if not (code >> (d - 1 - i)) & 1:
-            v[i] = -1.0
-    return v
-
-
 def exhaustive_search(
     data: np.ndarray,
     beta: float,
@@ -73,7 +65,7 @@ def exhaustive_search(
         best_code, _ = _kernels.search_best_code(
             data, scale, lambda t: loglik_terms(t, beta, g_dist)
         )
-    spike = _code_to_spike(best_code, d)
+    spike = np.concatenate(([1.0], _kernels.code_signs(best_code, d - 1)))
     # score the winner as a standalone spike, so the reported value does
     # not depend on the block it was found in
     loglik = sample_log_likelihood(data, spike, beta, g_dist)

@@ -40,6 +40,9 @@ STANDARD_GAUSSIAN = "standard_gaussian"
 
 G_KINDS = (RADEMACHER, UNIFORM, STANDARD_GAUSSIAN)
 
+# Gauss-Legendre nodes of the Uniform rule, in the search score and f alike
+QUADRATURE_NODES = 64
+
 
 class DegreeError(ValueError):
     """Requested Hermite degree exceeds the supported table."""
@@ -159,18 +162,19 @@ class GDistribution:
             return rng.uniform(-s, s, size=n)
         return rng.standard_normal(n)
 
-    def quadrature(self, order: int = 64) -> tuple[np.ndarray, np.ndarray]:
+    def quadrature(self) -> tuple[np.ndarray, np.ndarray]:
         """Nodes and weights (g_i, w_i) with E[F(g)] ~= sum_i w_i F(g_i).
 
-        Exact (two atoms) for Rademacher; Gauss-Legendre on the compact
-        support for Uniform.  The standard Gaussian has no finite-node
-        representation here; callers use its closed forms instead.
+        Exact (two atoms) for Rademacher; the QUADRATURE_NODES-node
+        Gauss-Legendre rule on the compact support for Uniform.  The
+        standard Gaussian has no finite-node representation here; callers
+        use its closed forms instead.
         """
         if self.kind == RADEMACHER:
             return np.array([-1.0, 1.0]), np.array([0.5, 0.5])
         if self.kind == UNIFORM:
             s = np.sqrt(3.0)
-            x, w = np.polynomial.legendre.leggauss(order)
+            x, w = np.polynomial.legendre.leggauss(QUADRATURE_NODES)
             return s * x, w / 2.0  # density 1/(2 sqrt 3) times Jacobian sqrt 3
         raise ValueError("standard Gaussian g has no finite quadrature rule here")
 

@@ -159,7 +159,6 @@ def ldlr_exact_small_log(
     beta: float,
     g_dist: GDistribution,
     budget: int = EXACT_ENUMERATION_BUDGET,
-    spike_average: bool = False,
 ) -> float:
     """Exact log ||L^{<=D}||^2 by enumeration over multi-multi-indices.
 
@@ -168,14 +167,11 @@ def ldlr_exact_small_log(
     contribution depends only on the multiset of nonzero rows, never on
     which samples host them, so placements enter as a C(n, k) factor and
     the enumeration cost is independent of n.  The spike prior average
-    E_u[u^alpha] is the even-column parity rule by default;
-    `spike_average=True` instead averages over all 2^d Rademacher spikes
-    (d <= 16) as an independent cross-check.
+    E_u[u^alpha] is the even-column parity rule: 1 when every column sum
+    of alpha is even, else 0.
     """
     if n < 1 or d < 1 or D < 0:
         raise ValueError("need n >= 1, d >= 1, D >= 0")
-    if spike_average and d > 16:
-        raise ValueError("exact 2^d spike average limited to d <= 16")
 
     count = 0
     for tup in _nonzero_degree_tuples(n, D):
@@ -187,10 +183,6 @@ def ldlr_exact_small_log(
         raise ValueError(
             f"exact enumeration would visit {count} multi-indices, over the budget of {budget}"
         )
-
-    spikes = None
-    if spike_average:
-        spikes = np.array(list(itertools.product((-1.0, 1.0), repeat=d)))
 
     comps_cache: dict[int, list[tuple[int, ...]]] = {}
 
@@ -215,19 +207,13 @@ def ldlr_exact_small_log(
             for row in combo:
                 for i in range(d):
                     col[i] += row[i]
-            if spikes is None:
-                if any(c % 2 for c in col):
-                    continue
-                e_u = 1.0
-            else:
-                e_u = float(np.mean(np.prod(spikes ** np.array(col), axis=1)))
-                if e_u == 0.0:
-                    continue
+            if any(c % 2 for c in col):
+                continue
             fact = 1.0
             for row in combo:
                 for e in row:
                     fact *= math.factorial(e)
-            total += placements * (t_prod * e_u) ** 2 / (fact * float(d) ** deg_total)
+            total += placements * t_prod**2 / (fact * float(d) ** deg_total)
     return float(np.log(total))
 
 

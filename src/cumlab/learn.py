@@ -11,7 +11,8 @@ spike recovery.
 Lazy training follows the centred alpha-scaling: for alpha > 1 the model
 output is alpha * (phi_theta(x) - phi_theta0(x)) with theta0 frozen at
 initialisation and the loss rescaled by 1/alpha^2; alpha = 1 trains the
-plain network.
+plain network.  ``TwoLayerNet.forward`` is the one forward pass: it gives
+the per-epoch test outputs and the frozen network's outputs alike.
 
 Random features are the frozen-first-layer ablation: the same ReLU and the
 same N(0, 1/d) first-layer law, with a ridge readout at regulariser 0.1
@@ -42,12 +43,14 @@ class TwoLayerNet:
     v: np.ndarray
     c: float = 0.0
 
-    @property
-    def width(self) -> int:
-        return self.W.shape[0]
-
     def forward(self, X: np.ndarray) -> np.ndarray:
-        return np.maximum(X @ self.W.T + self.b, 0.0) @ self.v + self.c
+        """phi of each row of X, in the one (len(X), width) array of the first layer."""
+        h = X @ self.W.T
+        h += self.b
+        np.maximum(h, 0.0, out=h)
+        out = h @ self.v
+        out += self.c
+        return out
 
     def copy(self) -> "TwoLayerNet":
         return TwoLayerNet(self.W.copy(), self.b.copy(), self.v.copy(), self.c)
@@ -77,10 +80,10 @@ class TrainConfig:
 
 @dataclass
 class TrainReport:
-    test_accuracy: list[float] = field(default_factory=list)
+    test_acc: list[float] = field(default_factory=list)
     overlap_trajectory: list[float] = field(default_factory=list)
     ipr_trajectory: list[float] = field(default_factory=list)
-    early_stop_accuracy: float = 0.0
+    early_stop_acc: float = 0.0
 
 
 class DivergenceError(RuntimeError):
@@ -148,42 +151,27 @@ def _max_ipr(W: np.ndarray) -> float:
     return max(ipr(rows[k]) for k in near)
 
 
-def _accuracy(net: TwoLayerNet, X, y, hidden, frozen_out, alpha) -> float:
-    """Sign-readout accuracy of net (centred-scaled if frozen_out is given).
-
-    Bit-identical to ``net.forward``, computed in the preallocated `hidden`
-    buffer of shape (len(X), width) without temporaries.
-    """
-    np.matmul(X, net.W.T, out=hidden)
-    hidden += net.b
-    np.maximum(hidden, 0.0, out=hidden)
-    out = hidden @ net.v
-    out += net.c
-    if frozen_out is not None:
-        out = alpha * (out - frozen_out)
-    return float(np.mean(np.sign(out) == y))
-
-
 def train_2lnn(
     train: DataMatrix,
     test: DataMatrix,
     u: np.ndarray | None,
     cfg: TrainConfig,
-    rng: np.random.Generator | None = None,
 ) -> tuple[TrainReport, TwoLayerNet]:
     """Minibatch SGD on the squared loss; per-epoch test diagnostics.
 
-    The epoch loop and the batch order within an epoch are fixed by the
-    generator, so a (data, cfg, seed) triple reproduces the report
-    bit-for-bit.  Every alpha trains through ``_kernels.sgd_epoch``; for
-    alpha > 1 the frozen initial network is subtracted batch by batch, and
-    its test outputs are computed once per call.
+    The initial network and the batch order of every epoch come from
+    ``generator(cfg.seed, "train2lnn")``, so a (data, cfg) pair reproduces
+    the report bit-for-bit.  Every alpha trains through
+    ``_kernels.sgd_epoch``; for alpha > 1 the frozen initial network is
+    subtracted batch by batch, and its test outputs are computed once per
+    call.  An epoch's test accuracy is the sign readout of ``forward``, of
+    alpha * (phi - phi0) when alpha > 1.
     Overlap diagnostics need the true spike u; pass None (e.g. NLGP task)
     to skip them.
     """
     if train.d != test.d:
         raise ValueError("train/test dimensions differ")
-    rng = rng if rng is not None else generator(cfg.seed, "train2lnn")
+    rng = generator(cfg.seed, "train2lnn")
     d = train.d
     net = init_network(d, cfg.width_factor * d, rng)
     net0 = net.copy()
@@ -191,7 +179,6 @@ def train_2lnn(
     frozen = None if alpha == 1.0 else net0.forward
     X, y = train.values, train.labels
     n = X.shape[0]
-    hidden = np.empty((test.values.shape[0], net.width))
     frozen_out = None if alpha == 1.0 else net0.forward(test.values)
     report = TrainReport()
     for epoch in range(cfg.epochs):
@@ -202,14 +189,15 @@ def train_2lnn(
         )
         if not (np.all(np.isfinite(net.W)) and np.all(np.isfinite(net.v))):
             raise DivergenceError(epoch)
-        report.test_accuracy.append(
-            _accuracy(net, test.values, test.labels, hidden, frozen_out, alpha)
-        )
+        out = net.forward(test.values)
+        if frozen_out is not None:
+            out = alpha * (out - frozen_out)
+        report.test_acc.append(float(np.mean(np.sign(out) == test.labels)))
         report.overlap_trajectory.append(
             max_spike_overlap(net.W, u) if u is not None else float("nan")
         )
         report.ipr_trajectory.append(_max_ipr(net.W))
-    report.early_stop_accuracy = max(report.test_accuracy, default=0.0)
+    report.early_stop_acc = max(report.test_acc, default=0.0)
     return report, net
 
 

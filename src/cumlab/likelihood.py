@@ -30,8 +30,6 @@ import numpy as np
 
 from .hermite import RADEMACHER, STANDARD_GAUSSIAN, UNIFORM, GDistribution
 
-_UNIFORM_QUAD_ORDER = 64
-
 
 def log_binom(n, k) -> np.ndarray:
     """log C(n, k) via log-gamma; reaches d = 1e4 without factorial tables."""
@@ -58,11 +56,12 @@ def _f_quadrature(beta: float, lam: np.ndarray, nodes, weights) -> np.ndarray:
     return pref * np.sum(w2 * np.exp(expo), axis=(-2, -1))
 
 
-def f_overlap(beta: float, lam, g_dist: GDistribution, quad_order: int = _UNIFORM_QUAD_ORDER):
+def f_overlap(beta: float, lam, g_dist: GDistribution):
     """Replica-overlap function f(beta, lambda); lambda may be an array.
 
     Finite and positive on |lambda| <= 1; equals 1 at lambda = 0 and at
-    beta = 0 for every admissible g.
+    beta = 0 for every admissible g.  Uniform g uses the tensor product of
+    ``g_dist.quadrature()``, the 64-node rule of the search score.
     """
     lam_arr = np.asarray(lam, dtype=np.float64)
     scalar = lam_arr.ndim == 0
@@ -82,7 +81,7 @@ def f_overlap(beta: float, lam, g_dist: GDistribution, quad_order: int = _UNIFOR
         for s in (1.0, -1.0):
             out += 0.5 * pref * np.exp(-a * (2.0 * a - 2.0 * beta * s * lam_arr) / (2.0 * dn) + 1.0)
     elif g_dist.kind == UNIFORM:
-        nodes, weights = g_dist.quadrature(quad_order)
+        nodes, weights = g_dist.quadrature()
         out = _f_quadrature(beta, lam_arr, nodes, weights)
     elif g_dist.kind == STANDARD_GAUSSIAN:
         # exact bivariate Gaussian integral: with p = beta^2 lam^2 / dn and

@@ -6,11 +6,13 @@ obtains another way, so that a test can compare the two.
 
 import io
 import itertools
+import math
 from math import erf
 
 import numpy as np
 
 from cumlab.cumtensor import FourthCumulant
+from cumlab.ldlr import _compositions, _nonzero_degree_tuples, t_coeff
 
 
 def whitening_matrix(u: np.ndarray, beta: float) -> np.ndarray:
@@ -122,3 +124,28 @@ def contract3_full(t: np.ndarray, v: np.ndarray) -> np.ndarray:
 def contract4(k: FourthCumulant, v: np.ndarray) -> float:
     """T(v, v, v, v)."""
     return float(k.contract3(v) @ v)
+
+
+def ldlr_exact_spike_average_log(n: int, d: int, D: int, beta: float, g_dist) -> float:
+    """Exact log ||L^{<=D}||^2 with E_u[u^alpha] averaged over all 2^d spikes.
+
+    The same enumeration as `ldlr.ldlr_exact_small_log`, but the spike
+    prior average is taken over every Rademacher spike (d <= 16) instead
+    of read from the even-column parity rule.
+    """
+    if d > 16:
+        raise ValueError("exact 2^d spike average limited to d <= 16")
+    spikes = np.array(list(itertools.product((-1.0, 1.0), repeat=d)))
+    total = 0.0
+    for tup in _nonzero_degree_tuples(n, D):
+        k = len(tup)
+        t_prod = math.prod(t_coeff(m, beta, g_dist) for m in tup)
+        placements = math.perm(n, k) / math.factorial(k)
+        for combo in itertools.product(*(list(_compositions(m, d)) for m in tup)):
+            col = np.zeros(d, dtype=int)
+            for row in combo:
+                col += row
+            e_u = float(np.mean(np.prod(spikes**col, axis=1)))
+            fact = math.prod(math.factorial(e) for row in combo for e in row)
+            total += placements * (t_prod * e_u) ** 2 / (fact * float(d) ** sum(tup))
+    return float(np.log(total))

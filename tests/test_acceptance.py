@@ -226,9 +226,9 @@ def test_criterion_09a_wishart_network_learns():
     cfg = learn.TrainConfig(epochs=50, batch_size=8, seed=spawn_seed(seed, "net"))
     rep, _ = learn.train_2lnn(train, test, u, cfg)
     overlap = max(rep.overlap_trajectory)
-    ok = rep.early_stop_accuracy >= 0.65 and overlap >= 0.6
+    ok = rep.early_stop_acc >= 0.65 and overlap >= 0.6
     assert report("9a (2LNN learns spiked Wishart at n=50d)", ok,
-                  f"early_stop={rep.early_stop_accuracy:.4f} overlap={overlap:.3f}")
+                  f"early_stop={rep.early_stop_acc:.4f} overlap={overlap:.3f}")
 
 
 def test_criterion_09b_wishart_rf_at_chance():
@@ -279,9 +279,9 @@ def test_criterion_10b_cumulant_network_learns():
     u, train, test = _cumulant_setup(seed, d, 24 * 24)
     cfg = learn.TrainConfig(epochs=200, batch_size=16, seed=spawn_seed(seed, "net"))
     rep, _ = learn.train_2lnn(train, test, u, cfg)
-    ok = rep.early_stop_accuracy >= 0.6
+    ok = rep.early_stop_acc >= 0.6
     assert report("10b (2LNN learns cumulant at n=d^2)", ok,
-                  f"early_stop={rep.early_stop_accuracy:.4f} "
+                  f"early_stop={rep.early_stop_acc:.4f} "
                   f"overlap={max(rep.overlap_trajectory):.3f}")
 
 

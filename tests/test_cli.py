@@ -37,6 +37,7 @@ SEARCH_CFG = {
     "g": "rademacher",
     "runs": 6,
 }
+LR_CFG = {"experiment": "lr-curve", "seed": 1, "d": [8], "theta": [1.0], "beta": [1.0]}
 
 
 def read_bytes(path):
@@ -96,6 +97,28 @@ def test_config_error_exit_code(tmp_path):
     assert run_cli(["lr-curve", "--config", mismatched, "--out", str(tmp_path / "y")]) == 2
     missing = str(tmp_path / "nope.json")
     assert run_cli(["lr-curve", "--config", missing, "--out", str(tmp_path / "z")]) == 2
+
+
+@pytest.mark.parametrize("out", ["afile", "afile/sub"])
+def test_out_that_cannot_be_a_directory_exits_2(tmp_path, capsys, out):
+    (tmp_path / "afile").write_text("not a directory\n")
+    cfg = write_config(tmp_path, "cfg.json", LR_CFG)
+    path = str(tmp_path / out)
+    assert run_cli(["lr-curve", "--config", cfg, "--out", path]) == 2
+    err = capsys.readouterr().err
+    assert len(err.strip().splitlines()) == 1 and repr(path) in err
+    assert (tmp_path / "afile").read_text() == "not a directory\n"
+
+
+@pytest.mark.parametrize("jobs", ["0", "-5"])
+def test_jobs_below_one_is_refused(tmp_path, capsys, jobs):
+    cfg = write_config(tmp_path, "cfg.json", LR_CFG)
+    out = str(tmp_path / "out")
+    with pytest.raises(SystemExit) as exc:
+        run_cli(["lr-curve", "--config", cfg, "--out", out, "--jobs", jobs])
+    assert exc.value.code == 2
+    assert f"argument --jobs: expected a worker count >= 1, got '{jobs}'" in capsys.readouterr().err
+    assert not os.path.exists(out)
 
 
 def test_partial_failure_exit_code(tmp_path):
@@ -601,6 +624,12 @@ GENERATE_CFG = {
     ("train-sweep", dict(TINY_TRAIN_CFG, d=[True]), "'d' has value True"),
     ("search-curve", dict(SEARCH_CFG, theta=[0.5, True]), "'theta' has value True"),
     ("generate", dict(GENERATE_CFG, negative_model=5), "'negative_model' has type int"),
+    ("search-curve", dict(SEARCH_CFG, theta=[float("nan")]),
+     "'theta' has value nan, expected a finite number"),
+    ("lr-curve", dict(LR_CFG, beta=[float("inf")]),
+     "'beta' has value inf, expected a finite number"),
+    ("lr-curve", dict(LR_CFG, theta=[1.0, -float("inf")]),
+     "'theta' has value -inf, expected a finite number"),
 ])
 def test_bad_grid_value_is_refused(tmp_path, capsys, experiment, payload, message):
     # a value of the wrong type is refused, never truncated or cast
@@ -620,7 +649,6 @@ class WithEnv(dict):
 
 
 NLGP_CFG = {"experiment": "nlgp-localisation", "seed": 2, "d": 8, "n_per_d": [10]}
-LR_CFG = {"experiment": "lr-curve", "seed": 1, "d": [8], "theta": [1.0], "beta": [1.0]}
 LDLR_CFG = {"experiment": "ldlr-bounds", "seed": 1, "d": [8], "n": [20], "beta": [1.0]}
 
 
@@ -740,6 +768,14 @@ def test_only_lr_and_ldlr_subcommands_load_scipy(tmp_path, experiment):
     ("generate", dict(GENERATE_CFG, name='a"b'), "'name' has value 'a\"b', expected a file name"),
     ("generate", dict(GENERATE_CFG, name="a\nb"), "'name' has value 'a\\nb', expected a file name"),
     ("generate", dict(GENERATE_CFG, name="a\rb"), "'name' has value 'a\\rb', expected a file name"),
+    ("search-curve", dict(SEARCH_CFG, beta=float("nan")),
+     "'beta' has value nan, expected a finite number"),
+    ("nlgp-localisation", dict(NLGP_CFG, gain=float("inf")),
+     "'gain' has value inf, expected a finite number"),
+    ("train-sweep", dict(TINY_TRAIN_CFG, train={"weight_decay": float("inf")}),
+     "'train.weight_decay' has value inf, expected a finite number"),
+    ("generate", dict(GENERATE_CFG, model={"kind": "null", "d": 2, "beta": float("nan")}),
+     "'model.beta' has value nan, expected a finite number"),
 ])
 def test_bad_scalar_value_is_refused(tmp_path, capsys, monkeypatch, experiment, payload, message):
     # scalar keys are checked like grid values: never truncated, cast or

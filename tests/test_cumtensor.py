@@ -4,6 +4,7 @@ import itertools
 import os
 import subprocess
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -132,6 +133,22 @@ def test_estimator_matches_full_gram_reference(d, n):
     assert np.abs(new - ref).max() <= 1e-13 * np.abs(ref).max()
 
 
+def test_estimator_centres_the_data_once():
+    # the working set is one (d, n) centred copy of the data, the pair
+    # block, the Gram matrix, K and the orbit values; the bound leaves half
+    # a data size to spare, which a second, (n, d) centred copy overruns
+    n, d = 20_000, 20
+    x = np.random.default_rng(8).exponential(size=(n, d))
+    cumtensor.empirical_fourth_cumulant(x)  # warm the index cache
+    tracemalloc.start()
+    cumtensor.empirical_fourth_cumulant(x)
+    peak = tracemalloc.get_traced_memory()[1]
+    tracemalloc.stop()
+    pairs = d * (d + 1) // 2
+    block_bytes = 8 * pairs * cumtensor._MOMENT_BLOCK_ROWS
+    assert peak < 1.5 * x.nbytes + block_bytes + 2 * 8 * pairs**2
+
+
 def reference_rank1_cp(tensor, rng, restarts=8, max_iters=1000, tol=1e-10):
     """Power iteration that contracts afresh for every weight it needs.
 
@@ -236,10 +253,12 @@ def test_localisation_point_loads_no_scipy():
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [root, env.get("PYTHONPATH")]))
     code = (
         "import sys\n"
+        "import numpy as np\n"
         "from cumlab import cumtensor, datagen\n"
         "spec = datagen.ModelSpec(kind=datagen.NLGP, d=6, gain=3.0, xi=1.0)\n"
         "rows = datagen.sample_class(spec, 200, 1)\n"
-        "cumtensor.rank1_cp(cumtensor.empirical_fourth_cumulant(rows))\n"
+        "k = cumtensor.empirical_fourth_cumulant(rows)\n"
+        "cumtensor.rank1_cp(k, np.random.default_rng(2))\n"
         "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
     )
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)

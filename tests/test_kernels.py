@@ -1,7 +1,7 @@
-"""The search kernel matches a brute-force oracle, does not depend on its
-blocking and is bit-equal to its earlier blocked loop; the Rademacher score
-is bit-equal to its one-line form; the SGD epoch is bit-equal to its
-reference loop."""
+"""The search kernel matches a brute-force oracle, decodes candidate codes
+as a coordinate loop does, does not depend on its blocking and is bit-equal
+to its earlier blocked loop; the Rademacher score is bit-equal to its
+one-line form; the SGD epoch is bit-equal to its reference loop."""
 
 import itertools
 import tracemalloc
@@ -32,6 +32,26 @@ def test_search_matches_brute_force_oracle():
                 res = detect.exhaustive_search(X, beta, dist)
                 np.testing.assert_array_equal(res.best_spike, spikes[int(np.argmax(scores))])
                 assert res.best_loglik == pytest.approx(max(scores), rel=1e-12)
+
+
+def loop_code_to_spike(code, d):
+    # the candidate of a code, one coordinate at a time: bit d-1-i of the
+    # code gives the sign of coordinate i, and coordinate 0 is +1
+    v = np.ones(d)
+    for i in range(1, d):
+        if not (code >> (d - 1 - i)) & 1:
+            v[i] = -1.0
+    return v
+
+
+@pytest.mark.parametrize("d", range(1, 13))
+def test_code_signs_match_the_coordinate_loop(d):
+    signs = _kernels.code_signs(np.arange(1 << (d - 1)), d - 1)
+    assert signs.shape == (1 << (d - 1), d - 1)
+    for code in range(1 << (d - 1)):
+        want = loop_code_to_spike(code, d)
+        np.testing.assert_array_equal(np.concatenate(([1.0], signs[code])), want)
+        np.testing.assert_array_equal(_kernels.code_signs(code, d - 1), want[1:])
 
 
 def test_search_numpy_blocking_invariance():

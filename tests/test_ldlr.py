@@ -16,6 +16,7 @@ from cumlab.ldlr import (
     ldlr_wishart_limit,
     t_coeff,
 )
+from oracles import ldlr_exact_spike_average_log
 
 RADEM = GDistribution.rademacher()
 UNIF = GDistribution.uniform()
@@ -92,7 +93,7 @@ def test_exact_hand_enumeration():
 def test_exact_parity_rule_equals_spike_average():
     for (n, d, D) in ((1, 3, 6), (2, 3, 8), (2, 4, 8)):
         a = ldlr_exact_small_log(n, d, D, 10.0, RADEM)
-        b = ldlr_exact_small_log(n, d, D, 10.0, RADEM, spike_average=True)
+        b = ldlr_exact_spike_average_log(n, d, D, 10.0, RADEM)
         assert a == pytest.approx(b, abs=1e-12)
 
 

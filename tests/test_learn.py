@@ -115,7 +115,7 @@ def test_train_determinism():
     cfg = learn.TrainConfig(epochs=5, batch_size=32, seed=11)
     rep1, net1 = learn.train_2lnn(data, test, u, cfg)
     rep2, net2 = learn.train_2lnn(data, test, u, cfg)
-    assert rep1.test_accuracy == rep2.test_accuracy
+    assert rep1.test_acc == rep2.test_acc
     assert rep1.overlap_trajectory == rep2.overlap_trajectory
     assert np.array_equal(net1.W, net2.W) and np.array_equal(net1.v, net2.v)
 
@@ -129,14 +129,14 @@ def test_train_shuffled_labels_at_chance():
     cfg = learn.TrainConfig(epochs=10, batch_size=32, seed=12)
     rep, _ = learn.train_2lnn(data, test, u, cfg)
     se = 0.5 / np.sqrt(2 * 800)
-    assert abs(rep.test_accuracy[-1] - 0.5) < 4 * se
+    assert abs(rep.test_acc[-1] - 0.5) < 4 * se
 
 
 def test_early_stop_is_max_over_epochs():
     data, u = wishart_data(10, 200, 5.0, seed=10)
     test, _ = wishart_data(10, 400, 5.0, seed=11)
     rep, _ = learn.train_2lnn(data, test, u, learn.TrainConfig(epochs=8, seed=1))
-    assert rep.early_stop_accuracy == max(rep.test_accuracy)
+    assert rep.early_stop_acc == max(rep.test_acc)
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
@@ -160,7 +160,29 @@ def test_centred_forward_and_alpha_scaling():
         out = net.forward(test.values)
         if alpha != 1.0:
             out = alpha * (out - net0.forward(test.values))
-        assert rep.test_accuracy[-1] == float(np.mean(np.sign(out) == test.labels))
+        assert rep.test_acc[-1] == float(np.mean(np.sign(out) == test.labels))
+
+
+@pytest.mark.parametrize("alpha", [1.0, 10.0])
+def test_forward_is_bit_equal_to_one_expression(alpha):
+    # forward works in the one (n, m) array of the first layer, and gives
+    # the bits of the expression written out in full, centred-scaled too
+    rng = generator(21, "forward")
+    d, m = 32, 160
+    X = rng.standard_normal((4000, d))
+    net0 = learn.init_network(d, m, rng)
+    net = net0.copy()
+    net.W += 0.1 * rng.standard_normal(net.W.shape)
+    net.b = 0.1 * rng.standard_normal(m)
+    net.c = float(rng.standard_normal())
+
+    def expression(n):
+        return np.maximum(X @ n.W.T + n.b, 0.0) @ n.v + n.c
+
+    out, want = net.forward(X), expression(net)
+    if alpha != 1.0:
+        out, want = alpha * (out - net0.forward(X)), alpha * (want - expression(net0))
+    assert np.array_equal(out, want)
 
 
 def test_gradients_match_finite_differences():
@@ -219,7 +241,7 @@ def test_lazy_alpha_runs_use_centred_path():
     rep, _ = learn.train_2lnn(train, test, u, cfg)
     # the laziest network cannot learn this task in the linear regime
     se = 0.5 / np.sqrt(2 * 1000)
-    assert abs(rep.test_accuracy[-1] - 0.5) < 5 * se + 0.02
+    assert abs(rep.test_acc[-1] - 0.5) < 5 * se + 0.02
 
 
 def test_rf_duplication_invariance():
@@ -257,7 +279,7 @@ def test_strong_signal_wishart_run():
     test = datagen.make_dataset(spec, 2000, 42)
     cfg = learn.TrainConfig(epochs=50, batch_size=8, seed=43)
     rep, _ = learn.train_2lnn(train, test, u, cfg)
-    assert rep.early_stop_accuracy > 0.8
+    assert rep.early_stop_acc > 0.8
     assert rep.overlap_trajectory[-1] > 0.7
 
 
@@ -294,4 +316,4 @@ def test_rf_learns_wishart_at_quadratic_complexity():
 def test_train_report_serialisation():
     data, u = wishart_data(8, 80, 5.0, seed=18)
     rep, _ = learn.train_2lnn(data, data, u, learn.TrainConfig(epochs=3, seed=6))
-    assert len(rep.test_accuracy) == len(rep.overlap_trajectory) == len(rep.ipr_trajectory) == 3
+    assert len(rep.test_acc) == len(rep.overlap_trajectory) == len(rep.ipr_trajectory) == 3

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from scipy.special import logsumexp
 
-from cumlab import datagen
+from cumlab import datagen, likelihood
 from cumlab.hermite import GDistribution
 from cumlab.likelihood import (
     f_overlap,
@@ -69,10 +69,11 @@ def test_f_gaussian_is_identically_one():
 
 
 def test_f_uniform_quadrature_converged():
+    # f_overlap's 64-node rule against a 256-node rule on the same support
     lam = np.linspace(-1, 1, 9)
-    coarse = f_overlap(10.0, lam, UNIF, quad_order=64)
-    fine = f_overlap(10.0, lam, UNIF, quad_order=256)
-    np.testing.assert_allclose(coarse, fine, rtol=1e-12)
+    x, w = np.polynomial.legendre.leggauss(256)
+    fine = likelihood._f_quadrature(10.0, lam, np.sqrt(3.0) * x, w / 2.0)
+    np.testing.assert_allclose(f_overlap(10.0, lam, UNIF), fine, rtol=1e-12)
 
 
 def test_f_domain_error():
