@@ -223,28 +223,36 @@ def _run_lr_point(p: dict, point_seed: int, out: Callable[[str], str]) -> dict:
     log_norm = likelihood.lr_norm_sq_log(int(np.ceil(p["d"] ** p["theta"])), p["d"], p["beta"], g)
     if p["log10"]:  # display option; internals stay in natural log
         log_norm /= np.log(10.0)
-    return {"log_lr_norm_sq": log_norm, "gamma_beta": likelihood.gamma_beta(p["beta"], g).gamma}
+    return {"log_lr_norm_sq": log_norm, "gamma_beta": likelihood.gamma_beta(p["beta"], g)}
 
 
 def _ldlr_points(v: dict) -> list[tuple]:
-    # "auto" is the degree schedule D(n) = ceil(log^1.5 n), the sweep default
-    return [(d, n, D, beta) for d in v["d"] for n in v["n"]
-            for D in ([int(np.ceil(np.log(max(n, 2)) ** 1.5))] if v["D"] == "auto" else v["D"])
-            for beta in v["beta"]]
+    # "auto" is the degree schedule D(n) = ceil(log^1.5 n), the sweep default;
+    # it never gives floor(D/4) > n
+    points = [(d, n, D, beta) for d in v["d"] for n in v["n"]
+              for D in ([int(np.ceil(np.log(max(n, 2)) ** 1.5))] if v["D"] == "auto" else v["D"])
+              for beta in v["beta"]]
+    for d, n, D, beta in points:
+        if D // 4 > n:
+            raise ConfigError(f"grid point d={d}, n={n}, D={D}, beta={beta} has floor(D/4) = "
+                              f"{D // 4} > n; the LDLR index set needs floor(D/4) <= n")
+    return points
 
 
 def _run_ldlr_point(p: dict, point_seed: int, out: Callable[[str], str]) -> dict:
-    budget = ldlr.EXACT_ENUMERATION_BUDGET if p["exact"] else None
-    rep = ldlr.bound_report(p["n"], p["d"], p["D"], p["beta"], GDistribution.from_kind(p["g"]),
-                            exact_budget=budget)
-    return {metric: value for metric, value in vars(rep).items()
-            if metric.startswith(("log_", "asym_")) and value is not None}
+    return ldlr.bound_report(p["n"], p["d"], p["D"], p["beta"], GDistribution.from_kind(p["g"]),
+                             p["exact"])
+
+
+_BOUND_METRICS = ("log_lower", "log_upper", "log_exact", "asym_lower", "asym_upper")
 
 
 def _bound_rows(cfg: ExperimentConfig, done: list[tuple]) -> str:
-    """One row per finished grid point in the BoundReport CSV dialect."""
-    return "\n".join([ldlr.BoundReport.CSV_HEADER] + [
-        ldlr.BoundReport(n=n, d=d, D=D, beta=beta, g_kind=cfg.values["g"], **metrics).csv_row()
+    """One row per finished grid point: n, d, D, beta, g and every LDLR
+    metric, with an empty cell where the point has none."""
+    return "\n".join(["n,d,D,beta,g," + ",".join(_BOUND_METRICS)] + [
+        f"{n},{d},{D},{_fmt(beta)},{cfg.values['g']}," + ",".join(
+            _fmt(metrics[m]) if m in metrics else "" for m in _BOUND_METRICS)
         for (d, n, D, beta), _, metrics in done]) + "\n"
 
 

@@ -87,12 +87,10 @@ class ModelSpec:
 
 @dataclass
 class DataMatrix:
-    """n x d sample matrix with per-row labels and provenance."""
+    """n x d sample matrix with per-row labels."""
 
     values: np.ndarray
     labels: np.ndarray
-    seed: int | None = None
-    spec_pair: tuple[ModelSpec, ModelSpec] | None = None
 
     @property
     def n(self) -> int:
@@ -284,7 +282,7 @@ def make_dataset(
     sample_class(pos, n_per_class, spawn_seed(seed, "pos"), out=values[:n_per_class])
     sample_class(neg, n_per_class, spawn_seed(seed, "neg"), out=values[n_per_class:])
     labels = np.concatenate([np.ones(n_per_class), -np.ones(n_per_class)])
-    return DataMatrix(values=values, labels=labels, seed=seed, spec_pair=(pos, neg))
+    return DataMatrix(values=values, labels=labels)
 
 
 # ---------------------------------------------------------------------------

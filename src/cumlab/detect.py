@@ -34,7 +34,6 @@ class SearchResult:
     best_spike: np.ndarray
     best_loglik: float
     success: bool | None
-    evaluations: int
 
 
 def exhaustive_search(
@@ -73,9 +72,4 @@ def exhaustive_search(
     if true_spike is not None:
         aligned = true_spike if true_spike[0] > 0 else -true_spike
         success = bool(np.array_equal(spike, aligned))
-    return SearchResult(
-        best_spike=spike,
-        best_loglik=loglik,
-        success=success,
-        evaluations=2 ** (d - 1),
-    )
+    return SearchResult(best_spike=spike, best_loglik=loglik, success=success)

@@ -27,6 +27,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cache
 
 import numpy as np
 
@@ -162,21 +163,19 @@ class GDistribution:
             return rng.uniform(-s, s, size=n)
         return rng.standard_normal(n)
 
-    def quadrature(self) -> tuple[np.ndarray, np.ndarray]:
-        """Nodes and weights (g_i, w_i) with E[F(g)] ~= sum_i w_i F(g_i).
 
-        Exact (two atoms) for Rademacher; the QUADRATURE_NODES-node
-        Gauss-Legendre rule on the compact support for Uniform.  The
-        standard Gaussian has no finite-node representation here; callers
-        use its closed forms instead.
-        """
-        if self.kind == RADEMACHER:
-            return np.array([-1.0, 1.0]), np.array([0.5, 0.5])
-        if self.kind == UNIFORM:
-            s = np.sqrt(3.0)
-            x, w = np.polynomial.legendre.leggauss(QUADRATURE_NODES)
-            return s * x, w / 2.0  # density 1/(2 sqrt 3) times Jacobian sqrt 3
-        raise ValueError("standard Gaussian g has no finite quadrature rule here")
+@cache
+def uniform_rule() -> tuple[np.ndarray, np.ndarray]:
+    """Nodes and weights (g_i, w_i) with E[F(g)] ~= sum_i w_i F(g_i) for
+    Uniform(-sqrt 3, sqrt 3) g, read-only.
+
+    The QUADRATURE_NODES-node Gauss-Legendre rule on the support, built on
+    first use, so that `import cumlab.cli` does not load numpy.polynomial.
+    """
+    x, w = np.polynomial.legendre.leggauss(QUADRATURE_NODES)
+    nodes, weights = np.sqrt(3.0) * x, w / 2.0  # density 1/(2 sqrt 3) times Jacobian sqrt 3
+    nodes.flags.writeable = weights.flags.writeable = False
+    return nodes, weights
 
 
 def hermite_coeff_expectation(dist: GDistribution, m: int) -> float:

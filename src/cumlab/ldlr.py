@@ -14,9 +14,10 @@ prior kills every alpha with an odd column sum.  This module provides
 
 * the exact finite-sum lower and upper bounds on ||L^{<=D}||^2,
 * their closed-form large-(n,d) asymptotics (clearly labelled),
-* an exact small-instance norm by direct enumeration, and
+* an exact small-instance norm by direct enumeration,
 * the spiked Wishart limit series, whose divergence point reproduces the
-  BBP threshold beta_c = sqrt(gamma).
+  BBP threshold beta_c = sqrt(gamma), and
+* `bound_report`, the {metric: value} dict of one `ldlr-bounds` grid point.
 
 All norms are returned as natural logs of the squared norm, except the
 Wishart limit which is the plain partial sum of the (unsquared) limit
@@ -27,7 +28,6 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -55,14 +55,14 @@ def ldlr_lower_log(n: int, d: int, D: int, beta: float, kappa4: float) -> float:
         (beta^2 kappa4 / (sqrt(4!) d^2 (1+beta)^2))^{2m}
 
     The counted index set picks m distinct samples, so floor(D/4) <= n is
-    required.
+    required.  At kappa4 = 0 or beta = 0 only the m = 0 term, 1, is left.
     """
     from scipy.special import logsumexp  # lazy: keeps scipy out of `import cumlab.cli`
 
     top = D // 4
     if top > n:
         raise ValueError(f"floor(D/4) = {top} exceeds n = {n}: index set needs distinct samples")
-    if kappa4 == 0.0 or top == 0:
+    if kappa4 == 0.0 or beta == 0.0 or top == 0:
         return 0.0
     log_q2 = 2.0 * np.log(abs(beta * beta * kappa4) / (math.sqrt(24.0) * d * d * (1.0 + beta) ** 2))
     m = np.arange(top + 1)
@@ -83,8 +83,9 @@ def ldlr_upper_log(n: int, d: int, D: int, beta: float, g_dist: GDistribution) -
 
     if D < 0:
         raise ValueError("D must be >= 0")
-    terms = [0.0]  # m
-
+    terms = [0.0]  # m = 0
+    with np.errstate(divide="ignore"):  # beta = 0: every m >= 1 term is -inf and drops out
+        log_b = np.log(beta / (1.0 + beta))
     sup_log = -np.inf  # running sup over k of (2/k) log |E[h_k(g)]|
     for m in range(1, D + 1):
         e = hermite_coeff_expectation(g_dist, m)
@@ -96,7 +97,7 @@ def ldlr_upper_log(n: int, d: int, D: int, beta: float, g_dist: GDistribution) -
         if m4 > n or m2 > d:
             continue
         t = (
-            m * np.log(beta / (1.0 + beta))
+            m * log_b
             + log_binom(m4 * m2 + m - 1, m)
             + m * sup_log
             - m * np.log(d)
@@ -123,7 +124,7 @@ def ldlr_asymptotics(
     if top < 1:
         raise ValueError("asymptotic lower form needs D >= 4")
     log_ratio = np.log(n) - 2.0 * np.log(d)
-    if kappa4 == 0.0:
+    if kappa4 == 0.0 or beta == 0.0:
         lower = -np.inf
     else:
         lower = top * (
@@ -132,14 +133,11 @@ def ldlr_asymptotics(
             - np.log(top)
         )
     m = np.arange(1, D + 1, dtype=np.float64)
-    terms = m * np.log(lambda_growth**2 * beta / (1.0 + beta)) + 4.0 * m * np.log(m) + 0.25 * m * log_ratio
+    with np.errstate(divide="ignore"):  # beta = 0: every term is -inf and drops out
+        log_b = np.log(lambda_growth**2 * beta / (1.0 + beta))
+    terms = m * log_b + 4.0 * m * np.log(m) + 0.25 * m * log_ratio
     upper = float(logsumexp(np.concatenate([[0.0], terms])))
     return float(lower), upper
-
-
-def _even_compositions_budget(m: int, d: int) -> int:
-    # weak compositions of m into d parts
-    return math.comb(m + d - 1, d - 1)
 
 
 def _nonzero_degree_tuples(n: int, D: int):
@@ -152,14 +150,7 @@ def _nonzero_degree_tuples(n: int, D: int):
                 yield tup
 
 
-def ldlr_exact_small_log(
-    n: int,
-    d: int,
-    D: int,
-    beta: float,
-    g_dist: GDistribution,
-    budget: int = EXACT_ENUMERATION_BUDGET,
-) -> float:
+def ldlr_exact_small_log(n: int, d: int, D: int, beta: float, g_dist: GDistribution) -> float:
     """Exact log ||L^{<=D}||^2 by enumeration over multi-multi-indices.
 
     Rows with degree in {1, 2, 3} or odd degree are pruned outright (their
@@ -168,41 +159,31 @@ def ldlr_exact_small_log(
     which samples host them, so placements enter as a C(n, k) factor and
     the enumeration cost is independent of n.  The spike prior average
     E_u[u^alpha] is the even-column parity rule: 1 when every column sum
-    of alpha is even, else 0.
+    of alpha is even, else 0.  An instance with more than
+    EXACT_ENUMERATION_BUDGET multi-indices is refused before any is visited.
     """
     if n < 1 or d < 1 or D < 0:
         raise ValueError("need n >= 1, d >= 1, D >= 0")
 
-    count = 0
-    for tup in _nonzero_degree_tuples(n, D):
-        size = 1
-        for m in tup:
-            size *= _even_compositions_budget(m, d)
-        count += size
-    if count > budget:
-        raise ValueError(
-            f"exact enumeration would visit {count} multi-indices, over the budget of {budget}"
-        )
+    # a row of degree m has C(m + d - 1, d - 1) compositions into d columns
+    count = sum(math.prod(math.comb(m + d - 1, d - 1) for m in tup)
+                for tup in _nonzero_degree_tuples(n, D))
+    if count > EXACT_ENUMERATION_BUDGET:
+        raise ValueError(f"exact enumeration would visit {count} multi-indices, "
+                         f"over the budget of {EXACT_ENUMERATION_BUDGET}")
 
-    comps_cache: dict[int, list[tuple[int, ...]]] = {}
-
-    def comps(m: int) -> list[tuple[int, ...]]:
-        if m not in comps_cache:
-            comps_cache[m] = list(_compositions(m, d))
-        return comps_cache[m]
-
+    comps: dict[int, list[tuple[int, ...]]] = {}  # compositions of each degree, listed once
     total = 0.0
     for tup in _nonzero_degree_tuples(n, D):
-        k = len(tup)
-        t_prod = 1.0
-        for m in tup:
-            t_prod *= t_coeff(m, beta, g_dist)
-        if t_prod == 0.0 and k > 0:
+        t_prod = math.prod(t_coeff(m, beta, g_dist) for m in tup)
+        if t_prod == 0.0:
             continue
-        # ordered placements of the k distinguishable rows on n samples
-        placements = math.perm(n, k) / math.factorial(k)
+        placements = math.comb(n, len(tup))  # ways to put the rows on distinct samples
         deg_total = sum(tup)
-        for combo in itertools.product(*(comps(m) for m in tup)):
+        for m in tup:
+            if m not in comps:
+                comps[m] = list(_compositions(m, d))
+        for combo in itertools.product(*(comps[m] for m in tup)):
             col = [0] * d
             for row in combo:
                 for i in range(d):
@@ -250,69 +231,23 @@ def ldlr_wishart_limit(D: int, beta: float, gamma: float) -> float:
     return total
 
 
-@dataclass
-class BoundReport:
-    """Log-domain LDLR bracket at one (n, d, D, beta, g) point."""
-
-    n: int
-    d: int
-    D: int
-    beta: float
-    g_kind: str
-    log_lower: float
-    log_upper: float
-    log_exact: float | None = None
-    asym_lower: float | None = None
-    asym_upper: float | None = None
-
-    CSV_HEADER = "n,d,D,beta,g,log_lower,log_upper,log_exact,asym_lower,asym_upper"
-
-    def csv_row(self) -> str:
-        def fmt(v):
-            return "" if v is None else repr(float(v))
-
-        return ",".join(
-            [
-                str(self.n),
-                str(self.d),
-                str(self.D),
-                repr(float(self.beta)),
-                self.g_kind,
-                fmt(self.log_lower),
-                fmt(self.log_upper),
-                fmt(self.log_exact),
-                fmt(self.asym_lower),
-                fmt(self.asym_upper),
-            ]
-        )
-
-
 def bound_report(
-    n: int,
-    d: int,
-    D: int,
-    beta: float,
-    g_dist: GDistribution,
-    exact_budget: int | None = None,
-) -> BoundReport:
-    """Evaluate the bracket at one grid point; exact norm only on request."""
-    log_exact = None
-    if exact_budget is not None:
-        log_exact = ldlr_exact_small_log(n, d, D, beta, g_dist, budget=exact_budget)
-    asym_lower = asym_upper = None
+    n: int, d: int, D: int, beta: float, g_dist: GDistribution, exact: bool
+) -> dict[str, float]:
+    """The LDLR metrics at one grid point, as {metric: value}.
+
+    `log_lower` and `log_upper` always; `log_exact` when `exact`;
+    `asym_lower` and `asym_upper` for D >= 4, where the asymptotic lower
+    form is defined.  A metric undefined at the point is left out.
+    """
+    metrics = {
+        "log_lower": ldlr_lower_log(n, d, D, beta, g_dist.kappa4),
+        "log_upper": ldlr_upper_log(n, d, D, beta, g_dist),
+    }
+    if exact:
+        metrics["log_exact"] = ldlr_exact_small_log(n, d, D, beta, g_dist)
     if D >= 4:
-        asym_lower, asym_upper = ldlr_asymptotics(
+        metrics["asym_lower"], metrics["asym_upper"] = ldlr_asymptotics(
             n, d, D, beta, g_dist.kappa4, g_dist.lambda_growth
         )
-    return BoundReport(
-        n=n,
-        d=d,
-        D=D,
-        beta=beta,
-        g_kind=g_dist.kind,
-        log_lower=ldlr_lower_log(n, d, D, beta, g_dist.kappa4),
-        log_upper=ldlr_upper_log(n, d, D, beta, g_dist),
-        log_exact=log_exact,
-        asym_lower=asym_lower,
-        asym_upper=asym_upper,
-    )
+    return metrics

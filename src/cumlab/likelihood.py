@@ -17,18 +17,17 @@ The replica-overlap function itself is
     pref = (1+beta)/sqrt((1+beta)^2 - beta^2 lam^2),
 
 reduced to a two-term sum for Rademacher g (only the product g_u g_v
-enters), a tensor-product Gauss-Legendre rule for Uniform g, and the exact
-bivariate Gaussian integral for standard normal g (which collapses to 1:
-the whitened Gaussian model is the null).
+enters), the tensor product of the Gauss-Legendre rule `uniform_rule()`
+for Uniform g, and the exact bivariate Gaussian integral for standard
+normal g (which collapses to 1: the whitened Gaussian model is the null).
+The critical ratio `gamma_beta` is log f(beta, 1) / log 2, a float.
 """
 
 from __future__ import annotations
 
-from typing import NamedTuple
-
 import numpy as np
 
-from .hermite import RADEMACHER, STANDARD_GAUSSIAN, UNIFORM, GDistribution
+from .hermite import RADEMACHER, STANDARD_GAUSSIAN, UNIFORM, GDistribution, uniform_rule
 
 
 def log_binom(n, k) -> np.ndarray:
@@ -61,7 +60,7 @@ def f_overlap(beta: float, lam, g_dist: GDistribution):
 
     Finite and positive on |lambda| <= 1; equals 1 at lambda = 0 and at
     beta = 0 for every admissible g.  Uniform g uses the tensor product of
-    ``g_dist.quadrature()``, the 64-node rule of the search score.
+    `uniform_rule()`, the 64-node rule of the search score.
     """
     lam_arr = np.asarray(lam, dtype=np.float64)
     scalar = lam_arr.ndim == 0
@@ -81,8 +80,7 @@ def f_overlap(beta: float, lam, g_dist: GDistribution):
         for s in (1.0, -1.0):
             out += 0.5 * pref * np.exp(-a * (2.0 * a - 2.0 * beta * s * lam_arr) / (2.0 * dn) + 1.0)
     elif g_dist.kind == UNIFORM:
-        nodes, weights = g_dist.quadrature()
-        out = _f_quadrature(beta, lam_arr, nodes, weights)
+        out = _f_quadrature(beta, lam_arr, *uniform_rule())
     elif g_dist.kind == STANDARD_GAUSSIAN:
         # exact bivariate Gaussian integral: with p = beta^2 lam^2 / dn and
         # q = (1+beta) beta lam / dn the integral is 1/sqrt((1+p)^2 - q^2),
@@ -143,7 +141,7 @@ def loglik_terms(proj, beta: float, g_dist: GDistribution) -> np.ndarray:
         x -= sq
         x += soft
         return x if x.ndim else x[()]
-    nodes, weights = g_dist.quadrature()
+    nodes, weights = uniform_rule()
     E = np.log(weights) - a * (nodes - t[..., None]) ** 2 + 0.5 * nodes**2
     mx = E.max(axis=-1)
     return 0.5 * np.log1p(beta) + mx + np.log(np.exp(E - mx[..., None]).sum(axis=-1))
@@ -161,20 +159,14 @@ def sample_log_likelihood(x: np.ndarray, u: np.ndarray, beta: float, g_dist: GDi
     return float(np.sum(terms))
 
 
-class GammaBeta(NamedTuple):
-    gamma: float
-    divergence_guaranteed: bool
-
-
-def gamma_beta(beta: float, g_dist: GDistribution) -> GammaBeta:
-    """Critical linear-regime sample ratio log f(beta,1) / log 2.
+def gamma_beta(beta: float, g_dist: GDistribution) -> float:
+    """Critical linear-regime sample ratio log f(beta,1) / log 2, or 0.
 
     For n = d/gamma with gamma > gamma_beta the LR norm is guaranteed to
-    diverge.  When f(beta, 1) <= 1 there is no such guarantee and (0,
-    False) is returned.  Boundedness below gamma_beta is conjectured in the
-    source material, not proven; callers should report it, never assert it.
+    diverge.  When f(beta, 1) <= 1 there is no such guarantee and 0 is
+    returned, so gamma_beta > 0 exactly when divergence is guaranteed.
+    Boundedness below gamma_beta is conjectured in the source material,
+    not proven; callers should report it, never assert it.
     """
     f1 = f_overlap(beta, 1.0, g_dist)
-    if f1 <= 1.0:
-        return GammaBeta(0.0, False)
-    return GammaBeta(float(np.log(f1) / np.log(2.0)), True)
+    return float(np.log(f1) / np.log(2.0)) if f1 > 1.0 else 0.0

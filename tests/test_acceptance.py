@@ -124,8 +124,8 @@ def test_criterion_03_lr_phase_transition():
 
 
 def test_criterion_04_gamma_beta_calibration():
-    lo = likelihood.gamma_beta(10.2, RADEM).gamma
-    hi = likelihood.gamma_beta(11.2, RADEM).gamma
+    lo = likelihood.gamma_beta(10.2, RADEM)
+    hi = likelihood.gamma_beta(11.2, RADEM)
     ok = lo < 1.0 < hi
     assert report("4 (gamma_beta calibration)", ok,
                   f"gamma(10.2)={lo:.4f} < 1 < gamma(11.2)={hi:.4f}")

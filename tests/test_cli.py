@@ -14,8 +14,7 @@ import numpy as np
 import pytest
 
 import cumlab
-from cumlab import cli, datagen, ldlr
-from cumlab.hermite import GDistribution
+from cumlab import cli, datagen
 
 
 def write_config(tmp_path, name, payload):
@@ -38,6 +37,7 @@ SEARCH_CFG = {
     "runs": 6,
 }
 LR_CFG = {"experiment": "lr-curve", "seed": 1, "d": [8], "theta": [1.0], "beta": [1.0]}
+LDLR_CFG = {"experiment": "ldlr-bounds", "seed": 1, "d": [8], "n": [20], "beta": [1.0]}
 
 
 def read_bytes(path):
@@ -313,7 +313,7 @@ def test_ldlr_bounds_csv_and_plotdata(tmp_path):
             "seed": 3,
             "d": [3],
             "n": [2],
-            "D": [4, 8],
+            "D": [3, 4, 8],
             "beta": [1.0, 10.0],
             "exact": True,
         },
@@ -323,15 +323,28 @@ def test_ldlr_bounds_csv_and_plotdata(tmp_path):
     with open(os.path.join(out, "log_exact.csv")) as fh:
         rows = fh.read().strip().splitlines()
     assert rows[0] == "d,n,D,beta,run,value"
-    assert len(rows) == 5
-    # the convenience CSV is BoundReport's own dialect, row for row
-    rademacher = GDistribution.rademacher()
+    assert len(rows) == 7
+    # the convenience CSV holds, cell for cell, the value of each metric CSV
+    # at its point, and an empty cell where that CSV has no row (the
+    # asymptotic forms at D < 4)
+    metrics = ("log_lower", "log_upper", "log_exact", "asym_lower", "asym_upper")
+    values = {}
+    for metric in metrics:
+        with open(os.path.join(out, f"{metric}.csv")) as fh:
+            values[metric] = {(r["d"], r["n"], r["D"], r["beta"]): r["value"]
+                              for r in csv.DictReader(fh)}
     with open(os.path.join(out, "ldlr_bounds.csv")) as fh:
-        assert fh.read().splitlines() == [ldlr.BoundReport.CSV_HEADER] + [
-            ldlr.bound_report(2, 3, D, beta, rademacher,
-                              exact_budget=ldlr.EXACT_ENUMERATION_BUDGET).csv_row()
-            for D in (4, 8) for beta in (1.0, 10.0)
-        ]
+        table = list(csv.DictReader(fh))
+    assert list(table[0]) == ["n", "d", "D", "beta", "g", *metrics]
+    assert [(r["D"], r["beta"], r["g"]) for r in table] == [
+        (D, beta, "rademacher") for D in ("3", "4", "8") for beta in ("1.0", "10.0")]
+    empty = 0
+    for r in table:
+        point = (r["d"], r["n"], r["D"], r["beta"])
+        for metric in metrics:
+            assert r[metric] == values[metric].get(point, ""), (point, metric)
+            empty += r[metric] == ""
+    assert empty == 4  # asym_lower and asym_upper at the two D = 3 points
     assert run_cli(["emit-plotdata", "--out", out]) == 0
     with open(os.path.join(out, "plot_log_exact.csv")) as fh:
         agg = fh.read().strip().splitlines()
@@ -594,6 +607,12 @@ def test_import_leaves_orjson_unloaded():
     assert run_fresh_python(code) == "False"
 
 
+def test_import_leaves_numpy_polynomial_unloaded():
+    # only the Uniform Gauss-Legendre rule needs it, built on first use
+    code = "import sys, cumlab.cli; print('numpy.polynomial' in sys.modules)"
+    assert run_fresh_python(code) == "False"
+
+
 @pytest.mark.parametrize("experiment, payload, point", [
     ("search-curve", dict(SEARCH_CFG, d=[6, 6]), "d=6, theta=0.5 (run 0)"),
     ("train-sweep", dict(TINY_TRAIN_CFG, n_per_class=[40, 40]),
@@ -630,6 +649,10 @@ GENERATE_CFG = {
      "'beta' has value inf, expected a finite number"),
     ("lr-curve", dict(LR_CFG, theta=[1.0, -float("inf")]),
      "'theta' has value -inf, expected a finite number"),
+    ("ldlr-bounds", dict(LDLR_CFG, n=[0], D=[4]),
+     "grid point d=8, n=0, D=4, beta=1.0 has floor(D/4) = 1 > n"),
+    ("ldlr-bounds", dict(LDLR_CFG, n=[1], D=[8]),
+     "grid point d=8, n=1, D=8, beta=1.0 has floor(D/4) = 2 > n"),
 ])
 def test_bad_grid_value_is_refused(tmp_path, capsys, experiment, payload, message):
     # a value of the wrong type is refused, never truncated or cast
@@ -649,7 +672,6 @@ class WithEnv(dict):
 
 
 NLGP_CFG = {"experiment": "nlgp-localisation", "seed": 2, "d": 8, "n_per_d": [10]}
-LDLR_CFG = {"experiment": "ldlr-bounds", "seed": 1, "d": [8], "n": [20], "beta": [1.0]}
 
 
 # One small config per subcommand, with the NLGP sampler wherever it can run.

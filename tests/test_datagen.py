@@ -223,7 +223,6 @@ def test_make_dataset_labels_and_pairing():
     data = datagen.make_dataset(spec, 40, 4)
     assert data.n == 80 and data.d == 6
     assert np.all(data.labels[:40] == 1.0) and np.all(data.labels[40:] == -1.0)
-    assert data.spec_pair[1].kind == datagen.NULL
     null_rows = data.values[data.labels < 0]
     expected = datagen.sample_class(datagen.null_spec(6), 40, spawn_seed(4, "neg"))
     assert np.array_equal(null_rows, expected)

@@ -23,7 +23,6 @@ def test_recovers_spike_on_aligned_data():
     res = detect.exhaustive_search(data, 10.0, RADEM, true_spike=u)
     assert res.success
     assert np.array_equal(res.best_spike, u if u[0] > 0 else -u)
-    assert res.evaluations == 2 ** (d - 1)
 
 
 def test_score_even_and_unimodal_in_projection():
@@ -113,4 +112,4 @@ def test_one_dimensional_search():
     data = rng.standard_normal((15, 1))
     res = detect.exhaustive_search(data, 10.0, RADEM, true_spike=np.array([1.0]))
     assert np.array_equal(res.best_spike, np.array([1.0]))
-    assert res.evaluations == 1 and res.success
+    assert res.success

@@ -12,6 +12,7 @@ from cumlab.hermite import (
     HermiteBasis,
     hermite_coeff_expectation,
     hermite_eval,
+    uniform_rule,
 )
 from oracles import abs_coefficient_sum, eval_exact
 
@@ -176,11 +177,14 @@ def test_kappa4_consistency():
 
 
 def test_quadrature_moments():
-    # quadrature rules integrate moments of their law exactly enough
-    for dist in (GDistribution.rademacher(), GDistribution.uniform()):
-        nodes, weights = dist.quadrature()
-        assert weights.sum() == pytest.approx(1.0, abs=1e-13)
-        assert (weights * nodes).sum() == pytest.approx(0.0, abs=1e-13)
-        assert (weights * nodes**2).sum() == pytest.approx(1.0, abs=1e-12)
-    with pytest.raises(ValueError):
-        GDistribution.gaussian().quadrature()
+    # the Uniform rule integrates the moments of its law, E[h_m(g)] included
+    nodes, weights = uniform_rule()
+    assert weights.sum() == pytest.approx(1.0, abs=1e-13)
+    assert (weights * nodes).sum() == pytest.approx(0.0, abs=1e-13)
+    assert (weights * nodes**2).sum() == pytest.approx(1.0, abs=1e-12)
+    for m in (4, 6, 8):
+        assert (weights * hermite_eval(m, nodes)).sum() == pytest.approx(
+            hermite_coeff_expectation(GDistribution.uniform(), m), rel=1e-12)
+    # one shared, read-only rule
+    assert uniform_rule() is uniform_rule()
+    assert not nodes.flags.writeable and not weights.flags.writeable

@@ -1,13 +1,14 @@
 """LDLR bounds, exact small-instance norm, and the spiked Wishart limit."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
 
 from cumlab.hermite import GDistribution
 from cumlab.ldlr import (
-    BoundReport,
+    EXACT_ENUMERATION_BUDGET,
     bound_report,
     ldlr_asymptotics,
     ldlr_exact_small_log,
@@ -98,8 +99,11 @@ def test_exact_parity_rule_equals_spike_average():
 
 
 def test_exact_budget_error_names_count():
-    with pytest.raises(ValueError, match=r"would visit \d+ multi-indices"):
-        ldlr_exact_small_log(50, 12, 8, 10.0, RADEM, budget=1000)
+    # rows of degree 4, 6, 8 and (4, 4) on d = 16: 1 + 3876 + 54264 + 490314
+    # + 3876^2 multi-indices, over the budget
+    assert EXACT_ENUMERATION_BUDGET < 15_571_831
+    with pytest.raises(ValueError, match="would visit 15571831 multi-indices"):
+        ldlr_exact_small_log(2, 16, 8, 10.0, RADEM)
 
 
 def test_sandwich_small_instances():
@@ -178,9 +182,24 @@ def test_wishart_limit_threshold_location():
     assert crossing(200) > crossing(2000)  # monotone sharpening
 
 
-def test_bound_report_csv():
-    rep = bound_report(2, 3, 8, 10.0, RADEM, exact_budget=10**6)
-    assert rep.log_lower <= rep.log_exact <= rep.log_upper
-    row = rep.csv_row()
-    assert row.startswith("2,3,8,10.0,rademacher,")
-    assert len(row.split(",")) == len(BoundReport.CSV_HEADER.split(","))
+def test_bound_report_metrics():
+    rep = bound_report(2, 3, 8, 10.0, RADEM, exact=True)
+    assert list(rep) == ["log_lower", "log_upper", "log_exact", "asym_lower", "asym_upper"]
+    assert rep["log_lower"] <= rep["log_exact"] <= rep["log_upper"]
+    assert rep["log_exact"] == ldlr_exact_small_log(2, 3, 8, 10.0, RADEM)
+    assert (rep["asym_lower"], rep["asym_upper"]) == ldlr_asymptotics(2, 3, 8, 10.0, -2.0, 1.0)
+    # undefined metrics are left out: no exact norm unless asked, no
+    # asymptotic form below D = 4
+    assert list(bound_report(2, 3, 3, 10.0, RADEM, exact=False)) == ["log_lower", "log_upper"]
+
+
+@pytest.mark.parametrize("g", [RADEM, UNIF, GAUSS], ids=lambda g: g.kind)
+def test_beta_zero_gives_the_null_norm_without_warnings(g):
+    # at beta = 0 the planted law is the null: every norm is log 1 = 0 and the
+    # asymptotic lower form is log 0; the log(0) terms drop out silently
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert ldlr_lower_log(10, 3, 8, 0.0, g.kappa4) == 0.0
+        assert ldlr_upper_log(10, 3, 8, 0.0, g) == 0.0
+        assert ldlr_asymptotics(10, 3, 8, 0.0, g.kappa4, g.lambda_growth) == (-np.inf, 0.0)
+        assert ldlr_exact_small_log(2, 3, 8, 0.0, g) == 0.0

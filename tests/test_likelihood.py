@@ -76,6 +76,18 @@ def test_f_uniform_quadrature_converged():
     np.testing.assert_allclose(f_overlap(10.0, lam, UNIF), fine, rtol=1e-12)
 
 
+def test_uniform_rule_is_built_once(monkeypatch):
+    # f and the per-sample score share one rule, built on first use only
+    calls = []
+    leggauss = np.polynomial.legendre.leggauss
+    monkeypatch.setattr(np.polynomial.legendre, "leggauss",
+                        lambda deg: calls.append(deg) or leggauss(deg))
+    for _ in range(3):
+        f_overlap(10.0, np.linspace(-1, 1, 5), UNIF)
+        loglik_terms(np.linspace(-2, 2, 7), 10.0, UNIF)
+    assert len(calls) <= 1
+
+
 def test_f_domain_error():
     with pytest.raises(ValueError):
         f_overlap(1.0, 1.5, RADEM)
@@ -208,16 +220,15 @@ def test_loglik_terms_rademacher_closed_form_is_stable():
 
 
 def test_gamma_beta_properties():
-    zero = gamma_beta(0.0, RADEM)
-    assert zero.gamma == 0.0 and not zero.divergence_guaranteed
-    gauss = gamma_beta(5.0, GAUSS)
-    assert gauss.gamma == 0.0 and not gauss.divergence_guaranteed
+    # 0 where divergence is not guaranteed (f(beta, 1) <= 1), > 0 where it is
+    assert gamma_beta(0.0, RADEM) == 0.0
+    assert gamma_beta(5.0, GAUSS) == 0.0
     grid = np.linspace(0.5, 50.0, 40)
-    vals = [gamma_beta(b, RADEM).gamma for b in grid]
+    vals = [gamma_beta(b, RADEM) for b in grid]
     assert all(b > a for a, b in zip(vals, vals[1:]))  # monotone increasing
-    assert all(gamma_beta(b, RADEM).divergence_guaranteed for b in grid)
+    assert all(v > 0 for v in vals)
 
 
 def test_gamma_beta_calibration_bracket():
     # the beta solving gamma_beta = 1 sits near 10.78
-    assert gamma_beta(10.2, RADEM).gamma < 1.0 < gamma_beta(11.2, RADEM).gamma
+    assert gamma_beta(10.2, RADEM) < 1.0 < gamma_beta(11.2, RADEM)
