@@ -22,15 +22,15 @@ __version__ = "0.1.0"
 
 from .hermite import (
     GDistribution,
-    HermiteBasis,
     hermite_coeff_expectation,
+    hermite_coefficients,
     hermite_eval,
 )
 
 __all__ = [
     "GDistribution",
-    "HermiteBasis",
     "hermite_coeff_expectation",
+    "hermite_coefficients",
     "hermite_eval",
     "__version__",
 ]

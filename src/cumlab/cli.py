@@ -85,9 +85,11 @@ def _at_least(low, high=None):
 
 _FILE_NAME = ((lambda name: name not in ("", ".", "..") and os.path.basename(name) == name),
               "a file name with no path separator")
-# a dataset name is also a coordinate in the metric CSVs
-_DATASET_NAME = ((lambda name: _FILE_NAME[0](name) and not set(name) & set(',"\n\r')),
-                 _FILE_NAME[1] + ", comma, double quote or line break")
+# a dataset name is also a coordinate in the metric CSVs, and no stem of a CSV written beside it
+_DATASET_NAME = ((lambda name: _FILE_NAME[0](name) and not set(name) & set(',"\n\r')
+                  and name not in ("rows_written", "plot_rows_written", "errors")),
+                 _FILE_NAME[1] + ", comma, double quote or line break, other than "
+                 "rows_written, plot_rows_written and errors")
 
 
 def _scalar(name: str, val, key: Key):
@@ -180,13 +182,13 @@ _MODEL = Key(dict, keys={
     "xi": Key(float, 1.0),
     "periodic": Key(bool, False),
 }, build=_model_spec)
-# forwarded to learn.TrainConfig, whose defaults hold for an absent key
+# passed to learn.TrainConfig, with its defaults; the runner sets epochs by task
 _TRAIN = Key(dict, {}, keys={
     "epochs": Key(int, OPTIONAL, check=_at_least(1)),
-    "batch_size": Key(int, OPTIONAL, check=_at_least(1)),
-    "width_factor": Key(int, OPTIONAL, check=_at_least(1)),
-    "learning_rate": Key(float, OPTIONAL, check=_above(0)),
-    "weight_decay": Key(float, OPTIONAL, check=_at_least(0)),
+    "batch_size": Key(int, learn.TrainConfig.batch_size, check=_at_least(1)),
+    "width_factor": Key(int, learn.TrainConfig.width_factor, check=_at_least(1)),
+    "learning_rate": Key(float, learn.TrainConfig.learning_rate, check=_above(0)),
+    "weight_decay": Key(float, learn.TrainConfig.weight_decay, check=_at_least(0)),
     "alpha_lazy": PER_POINT,
     "seed": PER_POINT,
 }, build=dict)
@@ -400,7 +402,7 @@ EXPERIMENTS = {
             "xi": Key(float, 1.0, check=_above(0)),
             "n_test_per_class": Key(int, 2000, check=_at_least(1)),
             "rf": Key(bool, True),
-            "rf_ridge": Key(float, 0.1, check=_above(0)),
+            "rf_ridge": Key(float, learn.RFConfig.ridge, check=_above(0)),
             "train": _TRAIN,
             "runs": _RUNS,
         },
@@ -499,12 +501,12 @@ def _fmt(value: float) -> str:
 
 
 def _read_manifest(out_dir: str) -> dict | None:
-    """The manifest in `out_dir`, None when missing or no JSON object.  `outputs`,
+    """The manifest in `out_dir`, None when missing, undecodable or no JSON object.  `outputs`,
     the files cumlab wrote there, keeps only the file names of a list, else is []."""
     try:
         with open(os.path.join(out_dir, "manifest.json")) as fh:
             manifest = json.load(fh)
-    except (OSError, ValueError):
+    except (OSError, ValueError, RecursionError):  # RecursionError: nested too deep
         return None
     if not isinstance(manifest, dict):
         return None
@@ -674,14 +676,14 @@ def main(argv=None) -> int:
     if ns.command == "emit-plotdata":
         return emit_plotdata(ns.out)
     try:
-        with open(ns.config) as fh:
+        with open(ns.config, encoding="utf-8") as fh:
             raw = json.load(fh)
         if not isinstance(raw, dict):
             raise ConfigError(f"the config is a JSON {type(raw).__name__}, not an object")
         if raw.setdefault("experiment", ns.command) != ns.command:
             raise ConfigError(f"config is for {raw['experiment']!r}, not {ns.command!r}")
         cfg = _validate(raw)
-    except (OSError, json.JSONDecodeError, ConfigError) as exc:
+    except (OSError, ValueError, RecursionError) as exc:  # ValueError: ConfigError, bad JSON
         print(f"config error: {exc}", file=sys.stderr)
         return 2
     try:

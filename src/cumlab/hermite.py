@@ -1,4 +1,4 @@
-"""Probabilists' Hermite polynomials and latent-distribution coefficients.
+"""Probabilists' Hermite polynomials and the latent laws' coefficients.
 
 The polynomials h_m are monic and orthogonal under the standard normal
 measure:
@@ -11,20 +11,20 @@ Values are computed with the three-term recurrence
     h_{m+1}(x) = x * h_m(x) - m * h_{m-1}(x),
 
 which is O(m) per point and avoids the catastrophic cancellation of the
-large integer coefficients.  The exact coefficient table (HermiteBasis) is
-kept separately for identity checks and for closed-form moment sums; its
-entries follow
-
-    a_{m+1,0} = -a_{m,1},   a_{m+1,k} = a_{m,k-1} - (k+1) a_{m,k+1}.
+large integer coefficients.  The exact integer coefficients a_{m,k} of
+h_m = sum_k a_{m,k} x^k (`hermite_coefficients`) follow the same
+recurrence, read as polynomials.
 
 This module also describes the latent scalar laws used by the spiked data
 models: Rademacher(1/2), Uniform(-sqrt(3), sqrt(3)) and the standard
-Gaussian.  All three are even with mean 0 and variance 1, and their Hermite
-coefficient expectations E[h_m(g)] are available in closed form.
+Gaussian.  All three are even with mean 0 and variance 1.  Each is given
+once, by its exact moments E[g^k]; its fourth cumulant and its Hermite
+coefficient expectations E[h_m(g)] = sum_k a_{m,k} E[g^k] follow from them.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
@@ -46,51 +46,31 @@ QUADRATURE_NODES = 64
 
 
 class DegreeError(ValueError):
-    """Requested Hermite degree exceeds the supported table."""
+    """Requested degree lies outside the range of `hermite_eval`."""
 
 
-def _coefficient_rows(max_degree: int) -> list[list[int]]:
-    """Integer coefficient rows a_{m,k}, k = 0..m, for m = 0..max_degree."""
-    rows = [[1]]
-    for m in range(max_degree):
-        prev = rows[-1]
-        nxt = [0] * (m + 2)
-        nxt[0] = -prev[1] if m >= 1 else 0
-        for k in range(1, m + 2):
-            val = prev[k - 1]
-            if k + 1 <= m:
-                val -= (k + 1) * prev[k + 1]
-            nxt[k] = val
-        rows.append(nxt)
-    return rows
+_rows: tuple[tuple[int, ...], ...] = ((1,), (0, 1))  # the table of hermite_coefficients
 
 
-@dataclass(frozen=True)
-class HermiteBasis:
-    """Exact integer coefficient table of h_0 .. h_{max_degree}.
+def hermite_coefficients(m: int) -> tuple[int, ...]:
+    """Exact integer coefficients (a_{m,0}, ..., a_{m,m}) of h_m.
 
-    The table is exact (Python integers), monic by construction, and is
-    meant for small-degree identities and closed-form moment sums; use
-    :func:`hermite_eval` for numerical evaluation.
+    Built from h_m = x h_{m-1} - (m-1) h_{m-2} in one table for the
+    process, grown on demand: a longer table replaces the old one whole,
+    so no caller sees it half grown.  Python integers lose nothing.
     """
-
-    max_degree: int = DEFAULT_MAX_DEGREE
-
-    def __post_init__(self):
-        if self.max_degree < 0:
-            raise ValueError("max_degree must be nonnegative")
-        object.__setattr__(self, "_rows", _coefficient_rows(self.max_degree))
-
-    def coefficients(self, m: int) -> list[int]:
-        """Coefficients [a_{m,0}, ..., a_{m,m}] of h_m, exact integers."""
-        self._check_degree(m)
-        return list(self._rows[m])
-
-    def _check_degree(self, m: int) -> None:
-        if not 0 <= m <= self.max_degree:
-            raise DegreeError(
-                f"degree {m} outside the built table (max_degree={self.max_degree})"
-            )
+    global _rows
+    if m < 0:
+        raise ValueError("degree must be nonnegative")
+    rows = _rows
+    if m >= len(rows):
+        grown = list(rows)
+        for k in range(len(rows), m + 1):
+            # x h_{k-1} has k + 1 coefficients; h_{k-2} has k - 1
+            grown.append(tuple(a - (k - 1) * b for a, b in
+                               zip((0,) + grown[k - 1], grown[k - 2] + (0, 0))))
+        _rows = rows = tuple(grown)
+    return rows[m]
 
 
 def hermite_eval(m: int, x) -> float | np.ndarray:
@@ -124,36 +104,39 @@ def hermite_eval(m: int, x) -> float | np.ndarray:
 class GDistribution:
     """An admissible latent law: even, mean 0, variance 1.
 
-    lambda_growth is the constant in the coefficient-growth bound
-    |E[h_m(g)]| <= lambda_growth^m * m!, and kappa4 the fourth cumulant
-    E[g^4] - 3.
+    `kind` is one of G_KINDS, checked here.  lambda_growth is the constant
+    in the coefficient-growth bound |E[h_m(g)]| <= lambda_growth^m * m!,
+    and kappa4 the fourth cumulant E[g^4] - 3.
     """
 
     kind: str
-    lambda_growth: float
-    kappa4: float
 
-    @staticmethod
-    def rademacher() -> "GDistribution":
-        return GDistribution(RADEMACHER, 1.0, -2.0)
-
-    @staticmethod
-    def uniform() -> "GDistribution":
-        return GDistribution(UNIFORM, np.sqrt(3.0), -1.2)
-
-    @staticmethod
-    def gaussian() -> "GDistribution":
-        return GDistribution(STANDARD_GAUSSIAN, 1.0, 0.0)
+    def __post_init__(self):
+        if self.kind not in G_KINDS:
+            raise ValueError(f"unknown g distribution {self.kind!r}; expected one of {G_KINDS}")
 
     @staticmethod
     def from_kind(kind: str) -> "GDistribution":
-        if kind not in G_KINDS:
-            raise ValueError(f"unknown g distribution {kind!r}; expected one of {G_KINDS}")
-        return {
-            RADEMACHER: GDistribution.rademacher,
-            UNIFORM: GDistribution.uniform,
-            STANDARD_GAUSSIAN: GDistribution.gaussian,
-        }[kind]()
+        return GDistribution(kind)
+
+    def moment(self, k: int) -> Fraction:
+        """E[g^k], exact: 0 for odd k; for even k 1 (Rademacher),
+        3^(k/2)/(k+1) (Uniform) or (k-1)!! (Gaussian)."""
+        if k % 2:
+            return Fraction(0)
+        if self.kind == RADEMACHER:
+            return Fraction(1)
+        if self.kind == UNIFORM:
+            return Fraction(3 ** (k // 2), k + 1)
+        return Fraction(math.prod(range(k - 1, 0, -2)))
+
+    @property
+    def kappa4(self) -> float:
+        return float(self.moment(4) - 3)
+
+    @property
+    def lambda_growth(self) -> float:
+        return math.sqrt(3.0) if self.kind == UNIFORM else 1.0
 
     def sample(self, n: int, rng: np.random.Generator) -> np.ndarray:
         if self.kind == RADEMACHER:
@@ -178,31 +161,8 @@ def uniform_rule() -> tuple[np.ndarray, np.ndarray]:
     return nodes, weights
 
 
+@cache
 def hermite_coeff_expectation(dist: GDistribution, m: int) -> float:
-    """E_{g~dist}[h_m(g)], exact up to float rounding.
-
-    Rademacher: h_m(1) for even m (exact integers), 0 for odd m.
-    Uniform(-sqrt 3, sqrt 3): rational moment sum, E[g^{2j}] = 3^j/(2j+1).
-    Standard Gaussian: delta_{m,0} by orthogonality.
-    """
-    if m < 0:
-        raise ValueError("degree must be nonnegative")
-    if dist.kind == STANDARD_GAUSSIAN:
-        return 1.0 if m == 0 else 0.0
-    if m % 2 == 1:
-        return 0.0  # even distribution kills odd degrees
-    if dist.kind == RADEMACHER:
-        # integer recurrence for h_m(1): exact at every degree
-        prev, cur = 1, 1
-        if m == 0:
-            return 1.0
-        for k in range(1, m):
-            prev, cur = cur, cur - k * prev
-        return float(cur)
-    if dist.kind == UNIFORM:
-        coeffs = _coefficient_rows(m)[m]
-        total = Fraction(0)
-        for k in range(0, m + 1, 2):
-            total += Fraction(coeffs[k]) * Fraction(3 ** (k // 2), k + 1)
-        return float(total)
-    raise ValueError(f"unknown g distribution kind {dist.kind!r}")
+    """E_{g~dist}[h_m(g)] = sum_k a_{m,k} E[g^k], summed exactly and rounded
+    once; cached, as each LDLR point at degree D needs every m <= D."""
+    return float(sum(a * dist.moment(k) for k, a in enumerate(hermite_coefficients(m))))

@@ -17,9 +17,9 @@ The replica-overlap function itself is
     pref = (1+beta)/sqrt((1+beta)^2 - beta^2 lam^2),
 
 reduced to a two-term sum for Rademacher g (only the product g_u g_v
-enters), the tensor product of the Gauss-Legendre rule `uniform_rule()`
-for Uniform g, and the exact bivariate Gaussian integral for standard
-normal g (which collapses to 1: the whitened Gaussian model is the null).
+enters) and to the tensor product of the Gauss-Legendre rule
+`uniform_rule()` for Uniform g.  For standard normal g it is exactly 1:
+the whitened Gaussian model is the null.
 The critical ratio `gamma_beta` is log f(beta, 1) / log 2, a float.
 """
 
@@ -27,7 +27,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .hermite import RADEMACHER, STANDARD_GAUSSIAN, UNIFORM, GDistribution, uniform_rule
+from .hermite import RADEMACHER, STANDARD_GAUSSIAN, GDistribution, uniform_rule
 
 
 def log_binom(n, k) -> np.ndarray:
@@ -59,7 +59,8 @@ def f_overlap(beta: float, lam, g_dist: GDistribution):
     """Replica-overlap function f(beta, lambda); lambda may be an array.
 
     Finite and positive on |lambda| <= 1; equals 1 at lambda = 0 and at
-    beta = 0 for every admissible g.  Uniform g uses the tensor product of
+    beta = 0 for every admissible g, and everywhere for standard Gaussian
+    g, whose model is the null.  Uniform g uses the tensor product of
     `uniform_rule()`, the 64-node rule of the search score.
     """
     lam_arr = np.asarray(lam, dtype=np.float64)
@@ -71,26 +72,18 @@ def f_overlap(beta: float, lam, g_dist: GDistribution):
         raise ValueError("beta must be finite and >= 0")
     lam_arr = np.clip(lam_arr, -1.0, 1.0)
 
-    a = 1.0 + beta
-    if g_dist.kind == RADEMACHER:
+    if g_dist.kind == STANDARD_GAUSSIAN:
+        out = np.ones_like(lam_arr)
+    elif g_dist.kind == RADEMACHER:
         # g_u^2 = g_v^2 = 1; only s = g_u g_v = +-1 enters, each with prob 1/2
+        a = 1.0 + beta
         dn = a * a - (beta * lam_arr) ** 2
         pref = a / np.sqrt(dn)
         out = np.zeros_like(lam_arr)
         for s in (1.0, -1.0):
             out += 0.5 * pref * np.exp(-a * (2.0 * a - 2.0 * beta * s * lam_arr) / (2.0 * dn) + 1.0)
-    elif g_dist.kind == UNIFORM:
-        out = _f_quadrature(beta, lam_arr, *uniform_rule())
-    elif g_dist.kind == STANDARD_GAUSSIAN:
-        # exact bivariate Gaussian integral: with p = beta^2 lam^2 / dn and
-        # q = (1+beta) beta lam / dn the integral is 1/sqrt((1+p)^2 - q^2),
-        # and (1+p)^2 - q^2 = (1+beta)^2 / dn cancels the prefactor exactly.
-        dn = a * a - (beta * lam_arr) ** 2
-        p = (beta * lam_arr) ** 2 / dn
-        q = a * beta * lam_arr / dn
-        out = (a / np.sqrt(dn)) / np.sqrt((1.0 + p) ** 2 - q * q)
     else:
-        raise ValueError(f"unknown g distribution kind {g_dist.kind!r}")
+        out = _f_quadrature(beta, lam_arr, *uniform_rule())
     return float(out[0]) if scalar else out
 
 

@@ -7,11 +7,13 @@ obtains another way, so that a test can compare the two.
 import io
 import itertools
 import math
+from fractions import Fraction
 from math import erf
 
 import numpy as np
 
 from cumlab.cumtensor import FourthCumulant
+from cumlab.hermite import RADEMACHER, STANDARD_GAUSSIAN, UNIFORM, hermite_coefficients
 from cumlab.ldlr import _compositions, _nonzero_degree_tuples, t_coeff
 
 
@@ -52,14 +54,62 @@ def erf_variance_quadrature(gain: float) -> float:
     return float(2.0 * val / np.sqrt(2.0 * np.pi))
 
 
-def abs_coefficient_sum(basis, m: int) -> int:
-    """S_m = sum_k |a_{m,k}| of a HermiteBasis row; satisfies S_m <= m!."""
-    return sum(abs(c) for c in basis.coefficients(m))
+def abs_coefficient_sum(m: int) -> int:
+    """S_m = sum_k |a_{m,k}| of a `hermite_coefficients` row; satisfies S_m <= m!."""
+    return sum(abs(c) for c in hermite_coefficients(m))
 
 
-def eval_exact(basis, m: int, x: int) -> int:
+def eval_exact(m: int, x: int) -> int:
     """h_m at an integer point, in exact integer arithmetic."""
-    return sum(c * x**k for k, c in enumerate(basis.coefficients(m)))
+    return sum(c * x**k for k, c in enumerate(hermite_coefficients(m)))
+
+
+def coefficient_rows(max_degree: int) -> list[list[int]]:
+    """Integer coefficient rows a_{m,k}, k = 0..m, for m = 0..max_degree,
+    by the coefficient recurrence
+
+        a_{m+1,0} = -a_{m,1},   a_{m+1,k} = a_{m,k-1} - (k+1) a_{m,k+1}.
+    """
+    rows = [[1]]
+    for m in range(max_degree):
+        prev = rows[-1]
+        nxt = [0] * (m + 2)
+        nxt[0] = -prev[1] if m >= 1 else 0
+        for k in range(1, m + 2):
+            val = prev[k - 1]
+            if k + 1 <= m:
+                val -= (k + 1) * prev[k + 1]
+            nxt[k] = val
+        rows.append(nxt)
+    return rows
+
+
+def coeff_expectation_closed_form(kind: str, m: int) -> float:
+    """E[h_m(g)] by one closed form per law, exact up to the final rounding.
+
+    Rademacher: h_m(1) for even m (exact integers), 0 for odd m.
+    Uniform(-sqrt 3, sqrt 3): rational moment sum, E[g^{2j}] = 3^j/(2j+1).
+    Standard Gaussian: delta_{m,0} by orthogonality.
+    `hermite.hermite_coeff_expectation` sums every law's exact moments.
+    """
+    if kind == STANDARD_GAUSSIAN:
+        return 1.0 if m == 0 else 0.0
+    if m % 2 == 1:
+        return 0.0  # even distribution kills odd degrees
+    if kind == RADEMACHER:
+        # integer value recurrence for h_m(1)
+        prev, cur = 1, 1
+        if m == 0:
+            return 1.0
+        for k in range(1, m):
+            prev, cur = cur, cur - k * prev
+        return float(cur)
+    assert kind == UNIFORM, kind
+    coeffs = coefficient_rows(m)[m]
+    total = Fraction(0)
+    for k in range(0, m + 1, 2):
+        total += Fraction(coeffs[k]) * Fraction(3 ** (k // 2), k + 1)
+    return float(total)
 
 
 def write_csv_unbuffered(data, path) -> None:

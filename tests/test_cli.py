@@ -38,6 +38,8 @@ SEARCH_CFG = {
 }
 LR_CFG = {"experiment": "lr-curve", "seed": 1, "d": [8], "theta": [1.0], "beta": [1.0]}
 LDLR_CFG = {"experiment": "ldlr-bounds", "seed": 1, "d": [8], "n": [20], "beta": [1.0]}
+# JSON that the decoder refuses for nesting deeper than the interpreter's stack
+TOO_DEEP = "[" * 100_000 + "]" * 100_000
 
 
 def read_bytes(path):
@@ -97,6 +99,18 @@ def test_config_error_exit_code(tmp_path):
     assert run_cli(["lr-curve", "--config", mismatched, "--out", str(tmp_path / "y")]) == 2
     missing = str(tmp_path / "nope.json")
     assert run_cli(["lr-curve", "--config", missing, "--out", str(tmp_path / "z")]) == 2
+
+
+@pytest.mark.parametrize("content", [b'{"experiment": "lr-curve", "d": [8], "\xff": 1}',
+                                     TOO_DEEP.encode()], ids=["not-utf8", "too-deep"])
+def test_undecodable_config_exits_2(tmp_path, capsys, content):
+    path = tmp_path / "cfg.json"
+    path.write_bytes(content)
+    out = str(tmp_path / "out")
+    assert run_cli(["lr-curve", "--config", str(path), "--out", out]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ") and len(err.strip().splitlines()) == 1
+    assert not os.path.exists(out)
 
 
 @pytest.mark.parametrize("out", ["afile", "afile/sub"])
@@ -193,14 +207,16 @@ def test_failed_rerun_removes_every_earlier_output(tmp_path):
 
 
 def test_unreadable_manifest_removes_nothing(tmp_path):
-    out = tmp_path / "keep"
-    out.mkdir()
-    (out / "manifest.json").write_text("{not json")
-    (out / "kept.csv").write_text("x\n")
     cfg = write_config(tmp_path, "cfg.json", {"experiment": "ldlr-bounds", "seed": 2, "d": [3],
                                               "n": [4], "D": [2], "beta": [1.0]})
-    assert run_cli(["ldlr-bounds", "--config", cfg, "--out", str(out)]) == 0
-    assert (out / "kept.csv").read_text() == "x\n"
+    for i, text in enumerate(("{not json", TOO_DEEP)):
+        out = tmp_path / f"keep{i}"
+        out.mkdir()
+        (out / "manifest.json").write_text(text)
+        (out / "kept.csv").write_text("x\n")
+        assert run_cli(["ldlr-bounds", "--config", cfg, "--out", str(out)]) == 0
+        assert (out / "kept.csv").read_text() == "x\n"
+        assert json.loads(read_bytes(out / "manifest.json"))["outputs"]  # replaced
 
 
 def listing_is_outputs(out):
@@ -357,7 +373,7 @@ def test_emit_plotdata_errors(tmp_path):
     empty.mkdir()
     assert run_cli(["emit-plotdata", "--out", str(empty)]) == 2
     # a malformed manifest is refused, never a traceback
-    for text in ("{", "[1,2]", '{"metrics": "abc"}'):
+    for text in ("{", "[1,2]", '{"metrics": "abc"}', TOO_DEEP):
         (empty / "manifest.json").write_text(text)
         assert run_cli(["emit-plotdata", "--out", str(empty)]) == 2, text
     # manifest present but a metric CSV deleted -> exit 1, missing listed
@@ -586,7 +602,7 @@ def test_wishart_and_cumulant_points_load_no_scipy():
         "u = datagen.draw_spike(8, rng.generator(1, 'spike'))\n"
         "for spec in (datagen.ModelSpec(kind=datagen.SPIKED_WISHART, d=8, beta=5.0, spike=u),\n"
         "             datagen.ModelSpec(kind=datagen.SPIKED_CUMULANT, d=8, beta=5.0, spike=u,\n"
-        "                               g_dist=GDistribution.rademacher())):\n"
+        "                               g_dist=GDistribution.from_kind('rademacher'))):\n"
         "    train = datagen.make_dataset(spec, 40, 2)\n"
         "    test = datagen.make_dataset(spec, 40, 3)\n"
         "    learn.train_2lnn(train, test, u, learn.TrainConfig(epochs=2, batch_size=8))\n"
@@ -798,6 +814,11 @@ def test_only_lr_and_ldlr_subcommands_load_scipy(tmp_path, experiment):
      "'train.weight_decay' has value inf, expected a finite number"),
     ("generate", dict(GENERATE_CFG, model={"kind": "null", "d": 2, "beta": float("nan")}),
      "'model.beta' has value nan, expected a finite number"),
+    ("generate", dict(GENERATE_CFG, name="rows_written", format="csv"),
+     "'name' has value 'rows_written', expected a file name"),
+    ("generate", dict(GENERATE_CFG, name="errors"), "'name' has value 'errors', expected"),
+    ("generate", dict(GENERATE_CFG, name="plot_rows_written"),
+     "'name' has value 'plot_rows_written', expected"),
 ])
 def test_bad_scalar_value_is_refused(tmp_path, capsys, monkeypatch, experiment, payload, message):
     # scalar keys are checked like grid values: never truncated, cast or

@@ -14,7 +14,7 @@ from cumlab import cumtensor, datagen, learn
 from cumlab.hermite import GDistribution
 from oracles import contract3_full, contract4, from_full, full_tensor, orbit_tensor
 
-RADEM = GDistribution.rademacher()
+RADEM = GDistribution.from_kind("rademacher")
 
 
 def rank1_tensor(w, weight=1.0):

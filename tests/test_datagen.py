@@ -12,7 +12,7 @@ from cumlab.hermite import GDistribution
 from cumlab.rng import block_generator, spawn_seed
 from oracles import erf_variance_quadrature, whitening_matrix, write_csv_unbuffered
 
-RADEM = GDistribution.rademacher()
+RADEM = GDistribution.from_kind("rademacher")
 
 
 def cumulant_spec(d, beta, seed=0, g=RADEM):

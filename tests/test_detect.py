@@ -9,7 +9,7 @@ from cumlab import cli, datagen, detect
 from cumlab.hermite import GDistribution
 from cumlab.likelihood import sample_log_likelihood
 
-RADEM = GDistribution.rademacher()
+RADEM = GDistribution.from_kind("rademacher")
 
 
 def test_recovers_spike_on_aligned_data():
@@ -53,7 +53,7 @@ def test_beta_zero_ties_break_lexicographically():
 def test_sign_class_equivalence():
     rng = np.random.default_rng(2)
     data = rng.standard_normal((30, 7))
-    for dist in (RADEM, GDistribution.uniform()):
+    for dist in (RADEM, GDistribution.from_kind("uniform")):
         for _ in range(5):
             v = datagen.draw_spike(7, rng)
             s_pos = sample_log_likelihood(data, v, 10.0, dist)
@@ -81,7 +81,7 @@ def test_gaussian_g_scores_are_flat():
     # the whitened Gaussian model equals the null: search is uninformative
     rng = np.random.default_rng(4)
     data = rng.standard_normal((10, 5))
-    res = detect.exhaustive_search(data, 10.0, GDistribution.gaussian())
+    res = detect.exhaustive_search(data, 10.0, GDistribution.from_kind("standard_gaussian"))
     assert np.array_equal(res.best_spike, np.array([1.0, -1.0, -1.0, -1.0, -1.0]))
     assert res.best_loglik == pytest.approx(0.0, abs=1e-12)
 

@@ -7,14 +7,20 @@ import pytest
 
 from cumlab.hermite import (
     DEFAULT_MAX_DEGREE,
+    G_KINDS,
     DegreeError,
     GDistribution,
-    HermiteBasis,
     hermite_coeff_expectation,
+    hermite_coefficients,
     hermite_eval,
     uniform_rule,
 )
-from oracles import abs_coefficient_sum, eval_exact
+from oracles import (
+    abs_coefficient_sum,
+    coeff_expectation_closed_form,
+    coefficient_rows,
+    eval_exact,
+)
 
 # h_0 .. h_4 written out longhand, independent of the recurrence
 EXPLICIT = [
@@ -46,35 +52,30 @@ def test_array_and_scalar_agree():
 def test_degree_out_of_range():
     with pytest.raises(DegreeError):
         hermite_eval(DEFAULT_MAX_DEGREE + 1, 0.5)
-    with pytest.raises(DegreeError):
-        HermiteBasis(8).coefficients(9)
 
 
 def test_basis_monic_and_recurrence():
-    basis = HermiteBasis(16)
     for m in range(17):
-        coeffs = basis.coefficients(m)
+        coeffs = hermite_coefficients(m)
         assert coeffs[m] == 1  # monic
     # a_{m+1,k} = a_{m,k-1} - (k+1) a_{m,k+1}
     for m in range(16):
-        cur = basis.coefficients(m) + [0, 0]
-        nxt = basis.coefficients(m + 1)
+        cur = list(hermite_coefficients(m)) + [0, 0]
+        nxt = hermite_coefficients(m + 1)
         assert nxt[0] == -cur[1]
         for k in range(1, m + 2):
             assert nxt[k] == cur[k - 1] - (k + 1) * cur[k + 1]
 
 
 def test_abs_coefficient_sum_bounded_by_factorial():
-    basis = HermiteBasis(12)
     for m in range(13):
-        assert abs_coefficient_sum(basis, m) <= math.factorial(m)
+        assert abs_coefficient_sum(m) <= math.factorial(m)
 
 
 def test_eval_matches_exact_integer_table():
-    basis = HermiteBasis(12)
     for m in range(13):
         for x in (-2, -1, 0, 1, 3):
-            assert hermite_eval(m, float(x)) == float(eval_exact(basis, m, x))
+            assert hermite_eval(m, float(x)) == float(eval_exact(m, x))
 
 
 def test_orthogonality_monte_carlo():
@@ -134,9 +135,9 @@ def test_scaling_identity():
 
 
 def test_coefficient_expectations():
-    radem = GDistribution.rademacher()
-    unif = GDistribution.uniform()
-    gauss = GDistribution.gaussian()
+    radem = GDistribution.from_kind("rademacher")
+    unif = GDistribution.from_kind("uniform")
+    gauss = GDistribution.from_kind("standard_gaussian")
     assert hermite_coeff_expectation(radem, 4) == -2.0
     assert hermite_coeff_expectation(radem, 3) == 0.0
     assert hermite_coeff_expectation(unif, 4) == pytest.approx(-1.2, abs=1e-15)
@@ -150,7 +151,7 @@ def test_coefficient_expectations():
 
 def test_coefficient_expectation_matches_monte_carlo():
     rng = np.random.default_rng(7)
-    for dist in (GDistribution.rademacher(), GDistribution.uniform()):
+    for dist in map(GDistribution.from_kind, ("rademacher", "uniform")):
         g = dist.sample(400_000, rng)
         for m in (4, 6):
             vals = hermite_eval(m, g)
@@ -164,7 +165,7 @@ def test_coefficient_expectation_matches_monte_carlo():
 
 def test_growth_bound():
     # |E[h_m(g)]| <= Lambda^m m! with Lambda = 1 (Rademacher), sqrt 3 (Uniform)
-    for dist in (GDistribution.rademacher(), GDistribution.uniform()):
+    for dist in map(GDistribution.from_kind, ("rademacher", "uniform")):
         for m in range(13):
             bound = dist.lambda_growth**m * math.factorial(m)
             assert abs(hermite_coeff_expectation(dist, m)) <= bound + 1e-9
@@ -172,7 +173,7 @@ def test_growth_bound():
 
 def test_kappa4_consistency():
     # kappa4 equals E[h_4(g)] for unit-variance laws
-    for dist in (GDistribution.rademacher(), GDistribution.uniform(), GDistribution.gaussian()):
+    for dist in map(GDistribution.from_kind, G_KINDS):
         assert hermite_coeff_expectation(dist, 4) == pytest.approx(dist.kappa4, abs=1e-14)
 
 
@@ -184,7 +185,44 @@ def test_quadrature_moments():
     assert (weights * nodes**2).sum() == pytest.approx(1.0, abs=1e-12)
     for m in (4, 6, 8):
         assert (weights * hermite_eval(m, nodes)).sum() == pytest.approx(
-            hermite_coeff_expectation(GDistribution.uniform(), m), rel=1e-12)
+            hermite_coeff_expectation(GDistribution.from_kind("uniform"), m), rel=1e-12)
     # one shared, read-only rule
     assert uniform_rule() is uniform_rule()
     assert not nodes.flags.writeable and not weights.flags.writeable
+
+
+def test_coefficient_table_matches_coefficient_recurrence():
+    # the rows of h_m = x h_{m-1} - (m-1) h_{m-2} against the recurrence on
+    # the coefficients; degree 150 is past the 94 of the "auto" LDLR schedule
+    assert [list(hermite_coefficients(m)) for m in range(151)] == coefficient_rows(150)
+    assert hermite_coefficients(100) is hermite_coefficients(100)
+    with pytest.raises(ValueError, match="nonnegative"):
+        hermite_coefficients(-1)
+
+
+def test_coefficient_expectation_matches_closed_forms():
+    # one moment sum for every law against each law's own closed form, by
+    # repr, so the rounding and the sign of zero agree too
+    for kind in G_KINDS:
+        dist = GDistribution.from_kind(kind)
+        for m in range(131):
+            assert repr(hermite_coeff_expectation(dist, m)) == repr(
+                coeff_expectation_closed_form(kind, m)), (kind, m)
+
+
+def test_law_constants():
+    laws = [GDistribution.from_kind(kind) for kind in ("rademacher", "uniform",
+                                                        "standard_gaussian")]
+    assert [g.kappa4 for g in laws] == [-2.0, -1.2, 0.0]
+    assert [g.lambda_growth for g in laws] == [1.0, math.sqrt(3.0), 1.0]
+    assert [g.moment(2) for g in laws] == [1, 1, 1]  # unit variance
+    assert all(g.moment(k) == 0 for g in laws for k in (1, 3, 5))
+
+
+def test_unknown_law_is_refused_at_construction():
+    message = ("unknown g distribution 'foo'; expected one of "
+               "('rademacher', 'uniform', 'standard_gaussian')")
+    for make in (GDistribution, GDistribution.from_kind):
+        with pytest.raises(ValueError) as exc:
+            make("foo")
+        assert str(exc.value) == message

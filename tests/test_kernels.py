@@ -18,7 +18,7 @@ def test_search_matches_brute_force_oracle():
     # score every spike with first coordinate +1 on its own; the search must
     # return the first maximiser in code order (lexicographic, -1 < +1)
     rng = np.random.default_rng(1)
-    for dist in (GDistribution.rademacher(), GDistribution.uniform()):
+    for dist in map(GDistribution.from_kind, ("rademacher", "uniform")):
         for d in (3, 6, 9):
             for trial in range(3):
                 n = int(rng.integers(2, 60))
@@ -58,7 +58,7 @@ def test_search_numpy_blocking_invariance():
     rng = np.random.default_rng(2)
     X = rng.standard_normal((20, 9))
     X[:, 1] = 0.0  # codes c and c + 2^7 tie, and block=7 puts them in different blocks
-    for dist in (GDistribution.rademacher(), GDistribution.uniform()):
+    for dist in map(GDistribution.from_kind, ("rademacher", "uniform")):
         def terms(t):
             return loglik_terms(t, 10.0, dist)
 
@@ -111,7 +111,7 @@ SEARCH_CASES = [
 
 @pytest.mark.parametrize("kind,d,n", SEARCH_CASES)
 def test_search_bit_equal_to_reference(kind, d, n):
-    dist = getattr(GDistribution, kind)()
+    dist = GDistribution.from_kind(kind)
     beta = 10.0
     rng = np.random.default_rng(1000 * d + n)
     X = rng.standard_normal((n, d))
@@ -128,7 +128,7 @@ def test_search_tie_bit_equal_to_reference(kind):
     rng = np.random.default_rng(2)
     X = rng.standard_normal((20, 9))
     X[:, 1] = 0.0  # codes c and c + 2^7 tie
-    dist = getattr(GDistribution, kind)()
+    dist = GDistribution.from_kind(kind)
 
     def terms(t):
         return loglik_terms(t, 10.0, dist)
@@ -140,7 +140,7 @@ def test_search_tie_bit_equal_to_reference(kind):
 
 def test_rademacher_terms_bit_equal_to_one_line_form():
     rng = np.random.default_rng(3)
-    radem = GDistribution.rademacher()
+    radem = GDistribution.from_kind("rademacher")
     inputs = [
         rng.standard_normal((53, 256)) * 3.0,
         rng.standard_normal(1000) * 1e150,  # x * x overflows to inf
@@ -165,7 +165,7 @@ def test_search_working_set_stays_small():
     # it held about 4.5 MB
     rng = np.random.default_rng(4)
     X = rng.standard_normal((53, 14))
-    radem = GDistribution.rademacher()
+    radem = GDistribution.from_kind("rademacher")
     _kernels.search_best_code(X, 0.3, lambda t: loglik_terms(t, 10.0, radem))  # warm the cache
     tracemalloc.start()
     try:

@@ -19,9 +19,9 @@ from cumlab.ldlr import (
 )
 from oracles import ldlr_exact_spike_average_log
 
-RADEM = GDistribution.rademacher()
-UNIF = GDistribution.uniform()
-GAUSS = GDistribution.gaussian()
+RADEM = GDistribution.from_kind("rademacher")
+UNIF = GDistribution.from_kind("uniform")
+GAUSS = GDistribution.from_kind("standard_gaussian")
 
 
 def test_t_coeff_values():

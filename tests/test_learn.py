@@ -7,7 +7,7 @@ from cumlab import _kernels, datagen, learn
 from cumlab.hermite import GDistribution
 from cumlab.rng import generator
 
-RADEM = GDistribution.rademacher()
+RADEM = GDistribution.from_kind("rademacher")
 
 
 def wishart_data(d, n_per, beta, seed, spike_seed=0):

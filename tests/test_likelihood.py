@@ -14,9 +14,9 @@ from cumlab.likelihood import (
     sample_log_likelihood,
 )
 
-RADEM = GDistribution.rademacher()
-UNIF = GDistribution.uniform()
-GAUSS = GDistribution.gaussian()
+RADEM = GDistribution.from_kind("rademacher")
+UNIF = GDistribution.from_kind("uniform")
+GAUSS = GDistribution.from_kind("standard_gaussian")
 
 
 def f_rademacher_oracle(beta, lam):
@@ -66,6 +66,22 @@ def test_f_rademacher_matches_enumeration_oracle():
 def test_f_gaussian_is_identically_one():
     lam = np.linspace(-1, 1, 21)
     np.testing.assert_allclose(f_overlap(25.0, lam, GAUSS), 1.0, atol=1e-12)
+
+
+def test_gaussian_law_is_exactly_the_null():
+    # f is exactly 1, so gamma_beta never claims divergence for the null
+    # model and the LR norm does not move with n
+    betas = list(np.round(np.arange(0.0, 100.0 + 1e-9, 0.05), 2)) + [1e3, 1e4]
+    assert 0.55 in betas
+    lam = np.linspace(-1.0, 1.0, 65)
+    for beta in betas:
+        assert np.all(f_overlap(beta, lam, GAUSS) == 1.0), beta
+        assert f_overlap(beta, 1.0, GAUSS) == 1.0
+        assert gamma_beta(beta, GAUSS) == 0.0, beta
+    for d in (64, 1024):
+        logs = {lr_norm_sq_log(n, d, beta, GAUSS) for n in (1, 10**3, 10**9)
+                for beta in (0.55, 2.0, 100.0)}
+        assert len(logs) == 1 and abs(logs.pop()) < 1e-12, d
 
 
 def test_f_uniform_quadrature_converged():
