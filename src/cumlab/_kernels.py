@@ -24,9 +24,8 @@ import numpy as np
 # ---------------------------------------------------------------------------
 
 # cap on n * block: 2^14 float64 values (128 KB), so the projection buffer
-# and the Rademacher score's temporaries stay in cache and the allocator
-# reuses them block after block instead of mapping fresh pages; the Uniform
-# score's (n, block, 64) quadrature workspace stays at 2^20 values (8 MB)
+# and the score's temporaries stay in cache and the allocator reuses them
+# block after block instead of mapping fresh pages
 _SEARCH_WORKSPACE = 1 << 14
 
 

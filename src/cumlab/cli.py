@@ -26,6 +26,7 @@ import contextlib
 import dataclasses
 import itertools
 import json
+import math
 import os
 import sys
 import time
@@ -220,9 +221,26 @@ def _run_generate(p: dict, point_seed: int, out: Callable[[str], str]) -> dict:
     return {"rows_written": float(2 * p["n_per_class"])}
 
 
+def _sample_count(d: int, theta: float) -> int:
+    """n = ceil(d^theta) of an lr-curve or search-curve point."""
+    return math.ceil(d**theta)
+
+
+def _counted_points(points) -> list[tuple]:
+    """The (d, theta, ...) grid points as a list, refusing a d^theta over the float range."""
+    points = list(points)
+    for d, theta, *_ in points:
+        try:
+            _sample_count(d, theta)
+        except OverflowError:
+            raise ConfigError(f"grid point d={d}, theta={theta} has n = ceil(d^theta) over the "
+                              "float range") from None
+    return points
+
+
 def _run_lr_point(p: dict, point_seed: int, out: Callable[[str], str]) -> dict:
     g = GDistribution.from_kind(p["g"])
-    log_norm = likelihood.lr_norm_sq_log(int(np.ceil(p["d"] ** p["theta"])), p["d"], p["beta"], g)
+    log_norm = likelihood.lr_norm_sq_log(_sample_count(p["d"], p["theta"]), p["d"], p["beta"], g)
     if p["log10"]:  # display option; internals stay in natural log
         log_norm /= np.log(10.0)
     return {"log_lr_norm_sq": log_norm, "gamma_beta": likelihood.gamma_beta(p["beta"], g)}
@@ -261,7 +279,7 @@ def _bound_rows(cfg: ExperimentConfig, done: list[tuple]) -> str:
 def _run_search(p: dict, point_seed: int, out: Callable[[str], str]) -> dict:
     spec = _with_spike(_model_spec({"kind": datagen.SPIKED_CUMULANT, "d": p["d"],
                                     "beta": p["beta"], "g": p["g"]}), point_seed)
-    rows = datagen.sample_class(spec, int(np.ceil(p["d"] ** p["theta"])),
+    rows = datagen.sample_class(spec, _sample_count(p["d"], p["theta"]),
                                 spawn_seed(point_seed, "data"))
     res = detect.exhaustive_search(rows, p["beta"], spec.g_dist, true_spike=spec.spike)
     return {"success": 1.0 if res.success else 0.0}
@@ -367,7 +385,8 @@ EXPERIMENTS = {
             "g": _G,
             "log10": Key(bool, False),
         },
-        coords=("d", "theta", "beta"), run=_run_lr_point),
+        coords=("d", "theta", "beta"), run=_run_lr_point,
+        points=lambda v: _counted_points(itertools.product(v["d"], v["theta"], v["beta"]))),
     "ldlr-bounds": Experiment(
         keys={
             "d": Key(int, grid=True, check=_at_least(1)),
@@ -388,6 +407,7 @@ EXPERIMENTS = {
             "runs": _RUNS,
         },
         coords=("d", "theta"), run=_run_search,
+        points=lambda v: _counted_points(itertools.product(v["d"], v["theta"])),
         aggregate=("success_rate.csv", _success_rate)),
     "train-sweep": Experiment(
         keys={
@@ -604,6 +624,30 @@ def run(cfg: ExperimentConfig, out_dir: str, jobs: int = 1) -> int:
 # ---------------------------------------------------------------------------
 
 
+def _plot_text(path: str) -> str:
+    """plot_<metric>.csv of a metric CSV: mean, sd and count per grid point, in order of first
+    appearance; ValueError names a line that is not UTF-8 or not a header or row of the CSV."""
+    with open(path, "rb") as fh:
+        data = fh.read()
+    groups: dict[tuple, list[float]] = {}
+    for lineno, line in enumerate(data.split(b"\n"), 1):
+        try:
+            row = line.decode("utf-8").strip().split(",")
+            if lineno == 1:
+                header = row
+                if header[-2:] != ["run", "value"]:
+                    raise ValueError("the header does not end in run,value")
+            elif row != [""]:
+                if len(row) != len(header):
+                    raise ValueError(f"{len(row)} fields, the header has {len(header)}")
+                groups.setdefault(tuple(row[:-2]), []).append(float(row[-1]))
+        except ValueError as exc:  # UnicodeDecodeError is a ValueError
+            raise ValueError(f"{path}, line {lineno}: {exc}") from None
+    return "\n".join([",".join(header[:-2]) + ",mean,sd,count"] + [
+        ",".join(key) + f",{_fmt(np.mean(vals))},{_fmt(np.std(vals))},{len(vals)}"
+        for key, vals in groups.items()]) + "\n"
+
+
 def emit_plotdata(results_dir: str) -> int:
     """Aggregate per-run metric CSVs into mean/sd/count per grid point."""
     manifest = _read_manifest(results_dir)
@@ -616,29 +660,20 @@ def emit_plotdata(results_dir: str) -> int:
             isinstance(m, str) and _FILE_NAME[0](f"plot_{m}.csv") for m in metrics)):
         print("error: manifest.json's metrics is not a list of metric names", file=sys.stderr)
         return 2
-    missing, written = [], set()
+    missing, plots = [], {}
     for metric in metrics:
         path = os.path.join(results_dir, f"{metric}.csv")
         if not os.path.exists(path):
             missing.append(metric)
             continue
-        with open(path) as fh:
-            header = fh.readline().strip().split(",")
-            rows = [line.strip().split(",") for line in fh if line.strip()]
-        ncoord = len(header) - 2
-        groups: dict[tuple, list[float]] = {}  # in order of first appearance
-        for row in rows:
-            groups.setdefault(tuple(row[:ncoord]), []).append(float(row[-1]))
-        lines = [",".join(header[:ncoord]) + ",mean,sd,count"]
-        for key in groups:
-            vals = np.array(groups[key])
-            lines.append(
-                ",".join(key)
-                + f",{_fmt(vals.mean())},{_fmt(vals.std(ddof=0))},{len(vals)}"
-            )
-        _atomic_write(os.path.join(results_dir, f"plot_{metric}.csv"), "\n".join(lines) + "\n")
-        written.add(f"plot_{metric}.csv")
-    manifest["outputs"] = sorted(set(manifest["outputs"]) | written)  # a rerun removes them
+        try:  # every metric CSV is checked before any plot file is written
+            plots[f"plot_{metric}.csv"] = _plot_text(path)
+        except (OSError, ValueError) as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return 2
+    for name, text in plots.items():
+        _atomic_write(os.path.join(results_dir, name), text)
+    manifest["outputs"] = sorted(set(manifest["outputs"]) | set(plots))  # a rerun removes them
     _atomic_write(os.path.join(results_dir, "manifest.json"),
                   json.dumps(manifest, indent=2, sort_keys=True) + "\n")
     if missing:

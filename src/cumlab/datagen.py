@@ -17,7 +17,7 @@ sqrt(d)):
                      C_ij = exp(-|i-j|/xi) pushed through x_i =
                      erf(g z_i)/Z(g), Z chosen so E x_i^2 = 1, from the
                      closed form Z(g)^2 = (2/pi) asin(2 g^2/(1+2 g^2)).
-                     erf is `_erf`, a numpy port of scipy's Cephes erf.
+                     erf is `_special.erf`, a numpy port of scipy's Cephes erf.
 * GPMatch         -- Gaussian with the NLGP output covariance
                      Sigma_ij = (2/pi) asin(2 g^2 C_ij/(1+2 g^2)) / Z(g)^2.
 
@@ -36,6 +36,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import _special
 from .hermite import GDistribution
 from .rng import block_generator, spawn_seed
 
@@ -151,57 +152,6 @@ def _cholesky_or_raise(cov: np.ndarray, what: str) -> np.ndarray:
         ) from None
 
 
-# Cephes ndtr.c, as scipy.special.erf: x T(x^2)/U(x^2) for |x| <= 1, 1 - exp(-x^2) P(|x|)/Q(|x|)
-# below 8, and +-1 from 8 on, where Cephes' erfc (R/S fit, 0 past x^2 > MAXLOG) is < 1.2e-29.
-# U and Q lead with p1evl's implied 1: 1 * x is exact, so Horner's rule rounds as p1evl does.
-_ERF_T = (9.60497373987051638749e0, 9.00260197203842689217e1, 2.23200534594684319226e3,
-          7.00332514112805075473e3, 5.55923013010394962768e4)
-_ERF_U = (1.0, 3.35617141647503099647e1, 5.21357949780152679795e2,
-          4.59432382970980127987e3, 2.26290000613890934246e4, 4.92673942608635921086e4)
-_ERFC_P = (2.46196981473530512524e-10, 5.64189564831068821977e-1, 7.46321056442269912687e0,
-           4.86371970985681366614e1, 1.96520832956077098242e2, 5.26445194995477358631e2,
-           9.34528527171957607540e2, 1.02755188689515710272e3, 5.57535335369399327526e2)
-_ERFC_Q = (1.0, 1.32281951154744992508e1, 8.67072140885989742329e1,
-           3.54937778887819891062e2, 9.75708501743205489753e2, 1.82390916687909736289e3,
-           2.24633760818710981792e3, 1.65666309194161350182e3, 5.57535340817727675546e2)
-
-
-def _polevl(x: np.ndarray, coefs: tuple, out: np.ndarray) -> None:
-    """Horner's rule into `out`, rounding as Cephes' polevl does."""
-    out.fill(coefs[0])
-    for c in coefs[1:]:
-        np.multiply(out, x, out=out)
-        np.add(out, c, out=out)
-
-
-def _erf(x: np.ndarray) -> None:
-    """erf of a (rows, d) float64 array, in place: scipy.special.erf to 1 ulp, as numpy's
-    exp may differ from libm's in the last bit.  Both fits run on every value, and the
-    one for its range is kept, so no value is gathered."""
-    rows = max(1, 2**14 // x.shape[1])  # 16k values a pass: the scratch stays in L2
-    scratch = np.empty((4, *x[:rows].shape))
-    with np.errstate(all="ignore"):  # exp underflows; 0 * inf at +-inf is overwritten
-        for start in range(0, len(x), rows):
-            v = x[start:start + rows]
-            ax, sq, p, q = scratch[:, : len(v)]
-            np.abs(v, out=ax)
-            np.multiply(v, v, out=sq)
-            _polevl(ax, _ERFC_P, p)
-            _polevl(ax, _ERFC_Q, q)
-            np.exp(np.negative(sq, out=ax), out=ax)
-            np.multiply(ax, p, out=ax)
-            np.divide(ax, q, out=ax)
-            np.subtract(1.0, ax, out=ax)
-            np.copyto(ax, 1.0, where=sq >= 64.0)
-            np.copysign(ax, v, out=ax)
-            _polevl(sq, _ERF_T, p)
-            _polevl(sq, _ERF_U, q)
-            np.multiply(v, p, out=p)
-            np.divide(p, q, out=p)
-            np.copyto(ax, p, where=sq <= 1.0)
-            np.copyto(v, ax)
-
-
 class _Sampler:
     """Per-spec precomputation shared by all blocks."""
 
@@ -224,9 +174,8 @@ class _Sampler:
         if spec.kind in (NLGP, GP_MATCH):
             np.matmul(rng.standard_normal(out.shape), self.chol.T, out=out)
             if spec.kind == NLGP:
-                # cumlab's erf: importing scipy.special costs about 0.2 s and 20 MB RSS on 2 vCPUs
                 out *= spec.gain
-                _erf(out)
+                _special.erf(out)
                 out /= self.znorm
             return
         rng.standard_normal(out=out)

@@ -41,7 +41,7 @@ STANDARD_GAUSSIAN = "standard_gaussian"
 
 G_KINDS = (RADEMACHER, UNIFORM, STANDARD_GAUSSIAN)
 
-# Gauss-Legendre nodes of the Uniform rule, in the search score and f alike
+# Gauss-Legendre nodes of the Uniform rule of the overlap function f
 QUADRATURE_NODES = 64
 
 
@@ -150,7 +150,7 @@ class GDistribution:
 @cache
 def uniform_rule() -> tuple[np.ndarray, np.ndarray]:
     """Nodes and weights (g_i, w_i) with E[F(g)] ~= sum_i w_i F(g_i) for
-    Uniform(-sqrt 3, sqrt 3) g, read-only.
+    Uniform(-sqrt 3, sqrt 3) g, read-only: `likelihood.f_overlap`'s rule.
 
     The QUADRATURE_NODES-node Gauss-Legendre rule on the support, built on
     first use, so that `import cumlab.cli` does not load numpy.polynomial.

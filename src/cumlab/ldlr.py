@@ -31,6 +31,7 @@ import math
 
 import numpy as np
 
+from ._special import logsumexp
 from .hermite import GDistribution, hermite_coeff_expectation
 from .likelihood import log_binom
 
@@ -57,8 +58,6 @@ def ldlr_lower_log(n: int, d: int, D: int, beta: float, kappa4: float) -> float:
     The counted index set picks m distinct samples, so floor(D/4) <= n is
     required.  At kappa4 = 0 or beta = 0 only the m = 0 term, 1, is left.
     """
-    from scipy.special import logsumexp  # lazy: keeps scipy out of `import cumlab.cli`
-
     top = D // 4
     if top > n:
         raise ValueError(f"floor(D/4) = {top} exceeds n = {n}: index set needs distinct samples")
@@ -67,7 +66,7 @@ def ldlr_lower_log(n: int, d: int, D: int, beta: float, kappa4: float) -> float:
     log_q2 = 2.0 * np.log(abs(beta * beta * kappa4) / (math.sqrt(24.0) * d * d * (1.0 + beta) ** 2))
     m = np.arange(top + 1)
     terms = log_binom(n, m) + m * np.log(d * (d + 1) / 2.0) + m * log_q2
-    return float(logsumexp(terms))
+    return logsumexp(terms)
 
 
 def ldlr_upper_log(n: int, d: int, D: int, beta: float, g_dist: GDistribution) -> float:
@@ -79,8 +78,6 @@ def ldlr_upper_log(n: int, d: int, D: int, beta: float, g_dist: GDistribution) -
     The sup ranges over k with nonzero coefficient; a degree m where every
     coefficient up to m vanishes contributes nothing.
     """
-    from scipy.special import logsumexp
-
     if D < 0:
         raise ValueError("D must be >= 0")
     terms = [0.0]  # m = 0
@@ -105,7 +102,7 @@ def ldlr_upper_log(n: int, d: int, D: int, beta: float, g_dist: GDistribution) -
             + log_binom(d, m2)
         )
         terms.append(t)
-    return float(logsumexp(np.array(terms)))
+    return logsumexp(np.array(terms))
 
 
 def ldlr_asymptotics(
@@ -118,8 +115,6 @@ def ldlr_asymptotics(
     m^{4m} (n/d^2)^{m/4}.  Large-(n,d) regime forms only; the finite-sum
     bounds above are the quantitative ones.
     """
-    from scipy.special import logsumexp
-
     top = D // 4
     if top < 1:
         raise ValueError("asymptotic lower form needs D >= 4")
@@ -136,7 +131,7 @@ def ldlr_asymptotics(
     with np.errstate(divide="ignore"):  # beta = 0: every term is -inf and drops out
         log_b = np.log(lambda_growth**2 * beta / (1.0 + beta))
     terms = m * log_b + 4.0 * m * np.log(m) + 0.25 * m * log_ratio
-    upper = float(logsumexp(np.concatenate([[0.0], terms])))
+    upper = logsumexp(np.concatenate([[0.0], terms]))
     return float(lower), upper
 
 

@@ -19,24 +19,26 @@ The replica-overlap function itself is
 reduced to a two-term sum for Rademacher g (only the product g_u g_v
 enters) and to the tensor product of the Gauss-Legendre rule
 `uniform_rule()` for Uniform g.  For standard normal g it is exactly 1:
-the whitened Gaussian model is the null.
+the whitened Gaussian model is the null.  The per-sample score
+`loglik_terms` has a closed form for every law.
 The critical ratio `gamma_beta` is log f(beta, 1) / log 2, a float.
 """
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
+from . import _special
 from .hermite import RADEMACHER, STANDARD_GAUSSIAN, GDistribution, uniform_rule
 
 
 def log_binom(n, k) -> np.ndarray:
-    """log C(n, k) via log-gamma; reaches d = 1e4 without factorial tables."""
-    from scipy.special import gammaln  # lazy: only LR norms and LDLR bounds use it
-
-    n = np.asarray(n, dtype=np.float64)
-    k = np.asarray(k, dtype=np.float64)
-    return gammaln(n + 1.0) - gammaln(k + 1.0) - gammaln(n - k + 1.0)
+    """log C(n, k), n >= k >= 0, via log-gamma; reaches d = 1e4 without factorial tables."""
+    n, k = np.asarray(n, dtype=np.float64), np.asarray(k, dtype=np.float64)
+    lgam = np.vectorize(_special.gammaln, otypes=[np.float64])
+    return lgam(n + 1.0) - lgam(k + 1.0) - lgam(n - k + 1.0)
 
 
 def _f_quadrature(beta: float, lam: np.ndarray, nodes, weights) -> np.ndarray:
@@ -61,7 +63,7 @@ def f_overlap(beta: float, lam, g_dist: GDistribution):
     Finite and positive on |lambda| <= 1; equals 1 at lambda = 0 and at
     beta = 0 for every admissible g, and everywhere for standard Gaussian
     g, whose model is the null.  Uniform g uses the tensor product of
-    `uniform_rule()`, the 64-node rule of the search score.
+    `uniform_rule()`, the 64-node Gauss-Legendre rule on its support.
     """
     lam_arr = np.asarray(lam, dtype=np.float64)
     scalar = lam_arr.ndim == 0
@@ -89,15 +91,15 @@ def f_overlap(beta: float, lam, g_dist: GDistribution):
 
 def lr_norm_sq_log(n: int, d: int, beta: float, g_dist: GDistribution) -> float:
     """log ||L_{n,d}||^2 by log-sum-exp over the exact overlap sum."""
-    from scipy.special import logsumexp
-
     if n < 0 or d < 1:
         raise ValueError("need n >= 0 and d >= 1")
     j = np.arange(d + 1)
     lam = 2.0 * j / d - 1.0
     logf = np.log(f_overlap(beta, lam, g_dist))
-    terms = log_binom(d, j) - d * np.log(2.0) + n * logf
-    return float(logsumexp(terms))
+    # log_binom(d, j) from the d + 1 values log j!, where log_binom itself makes 3(d + 1) calls
+    lgam = np.array([_special.gammaln(i + 1.0) for i in range(d + 1)])
+    terms = lgam[d] - lgam - lgam[::-1] - d * np.log(2.0) + n * logf
+    return _special.logsumexp(terms)
 
 
 def loglik_terms(proj, beta: float, g_dist: GDistribution) -> np.ndarray:
@@ -110,8 +112,13 @@ def loglik_terms(proj, beta: float, g_dist: GDistribution) -> np.ndarray:
 
     Rademacher g has the closed form 1/2 log(1+beta) + 1/2 - a(1+t^2)
     + log cosh(2at) with a = (1+beta)/2, evaluated stably (and exactly even
-    in t) through x = |2at|.  Uniform g uses the 64-node Gauss-Legendre
-    rule with a max-shifted log-sum-exp.  Standard Gaussian g gives
+    in t) through x = |2at|.  Uniform g has the closed form
+    1/2 log(pi(1+beta)/(6 beta)) + (1+beta)t^2/(2 beta) + log(Phi(h) - Phi(l))
+    with h = sqrt(beta)(sqrt 3 - mu), l = -sqrt(beta)(sqrt 3 + mu) and
+    mu = (1+beta)t/beta.  It is even in t and taken at |t|, where l <= 0,
+    so the difference is log Phi(h) + log(1 - Phi(l)/Phi(h)), away from
+    Phi's upper tail; at beta = 0 it is the limit
+    log(sinh(sqrt(3) t)/(sqrt(3) t)) - t^2/2.  Standard Gaussian g gives
     identically zero.
     """
     t = np.asarray(proj, dtype=np.float64)
@@ -134,10 +141,18 @@ def loglik_terms(proj, beta: float, g_dist: GDistribution) -> np.ndarray:
         x -= sq
         x += soft
         return x if x.ndim else x[()]
-    nodes, weights = uniform_rule()
-    E = np.log(weights) - a * (nodes - t[..., None]) ** 2 + 0.5 * nodes**2
-    mx = E.max(axis=-1)
-    return 0.5 * np.log1p(beta) + mx + np.log(np.exp(E - mx[..., None]).sum(axis=-1))
+    u = np.abs(t)
+    if beta == 0.0:
+        s = math.sqrt(3.0) * u  # log(sinh(s)/s) = s + log((1 - exp(-2s))/(2s))
+        with np.errstate(divide="ignore", invalid="ignore"):  # at s = 0, where 0 is kept
+            return np.where(s > 0.0, s + np.log(-np.expm1(-2.0 * s) / (2.0 * s)) - 0.5 * u * u,
+                            0.0)[()]
+    edge, shift = math.sqrt(3.0 * beta), u * ((1.0 + beta) / math.sqrt(beta))  # sqrt(beta) mu
+    log_h = _special.log_ndtr(edge - shift)
+    # log(1 - Phi(l)/Phi(h)) through expm1, exact also as h - l = 2 sqrt(3 beta) -> 0
+    log_diff = log_h + np.log(-np.expm1(_special.log_ndtr(-edge - shift) - log_h))
+    const = 0.5 * math.log(math.pi * (1.0 + beta) / (6.0 * beta))
+    return const + (1.0 + beta) / (2.0 * beta) * u * u + log_diff
 
 
 def sample_log_likelihood(x: np.ndarray, u: np.ndarray, beta: float, g_dist: GDistribution) -> float:

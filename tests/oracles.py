@@ -13,7 +13,13 @@ from math import erf
 import numpy as np
 
 from cumlab.cumtensor import FourthCumulant
-from cumlab.hermite import RADEMACHER, STANDARD_GAUSSIAN, UNIFORM, hermite_coefficients
+from cumlab.hermite import (
+    RADEMACHER,
+    STANDARD_GAUSSIAN,
+    UNIFORM,
+    hermite_coefficients,
+    uniform_rule,
+)
 from cumlab.ldlr import _compositions, _nonzero_degree_tuples, t_coeff
 
 
@@ -52,6 +58,41 @@ def erf_variance_quadrature(gain: float) -> float:
         epsrel=1e-12,
     )
     return float(2.0 * val / np.sqrt(2.0 * np.pi))
+
+
+def uniform_score_quadrature(t: float, beta: float) -> float:
+    """The Uniform per-sample score log E_g sqrt(1+beta) exp(-(1+beta)/2 (g-t)^2 + g^2/2)
+    by adaptive quadrature of its defining integral (epsrel 1e-13).
+
+    The exponent E(g) is shifted by its maximum over the support, which is
+    at an end or, for beta > 0, at mu = (1+beta)t/beta, so the integrand
+    lies in (0, 1] and the peak is a break point of the quadrature.
+    `likelihood.loglik_terms` uses the closed form instead.
+    """
+    from scipy.integrate import quad
+
+    s3 = math.sqrt(3.0)
+
+    def expo(g):
+        return -0.5 * (1.0 + beta) * (g - t) ** 2 + 0.5 * g * g
+
+    peak = [min(max((1.0 + beta) * t / beta, -s3), s3)] if beta > 0 else []
+    top = max(expo(g) for g in [-s3, s3] + peak)
+    inner = [g for g in peak if -s3 < g < s3]
+    val, _err = quad(lambda g: math.exp(expo(g) - top), -s3, s3, epsabs=0.0, epsrel=1e-13,
+                     limit=200, points=inner or None)
+    return 0.5 * math.log1p(beta) + top + math.log(val / (2.0 * s3))
+
+
+def uniform_score_rule(t, beta: float) -> np.ndarray:
+    """The Uniform per-sample score by the 64-node Gauss-Legendre rule `uniform_rule()`,
+    with a max-shifted log-sum-exp over the nodes: the search score before the
+    closed form of `likelihood.loglik_terms`."""
+    nodes, weights = uniform_rule()
+    expo = (np.log(weights) - 0.5 * (1.0 + beta) * (nodes - np.asarray(t)[..., None]) ** 2
+            + 0.5 * nodes**2)
+    top = expo.max(axis=-1)
+    return 0.5 * np.log1p(beta) + top + np.log(np.exp(expo - top[..., None]).sum(axis=-1))
 
 
 def abs_coefficient_sum(m: int) -> int:

@@ -384,6 +384,43 @@ def test_emit_plotdata_errors(tmp_path):
     assert run_cli(["emit-plotdata", "--out", out]) == 1
 
 
+@pytest.mark.parametrize("metric, tail, message", [
+    ("gamma_beta", b"x,y\n", "line 3: 2 fields, the header has 5"),
+    ("gamma_beta", b"8,1.0,1.0,1,y\n", "line 3: could not convert string to float: 'y'"),
+    ("gamma_beta", b"16,1.0\n", "line 3: 2 fields, the header has 5"),
+    ("gamma_beta", b"8,1.0,1.0,1,\xff\n",
+     "line 3: 'utf-8' codec can't decode byte 0xff in position 12: invalid start byte"),
+    # the CSV checked second: the first one's plot file is not written either
+    ("log_lr_norm_sq", b"\n8,1.0,1.0,1,0.5,0.5\n", "line 4: 6 fields, the header has 5"),
+], ids=["not-a-row", "not-a-number", "short-row", "not-utf8", "second-csv"])
+def test_emit_plotdata_refuses_a_bad_metric_csv(tmp_path, capsys, metric, tail, message):
+    cfg = write_config(tmp_path, "cfg.json", LR_CFG)
+    out = str(tmp_path / "out")
+    assert run_cli(["lr-curve", "--config", cfg, "--out", out]) == 0
+    manifest = read_bytes(os.path.join(out, "manifest.json"))
+    with open(os.path.join(out, f"{metric}.csv"), "ab") as fh:
+        fh.write(tail)
+    capsys.readouterr()
+    assert run_cli(["emit-plotdata", "--out", out]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert err == [f"error: {os.path.join(out, metric + '.csv')}, {message}"]
+    assert not [name for name in os.listdir(out) if name.startswith("plot_")]
+    assert read_bytes(os.path.join(out, "manifest.json")) == manifest
+
+
+def test_emit_plotdata_takes_nan_values(tmp_path):
+    # a degenerate CP factor records cp_ipr as nan
+    cfg = write_config(tmp_path, "cfg.json", dict(LR_CFG, theta=[1.0, 2.0]))
+    out = str(tmp_path / "out")
+    assert run_cli(["lr-curve", "--config", cfg, "--out", out]) == 0
+    with open(os.path.join(out, "gamma_beta.csv"), "a") as fh:
+        fh.write("8,1.0,1.0,1,nan\n")
+    assert run_cli(["emit-plotdata", "--out", out]) == 0
+    with open(os.path.join(out, "plot_gamma_beta.csv")) as fh:
+        rows = fh.read().splitlines()
+    assert rows[1] == "8,1.0,1.0,nan,nan,2" and rows[2].startswith("8,2.0,1.0,") and len(rows) == 3
+
+
 def test_cli_entry_point_installed():
     proc = subprocess.run(
         [sys.executable, "-m", "cumlab.cli", "--help"], capture_output=True, text=True
@@ -669,6 +706,10 @@ GENERATE_CFG = {
      "grid point d=8, n=0, D=4, beta=1.0 has floor(D/4) = 1 > n"),
     ("ldlr-bounds", dict(LDLR_CFG, n=[1], D=[8]),
      "grid point d=8, n=1, D=8, beta=1.0 has floor(D/4) = 2 > n"),
+    ("lr-curve", dict(LR_CFG, theta=[1.0, 400.0]),
+     "grid point d=8, theta=400.0 has n = ceil(d^theta) over the float range"),
+    ("search-curve", dict(SEARCH_CFG, d=[8], theta=[400.0]),
+     "grid point d=8, theta=400.0 has n = ceil(d^theta) over the float range"),
 ])
 def test_bad_grid_value_is_refused(tmp_path, capsys, experiment, payload, message):
     # a value of the wrong type is refused, never truncated or cast
@@ -691,9 +732,6 @@ NLGP_CFG = {"experiment": "nlgp-localisation", "seed": 2, "d": 8, "n_per_d": [10
 
 
 # One small config per subcommand, with the NLGP sampler wherever it can run.
-# Only the LR norms and the LDLR bounds use scipy; a subcommand that stops
-# needing it leaves SCIPY_USERS.
-SCIPY_USERS = {"lr-curve", "ldlr-bounds"}
 TINY_CONFIGS = {
     "generate": dict(GENERATE_CFG, model={"kind": "nlgp", "d": 5, "gain": 3.0}),
     "lr-curve": LR_CFG,
@@ -704,18 +742,45 @@ TINY_CONFIGS = {
 }
 
 
-@pytest.mark.parametrize("experiment", sorted(cli.EXPERIMENTS))
-def test_only_lr_and_ldlr_subcommands_load_scipy(tmp_path, experiment):
-    # --jobs 1 runs every point in this interpreter, so its modules count
+def run_tiny_config(tmp_path, experiment, prelude=""):
+    """Run the tiny config of `experiment` at --jobs 1 in a fresh interpreter
+    after `prelude`, so every point runs there and its modules count; print
+    whether any scipy module was loaded."""
     cfg = write_config(tmp_path, "cfg.json", TINY_CONFIGS[experiment])
     argv = [experiment, "--config", cfg, "--out", str(tmp_path / "out"), "--jobs", "1"]
-    code = (
-        "import sys\n"
+    return run_fresh_python(
+        prelude
+        + "import sys\n"
         "from cumlab import cli\n"
         f"assert cli.main({argv!r}) == 0\n"
         "print(any(m.split('.')[0] == 'scipy' for m in sys.modules))\n"
     )
-    assert run_fresh_python(code) == str(experiment in SCIPY_USERS)
+
+
+@pytest.mark.parametrize("experiment", sorted(cli.EXPERIMENTS))
+def test_no_subcommand_loads_scipy(tmp_path, experiment):
+    # cumlab's special functions are its own (`cumlab._special`); scipy is a
+    # test oracle only
+    assert run_tiny_config(tmp_path, experiment) == "False"
+
+
+# a finder that refuses scipy, as if it were not installed
+NO_SCIPY = (
+    "import sys\n"
+    "class NoScipy:\n"
+    "    def find_spec(self, name, path=None, target=None):\n"
+    "        if name.split('.')[0] == 'scipy':\n"
+    "            raise ImportError('scipy is not installed')\n"
+    "sys.meta_path.insert(0, NoScipy())\n"
+)
+
+
+@pytest.mark.parametrize("experiment", sorted(cli.EXPERIMENTS))
+def test_every_subcommand_runs_without_scipy(tmp_path, experiment):
+    # scipy is a test extra, not a runtime dependency
+    code = NO_SCIPY + "try:\n    import scipy.special\nexcept ImportError:\n    print('refused')\n"
+    assert run_fresh_python(code) == "refused"
+    assert run_tiny_config(tmp_path, experiment, prelude=NO_SCIPY) == "False"
 
 
 @pytest.mark.parametrize("experiment, payload, message", [

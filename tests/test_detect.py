@@ -1,6 +1,7 @@
 """Exhaustive-search detector: recovery, tie-breaks, and curve protocol."""
 
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -38,6 +39,19 @@ def test_score_even_and_unimodal_in_projection():
     peak = t[np.argmax(s_pos)]
     assert 0.8 < peak < 1.2
     assert s_pos[-1] < s_pos[0]  # large projections are disfavoured
+
+
+def test_uniform_search_needs_no_quadrature_workspace():
+    # the closed-form Uniform score works in (n, block) arrays of 2^14 values,
+    # where the 64-node rule made (n, block, 64) arrays of 6.9 MB per block
+    data = np.random.default_rng(5).standard_normal((53, 14))
+    tracemalloc.start()
+    try:
+        detect.exhaustive_search(data, 10.0, GDistribution.from_kind("uniform"))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * 2**20, peak
 
 
 def test_beta_zero_ties_break_lexicographically():

@@ -13,6 +13,7 @@ from cumlab.likelihood import (
     lr_norm_sq_log,
     sample_log_likelihood,
 )
+from oracles import uniform_score_quadrature, uniform_score_rule
 
 RADEM = GDistribution.from_kind("rademacher")
 UNIF = GDistribution.from_kind("uniform")
@@ -93,7 +94,7 @@ def test_f_uniform_quadrature_converged():
 
 
 def test_uniform_rule_is_built_once(monkeypatch):
-    # f and the per-sample score share one rule, built on first use only
+    # f's rule is built on first use only; the per-sample score needs none
     calls = []
     leggauss = np.polynomial.legendre.leggauss
     monkeypatch.setattr(np.polynomial.legendre, "leggauss",
@@ -233,6 +234,33 @@ def test_loglik_terms_rademacher_closed_form_is_stable():
         )
         finite = np.isfinite(ref)
         assert got[finite] == pytest.approx(ref[finite], rel=1e-12)
+
+
+@pytest.mark.parametrize("beta", [0.0, 0.5, 10.0, 100.0])
+def test_loglik_terms_uniform_matches_quadrature_oracle(beta):
+    # the closed form against adaptive quadrature of the defining integral;
+    # beta = 0 takes the sinh limit
+    t = np.linspace(-3.0, 3.0, 241)
+    want = np.array([uniform_score_quadrature(x, beta) for x in t])
+    assert np.max(np.abs(loglik_terms(t, beta, UNIF) - want)) < 1e-13
+
+
+@pytest.mark.parametrize("beta, bound", [(0.5, 1e-13), (10.0, 1e-13), (100.0, 1e-11)])
+def test_loglik_terms_uniform_matches_the_64_node_rule(beta, bound):
+    # the rule the closed form replaced; at beta = 100 the integrand's peak,
+    # of width 0.1, is under-resolved by 64 nodes on the support
+    t = np.linspace(-3.0, 3.0, 6001)
+    assert np.max(np.abs(loglik_terms(t, beta, UNIF) - uniform_score_rule(t, beta))) < bound
+
+
+def test_loglik_terms_uniform_is_even_and_finite():
+    t = np.concatenate([[0.0, 1e-300], np.geomspace(1e-8, 1e6, 200)])
+    for beta in (0.0, 1e-6, 0.5, 10.0, 1e4):
+        got = loglik_terms(t, beta, UNIF)
+        assert np.all(np.isfinite(got)), beta
+        np.testing.assert_array_equal(loglik_terms(-t, beta, UNIF), got)
+    assert loglik_terms(0.0, 0.0, UNIF) == 0.0
+    assert isinstance(loglik_terms(0.3, 10.0, UNIF), np.float64)
 
 
 def test_gamma_beta_properties():

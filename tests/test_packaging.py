@@ -1,4 +1,5 @@
-"""Packaging: every third-party module the package imports is declared."""
+"""Packaging: the third-party modules the package imports are exactly its
+declared runtime dependencies."""
 
 import ast
 import os
@@ -30,12 +31,25 @@ def imported_top_level_modules(package_dir):
     return names
 
 
-def test_every_third_party_import_is_a_declared_dependency():
+def declared_and_imported():
+    """The declared runtime dependencies and the third-party modules the
+    package imports, both as top-level module names."""
     with open(os.path.join(ROOT, "pyproject.toml"), "rb") as fh:
         project = tomllib.load(fh)["project"]
     declared = {re.match(r"[A-Za-z0-9_.-]+", dep).group().lower().replace("-", "_")
                 for dep in project["dependencies"]}
     imported = imported_top_level_modules(os.path.join(ROOT, "src", project["name"]))
-    third_party = imported - set(sys.stdlib_module_names) - {project["name"]}
+    return declared, imported - set(sys.stdlib_module_names) - {project["name"]}
+
+
+def test_every_third_party_import_is_a_declared_dependency():
+    declared, third_party = declared_and_imported()
     assert third_party, "the scan found no third-party import"
     assert third_party <= declared, sorted(third_party - declared)
+
+
+def test_every_declared_dependency_is_imported():
+    # a dependency the package no longer imports (scipy, now a test extra)
+    # does not linger in `dependencies`
+    declared, third_party = declared_and_imported()
+    assert declared <= third_party, sorted(declared - third_party)

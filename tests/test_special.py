@@ -1,0 +1,104 @@
+"""cumlab's special functions against scipy.special, their oracle."""
+
+import json
+import math
+import os
+
+import numpy as np
+import pytest
+from scipy import special
+
+from cumlab import _special, likelihood
+from cumlab.hermite import GDistribution
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+
+
+def same_bits(got, want):
+    return repr(float(got)) == repr(float(want))
+
+
+def test_gammaln_equals_scipy_on_every_integer():
+    x = np.arange(1, 100_001, dtype=np.float64)
+    want = special.gammaln(x)
+    bad = [v for v, w in zip(x.tolist(), want.tolist()) if not same_bits(_special.gammaln(v), w)]
+    assert not bad, bad[:5]
+
+
+def test_gammaln_equals_scipy_on_reals():
+    # every branch: the recurrence down to [2, 3) and up from [1, 2), the
+    # Stirling series below and above 1000, and the bare Stirling form past 1e8
+    rng = np.random.default_rng(0)
+    x = np.concatenate([rng.uniform(1.0, 1e4, 20_000),
+                        [1.0, np.nextafter(1.0, 2.0), np.nextafter(2.0, 0.0), 2.0, 3.0,
+                         np.nextafter(13.0, 0.0), 13.0, 999.9999999, 1000.0, 1e8, 1.0000001e8,
+                         1e300]])
+    bad = [v for v in x.tolist() if not same_bits(_special.gammaln(v), special.gammaln(v))]
+    assert not bad, bad[:5]
+
+
+def test_gammaln_refuses_outside_its_port():
+    # log_binom needs x >= 1 only; Cephes gives inf past 2.556348e305
+    for x in (0.999, 0.0, -3.0, float("nan"), 3e305, float("inf")):
+        with pytest.raises(ValueError, match="ported for 1 <= x <= 2.556348e305"):
+            _special.gammaln(x)
+
+
+def test_log_binom_rows_of_the_shipped_lr_curve_equal_scipy():
+    with open(os.path.join(ROOT, "configs", "lr_curve.json")) as fh:
+        dims = json.load(fh)["d"]
+    for d in dims:
+        j = np.arange(d + 1, dtype=np.float64)
+        want = special.gammaln(d + 1.0) - special.gammaln(j + 1.0) - special.gammaln(d - j + 1.0)
+        assert np.array_equal(likelihood.log_binom(d, j).view(np.int64), want.view(np.int64)), d
+
+
+def test_lr_norm_equals_its_scipy_form():
+    # lr_norm_sq_log builds log C(d, j) from d + 1 log-gamma values; with
+    # scipy's gammaln and logsumexp it gives the same bits
+    g = GDistribution.from_kind("rademacher")
+    for d, n, beta in ((64, 28, 5.0), (1024, 1025, 10.0), (4096, 21619, 20.0)):
+        j = np.arange(d + 1)
+        logf = np.log(likelihood.f_overlap(beta, 2.0 * j / d - 1.0, g))
+        terms = (special.gammaln(d + 1.0) - special.gammaln(j + 1.0)
+                 - special.gammaln(d - j + 1.0) - d * np.log(2.0) + n * logf)
+        assert same_bits(likelihood.lr_norm_sq_log(n, d, beta, g), special.logsumexp(terms))
+
+
+def test_logsumexp_equals_scipy():
+    rng = np.random.default_rng(1)
+    for size in range(1, 201):
+        for scale in (1.0, 30.0, 1e3):
+            a = rng.normal(scale=scale, size=size)
+            holed = np.where(rng.random(size) < 0.3, -np.inf, a)
+            for x in (a, holed, np.full(size, -np.inf), np.repeat(a[:1], size)):
+                assert same_bits(_special.logsumexp(x), special.logsumexp(x)), (size, x)
+    for x in ([0.0], [-np.inf], [7.5], [-1e300, 1e300]):
+        assert same_bits(_special.logsumexp(np.array(x)), special.logsumexp(x)), x
+
+
+def test_log_ndtr_matches_scipy():
+    # dense over [-60, 10] and on both sides of each branch point: |x| = sqrt 2
+    # and 8 sqrt 2 (|t| = 1 and 8 for t = x / sqrt 2, where the fit changes)
+    # and x = -1, where scipy changes form.  The worst relative difference
+    # is 1.02e-15, at x just below sqrt 2, where log Phi is -0.082 and the
+    # erf-branch value has an absolute error of 1 ulp; the bound leaves 2x.
+    edges = np.array([-8.0 * math.sqrt(2.0), -math.sqrt(2.0), -1.0, 0.0, math.sqrt(2.0),
+                      8.0 * math.sqrt(2.0)])
+    near = edges[:, None] + np.linspace(-1e-3, 1e-3, 2001)
+    x = np.concatenate([np.linspace(-60.0, 10.0, 700_001), near.ravel(),
+                        np.nextafter(edges, -np.inf), np.nextafter(edges, np.inf)])
+    x = x[x <= 10.0]
+    got, want = _special.log_ndtr(x), special.log_ndtr(x)
+    assert np.max(np.abs(got - want) / np.abs(want)) < 2e-15
+
+
+def test_log_ndtr_is_finite_and_takes_any_shape():
+    x = np.array([-1.8e154, -1e100, -1e10, -40.0, 0.0, 40.0, 1e10, 1e300])
+    got = _special.log_ndtr(x)
+    assert np.all(np.isfinite(got)) and np.all(got <= 0.0)
+    assert got[0] == pytest.approx(-0.9e154 * 1.8e154, rel=1e-14)  # -x^2/2, near -max float
+    assert np.array_equal(_special.log_ndtr(x.reshape(2, 4)), got.reshape(2, 4))
+    scalar = _special.log_ndtr(-3.0)
+    assert isinstance(scalar, np.float64)
+    assert scalar == pytest.approx(special.log_ndtr(-3.0), rel=2e-15)
