@@ -20,17 +20,11 @@ if "numpy" in sys.modules:
 
 __version__ = "0.1.0"
 
-from .hermite import (
-    GDistribution,
-    hermite_coeff_expectation,
-    hermite_coefficients,
-    hermite_eval,
-)
+from .hermite import GDistribution, hermite_coeff_expectation, hermite_coefficients
 
 __all__ = [
     "GDistribution",
     "hermite_coeff_expectation",
     "hermite_coefficients",
-    "hermite_eval",
     "__version__",
 ]

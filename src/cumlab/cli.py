@@ -226,15 +226,19 @@ def _sample_count(d: int, theta: float) -> int:
     return math.ceil(d**theta)
 
 
-def _counted_points(points) -> list[tuple]:
-    """The (d, theta, ...) grid points as a list, refusing a d^theta over the float range."""
+def _counted_points(points, least: int = 0) -> list[tuple]:
+    """The (d, theta, ...) grid points as a list, refusing a d^theta over the float range
+    and an n = ceil(d^theta) below `least`."""
     points = list(points)
     for d, theta, *_ in points:
         try:
-            _sample_count(d, theta)
+            n = _sample_count(d, theta)
         except OverflowError:
             raise ConfigError(f"grid point d={d}, theta={theta} has n = ceil(d^theta) over the "
                               "float range") from None
+        if n < least:
+            raise ConfigError(f"grid point d={d}, theta={theta} has n = ceil(d^theta) = {n}; "
+                              f"the experiment needs n >= {least}")
     return points
 
 
@@ -260,8 +264,7 @@ def _ldlr_points(v: dict) -> list[tuple]:
 
 
 def _run_ldlr_point(p: dict, point_seed: int, out: Callable[[str], str]) -> dict:
-    return ldlr.bound_report(p["n"], p["d"], p["D"], p["beta"], GDistribution.from_kind(p["g"]),
-                             p["exact"])
+    return ldlr.bound_report(p["n"], p["d"], p["D"], p["beta"], GDistribution.from_kind(p["g"]))
 
 
 _BOUND_METRICS = ("log_lower", "log_upper", "log_exact", "asym_lower", "asym_upper")
@@ -394,7 +397,6 @@ EXPERIMENTS = {
             "D": Key(int, "auto", grid=True, choices=("auto",), check=_at_least(0)),
             "beta": Key(float, grid=True, check=_at_least(0)),
             "g": _G,
-            "exact": Key(bool, False),
         },
         coords=("d", "n", "D", "beta"), run=_run_ldlr_point, points=_ldlr_points,
         aggregate=("ldlr_bounds.csv", _bound_rows)),
@@ -407,7 +409,7 @@ EXPERIMENTS = {
             "runs": _RUNS,
         },
         coords=("d", "theta"), run=_run_search,
-        points=lambda v: _counted_points(itertools.product(v["d"], v["theta"])),
+        points=lambda v: _counted_points(itertools.product(v["d"], v["theta"]), least=1),
         aggregate=("success_rate.csv", _success_rate)),
     "train-sweep": Experiment(
         keys={

@@ -6,14 +6,12 @@ measure:
     (2*pi)^(-1/2) * integral h_n(x) h_m(x) exp(-x^2/2) dx = n! delta_{n,m}
 
 with h_0 = 1, h_1 = x, h_2 = x^2 - 1, h_3 = x^3 - 3x, h_4 = x^4 - 6x^2 + 3.
-Values are computed with the three-term recurrence
+The exact integer coefficients a_{m,k} of h_m = sum_k a_{m,k} x^k
+(`hermite_coefficients`) follow from the three-term recurrence
 
     h_{m+1}(x) = x * h_m(x) - m * h_{m-1}(x),
 
-which is O(m) per point and avoids the catastrophic cancellation of the
-large integer coefficients.  The exact integer coefficients a_{m,k} of
-h_m = sum_k a_{m,k} x^k (`hermite_coefficients`) follow the same
-recurrence, read as polynomials.
+read as polynomials.
 
 This module also describes the latent scalar laws used by the spiked data
 models: Rademacher(1/2), Uniform(-sqrt(3), sqrt(3)) and the standard
@@ -31,10 +29,6 @@ from functools import cache
 
 import numpy as np
 
-# Degrees above this are refused outright rather than silently losing
-# precision in the value recurrence.
-DEFAULT_MAX_DEGREE = 64
-
 RADEMACHER = "rademacher"
 UNIFORM = "uniform"
 STANDARD_GAUSSIAN = "standard_gaussian"
@@ -43,11 +37,6 @@ G_KINDS = (RADEMACHER, UNIFORM, STANDARD_GAUSSIAN)
 
 # Gauss-Legendre nodes of the Uniform rule of the overlap function f
 QUADRATURE_NODES = 64
-
-
-class DegreeError(ValueError):
-    """Requested degree lies outside the range of `hermite_eval`."""
-
 
 _rows: tuple[tuple[int, ...], ...] = ((1,), (0, 1))  # the table of hermite_coefficients
 
@@ -71,33 +60,6 @@ def hermite_coefficients(m: int) -> tuple[int, ...]:
                                zip((0,) + grown[k - 1], grown[k - 2] + (0, 0))))
         _rows = rows = tuple(grown)
     return rows[m]
-
-
-def hermite_eval(m: int, x) -> float | np.ndarray:
-    """Evaluate h_m(x) by the three-term value recurrence.
-
-    Parameters
-    ----------
-    m : int
-        Degree, 0 <= m <= DEFAULT_MAX_DEGREE.
-    x : float or ndarray
-        Evaluation point(s).
-
-    Returns
-    -------
-    float or ndarray
-        h_m(x), scalar for scalar input.
-    """
-    if not 0 <= m <= DEFAULT_MAX_DEGREE:
-        raise DegreeError(
-            f"degree {m} outside supported range [0, {DEFAULT_MAX_DEGREE}]"
-        )
-    arr = np.asarray(x, dtype=np.float64)
-    prev, cur = np.ones_like(arr), arr.copy()
-    for k in range(1, m):
-        prev, cur = cur, arr * cur - k * prev
-    out = cur if m > 0 else prev
-    return float(out) if arr.ndim == 0 else out
 
 
 @dataclass(frozen=True)

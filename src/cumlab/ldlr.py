@@ -12,30 +12,23 @@ E[H_alpha(x)|u] factorises through the coefficients
 which vanish for m = 2 and all odd m; averaging over the Rademacher spike
 prior kills every alpha with an odd column sum.  This module provides
 
-* the exact finite-sum lower and upper bounds on ||L^{<=D}||^2,
+* the finite-sum lower and upper bounds on ||L^{<=D}||^2,
 * their closed-form large-(n,d) asymptotics (clearly labelled),
-* an exact small-instance norm by direct enumeration,
-* the spiked Wishart limit series, whose divergence point reproduces the
-  BBP threshold beta_c = sqrt(gamma), and
+* the exact norm at every (n, d, D), as a series in the spike overlap, and
 * `bound_report`, the {metric: value} dict of one `ldlr-bounds` grid point.
 
-All norms are returned as natural logs of the squared norm, except the
-Wishart limit which is the plain partial sum of the (unsquared) limit
-series as printed in its source.
+All norms are returned as natural logs of the squared norm.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 
 import numpy as np
 
 from ._special import logsumexp
 from .hermite import GDistribution, hermite_coeff_expectation
-from .likelihood import log_binom
-
-EXACT_ENUMERATION_BUDGET = 10_000_000
+from .likelihood import log_binom, overlap_law
 
 
 def t_coeff(m: int, beta: float, g_dist: GDistribution) -> float:
@@ -76,7 +69,9 @@ def ldlr_upper_log(n: int, d: int, D: int, beta: float, g_dist: GDistribution) -
         / d^m * sup_{k<=m} |E[h_k(g)]|^{2m/k} * C(n, floor(m/4)) * C(d, floor(m/2))
 
     The sup ranges over k with nonzero coefficient; a degree m where every
-    coefficient up to m vanishes contributes nothing.
+    coefficient up to m vanishes contributes nothing.  It is a bound only
+    for d >= floor(D/2): below, the factor C(d, floor(m/2)) is 0 for every
+    m with floor(m/2) > d, so the sum leaves out degrees that the norm keeps.
     """
     if D < 0:
         raise ValueError("D must be >= 0")
@@ -135,112 +130,58 @@ def ldlr_asymptotics(
     return float(lower), upper
 
 
-def _nonzero_degree_tuples(n: int, D: int):
-    """Ordered tuples (m_1, ..., m_k), each even >= 4, total <= D, k <= n."""
-    degs = [m for m in range(4, D + 1, 2)]
-    max_rows = min(n, D // 4)
-    for k in range(max_rows + 1):
-        for tup in itertools.product(degs, repeat=k):
-            if sum(tup) <= D:
-                yield tup
+def ldlr_norm_log(n: int, d: int, D: int, beta: float, g_dist: GDistribution) -> float:
+    """Exact log ||L^{<=D}||^2, by the overlap series.
 
+    With lambda = <u, u'>/d the overlap of two independent spikes and
+    f(lambda) = sum_m a_m lambda^m, a_m = T_m^2/m!, the overlap function of
+    `likelihood.f_overlap`, the degree-D norm is the degree-D truncation in
+    powers of lambda of E_lambda[f(lambda)^n], the full norm of
+    `likelihood.lr_norm_sq_log`.  As f - 1 starts at lambda^4,
 
-def ldlr_exact_small_log(n: int, d: int, D: int, beta: float, g_dist: GDistribution) -> float:
-    """Exact log ||L^{<=D}||^2 by enumeration over multi-multi-indices.
+        ||L^{<=D}||^2 = sum_{k <= min(floor(D/4), n)} C(n, k)
+                        sum_{M <= D} [(f - 1)^k]_M E[lambda^M],
 
-    Rows with degree in {1, 2, 3} or odd degree are pruned outright (their
-    T coefficient vanishes), so at most floor(D/4) rows are nonzero.  A
-    contribution depends only on the multiset of nonzero rows, never on
-    which samples host them, so placements enter as a C(n, k) factor and
-    the enumeration cost is independent of n.  The spike prior average
-    E_u[u^alpha] is the even-column parity rule: 1 when every column sum
-    of alpha is even, else 0.  An instance with more than
-    EXACT_ENUMERATION_BUDGET multi-indices is refused before any is visited.
+    with [(f - 1)^k]_M a k-fold convolution of the a_m and E[lambda^M] from
+    the weights of `likelihood.overlap_law`.  Only even m and M enter, so
+    every term is nonnegative and the log-sum-exp cancels nothing.
     """
-    if n < 1 or d < 1 or D < 0:
-        raise ValueError("need n >= 1, d >= 1, D >= 0")
-
-    # a row of degree m has C(m + d - 1, d - 1) compositions into d columns
-    count = sum(math.prod(math.comb(m + d - 1, d - 1) for m in tup)
-                for tup in _nonzero_degree_tuples(n, D))
-    if count > EXACT_ENUMERATION_BUDGET:
-        raise ValueError(f"exact enumeration would visit {count} multi-indices, "
-                         f"over the budget of {EXACT_ENUMERATION_BUDGET}")
-
-    comps: dict[int, list[tuple[int, ...]]] = {}  # compositions of each degree, listed once
-    total = 0.0
-    for tup in _nonzero_degree_tuples(n, D):
-        t_prod = math.prod(t_coeff(m, beta, g_dist) for m in tup)
-        if t_prod == 0.0:
-            continue
-        placements = math.comb(n, len(tup))  # ways to put the rows on distinct samples
-        deg_total = sum(tup)
-        for m in tup:
-            if m not in comps:
-                comps[m] = list(_compositions(m, d))
-        for combo in itertools.product(*(comps[m] for m in tup)):
-            col = [0] * d
-            for row in combo:
-                for i in range(d):
-                    col[i] += row[i]
-            if any(c % 2 for c in col):
-                continue
-            fact = 1.0
-            for row in combo:
-                for e in row:
-                    fact *= math.factorial(e)
-            total += placements * t_prod**2 / (fact * float(d) ** deg_total)
-    return float(np.log(total))
+    if n < 0 or d < 1 or D < 0:
+        raise ValueError("need n >= 0, d >= 1 and D >= 0")
+    log_a = np.full(D + 1, -np.inf)
+    for m in range(4, D + 1, 2):
+        t = t_coeff(m, beta, g_dist)
+        if t != 0.0:
+            log_a[m] = 2.0 * math.log(abs(t)) - math.lgamma(m + 1.0)
+    top = min(D // 4, n)
+    if top == 0 or np.all(log_a == -np.inf):  # D < 4, beta = 0 or Gaussian g: the norm is 1
+        return 0.0
+    lam, log_weights = overlap_law(d)
+    with np.errstate(divide="ignore"):  # lambda = 0 adds nothing to a moment of order M > 0
+        log_abs = np.log(np.abs(lam))
+    log_moment = np.full(D + 1, -np.inf)  # log E[lambda^M]; odd moments vanish
+    for M in range(4, D + 1, 2):
+        log_moment[M] = logsumexp(log_weights + M * log_abs)
+    # power holds the log coefficients of (f - 1)^k, -inf for a zero one
+    terms, power = [0.0], np.where(np.arange(D + 1) == 0, 0.0, -np.inf)
+    for k in range(1, top + 1):
+        power = np.array([logsumexp(power[: M + 1] + log_a[M::-1]) for M in range(D + 1)])
+        terms.append(math.log(math.comb(n, k)) + logsumexp(power + log_moment))
+    return logsumexp(np.array(terms))
 
 
-def _compositions(total: int, parts: int):
-    if parts == 1:
-        yield (total,)
-        return
-    for first in range(total + 1):
-        for rest in _compositions(total - first, parts - 1):
-            yield (first,) + rest
-
-
-def ldlr_wishart_limit(D: int, beta: float, gamma: float) -> float:
-    """Partial sum sum_{k=0}^D (2k-1)!!/(2k)!! beta^{2k}/gamma^k.
-
-    Fixed-ratio (gamma = d/n) limit of the degree-D LDLR norm in the
-    spiked Wishart model, as printed in its source; in the derivation the
-    terms with 2k > D vanish, so the printed index range is equivalent to
-    k <= floor(D/2) on the squared norm.  Bounded in D iff beta^2 < gamma
-    (the BBP threshold beta_c = sqrt(gamma)).
-    """
-    if gamma <= 0:
-        raise ValueError("gamma must be positive")
-    if D < 0:
-        raise ValueError("D must be >= 0")
-    total = 1.0
-    term = 1.0  # (2k-1)!!/(2k)!! beta^{2k}/gamma^k, built multiplicatively
-    growth = beta * beta / gamma
-    for k in range(1, D + 1):
-        term *= (2 * k - 1) / (2 * k) * growth
-        total += term
-        if not np.isfinite(total):
-            return float("inf")
-    return total
-
-
-def bound_report(
-    n: int, d: int, D: int, beta: float, g_dist: GDistribution, exact: bool
-) -> dict[str, float]:
+def bound_report(n: int, d: int, D: int, beta: float, g_dist: GDistribution) -> dict[str, float]:
     """The LDLR metrics at one grid point, as {metric: value}.
 
-    `log_lower` and `log_upper` always; `log_exact` when `exact`;
-    `asym_lower` and `asym_upper` for D >= 4, where the asymptotic lower
-    form is defined.  A metric undefined at the point is left out.
+    `log_lower` and `log_exact` always; `log_upper` where d >= floor(D/2),
+    the domain of `ldlr_upper_log`; `asym_lower` and `asym_upper` for
+    D >= 4, where the asymptotic lower form is defined.  A metric undefined
+    at the point is left out.
     """
-    metrics = {
-        "log_lower": ldlr_lower_log(n, d, D, beta, g_dist.kappa4),
-        "log_upper": ldlr_upper_log(n, d, D, beta, g_dist),
-    }
-    if exact:
-        metrics["log_exact"] = ldlr_exact_small_log(n, d, D, beta, g_dist)
+    metrics = {"log_lower": ldlr_lower_log(n, d, D, beta, g_dist.kappa4)}
+    if d >= D // 2:
+        metrics["log_upper"] = ldlr_upper_log(n, d, D, beta, g_dist)
+    metrics["log_exact"] = ldlr_norm_log(n, d, D, beta, g_dist)
     if D >= 4:
         metrics["asym_lower"], metrics["asym_upper"] = ldlr_asymptotics(
             n, d, D, beta, g_dist.kappa4, g_dist.lambda_growth

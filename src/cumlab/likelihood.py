@@ -89,17 +89,21 @@ def f_overlap(beta: float, lam, g_dist: GDistribution):
     return float(out[0]) if scalar else out
 
 
-def lr_norm_sq_log(n: int, d: int, beta: float, g_dist: GDistribution) -> float:
-    """log ||L_{n,d}||^2 by log-sum-exp over the exact overlap sum."""
-    if n < 0 or d < 1:
-        raise ValueError("need n >= 0 and d >= 1")
-    j = np.arange(d + 1)
-    lam = 2.0 * j / d - 1.0
-    logf = np.log(f_overlap(beta, lam, g_dist))
+def overlap_law(d: int) -> tuple[np.ndarray, np.ndarray]:
+    """The law of the overlap lambda = <u, u'>/d of two independent spikes:
+    its d + 1 values 2j/d - 1 and their log weights log(C(d, j) 2^-d)."""
+    lam = 2.0 * np.arange(d + 1) / d - 1.0
     # log_binom(d, j) from the d + 1 values log j!, where log_binom itself makes 3(d + 1) calls
     lgam = np.array([_special.gammaln(i + 1.0) for i in range(d + 1)])
-    terms = lgam[d] - lgam - lgam[::-1] - d * np.log(2.0) + n * logf
-    return _special.logsumexp(terms)
+    return lam, lgam[d] - lgam - lgam[::-1] - d * np.log(2.0)
+
+
+def lr_norm_sq_log(n: int, d: int, beta: float, g_dist: GDistribution) -> float:
+    """log ||L_{n,d}||^2 = log E_lambda[f(beta, lambda)^n], by log-sum-exp over `overlap_law`."""
+    if n < 0 or d < 1:
+        raise ValueError("need n >= 0 and d >= 1")
+    lam, log_weights = overlap_law(d)
+    return _special.logsumexp(log_weights + n * np.log(f_overlap(beta, lam, g_dist)))
 
 
 def loglik_terms(proj, beta: float, g_dist: GDistribution) -> np.ndarray:

@@ -20,7 +20,7 @@ from cumlab.hermite import (
     hermite_coefficients,
     uniform_rule,
 )
-from cumlab.ldlr import _compositions, _nonzero_degree_tuples, t_coeff
+from cumlab.ldlr import t_coeff
 
 
 def whitening_matrix(u: np.ndarray, beta: float) -> np.ndarray:
@@ -93,6 +93,33 @@ def uniform_score_rule(t, beta: float) -> np.ndarray:
             + 0.5 * nodes**2)
     top = expo.max(axis=-1)
     return 0.5 * np.log1p(beta) + top + np.log(np.exp(expo - top[..., None]).sum(axis=-1))
+
+
+# Degrees above this are refused outright rather than silently losing
+# precision in the value recurrence.
+DEFAULT_MAX_DEGREE = 64
+
+
+class DegreeError(ValueError):
+    """Requested degree lies outside the range of `hermite_eval`."""
+
+
+def hermite_eval(m: int, x) -> float | np.ndarray:
+    """h_m(x) by the three-term value recurrence h_{k+1} = x h_k - k h_{k-1},
+    O(m) per point and free of the cancellation of the large integer
+    coefficients of `hermite_coefficients`; scalar for scalar input.
+    Degrees outside [0, DEFAULT_MAX_DEGREE] raise DegreeError.
+    """
+    if not 0 <= m <= DEFAULT_MAX_DEGREE:
+        raise DegreeError(
+            f"degree {m} outside supported range [0, {DEFAULT_MAX_DEGREE}]"
+        )
+    arr = np.asarray(x, dtype=np.float64)
+    prev, cur = np.ones_like(arr), arr.copy()
+    for k in range(1, m):
+        prev, cur = cur, arr * cur - k * prev
+    out = cur if m > 0 else prev
+    return float(out) if arr.ndim == 0 else out
 
 
 def abs_coefficient_sum(m: int) -> int:
@@ -217,10 +244,104 @@ def contract4(k: FourthCumulant, v: np.ndarray) -> float:
     return float(k.contract3(v) @ v)
 
 
+EXACT_ENUMERATION_BUDGET = 10_000_000
+
+
+def _nonzero_degree_tuples(n: int, D: int):
+    """Ordered tuples (m_1, ..., m_k), each even >= 4, total <= D, k <= n."""
+    degs = [m for m in range(4, D + 1, 2)]
+    max_rows = min(n, D // 4)
+    for k in range(max_rows + 1):
+        for tup in itertools.product(degs, repeat=k):
+            if sum(tup) <= D:
+                yield tup
+
+
+def _compositions(total: int, parts: int):
+    if parts == 1:
+        yield (total,)
+        return
+    for first in range(total + 1):
+        for rest in _compositions(total - first, parts - 1):
+            yield (first,) + rest
+
+
+def enumeration_count(n: int, d: int, D: int) -> int:
+    """The number of multi-indices `ldlr_exact_small_log` visits: a row of
+    degree m has C(m + d - 1, d - 1) compositions into d columns."""
+    return sum(math.prod(math.comb(m + d - 1, d - 1) for m in tup)
+               for tup in _nonzero_degree_tuples(n, D))
+
+
+def ldlr_exact_small_log(n: int, d: int, D: int, beta: float, g_dist) -> float:
+    """Exact log ||L^{<=D}||^2 by enumeration over multi-multi-indices.
+
+    Rows with degree in {1, 2, 3} or odd degree are pruned outright (their
+    T coefficient vanishes), so at most floor(D/4) rows are nonzero.  A
+    contribution depends only on the multiset of nonzero rows, never on
+    which samples host them, so placements enter as a C(n, k) factor and
+    the enumeration cost is independent of n.  The spike prior average
+    E_u[u^alpha] is the even-column parity rule: 1 when every column sum
+    of alpha is even, else 0.  The terms are summed by math.fsum.  An
+    instance with more than EXACT_ENUMERATION_BUDGET multi-indices is
+    refused before any is visited.  `ldlr.ldlr_norm_log` sums the overlap
+    series instead.
+    """
+    if n < 1 or d < 1 or D < 0:
+        raise ValueError("need n >= 1, d >= 1, D >= 0")
+    count = enumeration_count(n, d, D)
+    if count > EXACT_ENUMERATION_BUDGET:
+        raise ValueError(f"exact enumeration would visit {count} multi-indices, "
+                         f"over the budget of {EXACT_ENUMERATION_BUDGET}")
+
+    comps: dict[int, list[tuple[int, ...]]] = {}  # compositions of each degree, listed once
+    terms = []
+    for tup in _nonzero_degree_tuples(n, D):
+        t_prod = math.prod(t_coeff(m, beta, g_dist) for m in tup)
+        if t_prod == 0.0:
+            continue
+        placements = math.comb(n, len(tup))  # ways to put the rows on distinct samples
+        deg_total = sum(tup)
+        for m in tup:
+            if m not in comps:
+                comps[m] = list(_compositions(m, d))
+        for combo in itertools.product(*(comps[m] for m in tup)):
+            col = [0] * d
+            for row in combo:
+                for i in range(d):
+                    col[i] += row[i]
+            if any(c % 2 for c in col):
+                continue
+            fact = 1.0
+            for row in combo:
+                for e in row:
+                    fact *= math.factorial(e)
+            terms.append(placements * t_prod**2 / (fact * float(d) ** deg_total))
+    return float(np.log(math.fsum(terms)))
+
+
+def ldlr_norm_fraction(n: int, d: int, D: int, beta: Fraction, g_dist) -> Fraction:
+    """||L^{<=D}||^2 in exact rational arithmetic, by the overlap series of
+    `ldlr.ldlr_norm_log`: a_m = T_m^2/m!, E[lambda^M] = sum_j C(d, j) 2^-d
+    (2j/d - 1)^M, and the powers of f - 1 truncated at degree D."""
+    ratio = beta / (1 + beta)
+    a = [Fraction(0)] * (D + 1)
+    for m in range(4, D + 1, 2):
+        e = sum(c * g_dist.moment(k) for k, c in enumerate(hermite_coefficients(m)))
+        a[m] = ratio**m * e * e / math.factorial(m)
+    moment = [sum(math.comb(d, j) * Fraction(2 * j - d, d) ** M for j in range(d + 1)) / 2**d
+              for M in range(D + 1)]
+    total, power = Fraction(1), [Fraction(1)] + [Fraction(0)] * D
+    for k in range(1, min(D // 4, n) + 1):
+        power = [sum(power[i] * a[M - i] for i in range(M + 1)) for M in range(D + 1)]
+        total += math.comb(n, k) * sum(p * mu for p, mu in zip(power, moment))
+    return total
+
+
 def ldlr_exact_spike_average_log(n: int, d: int, D: int, beta: float, g_dist) -> float:
     """Exact log ||L^{<=D}||^2 with E_u[u^alpha] averaged over all 2^d spikes.
 
-    The same enumeration as `ldlr.ldlr_exact_small_log`, but the spike
+    The same enumeration as `ldlr_exact_small_log`, but the spike
     prior average is taken over every Rademacher spike (d <= 16) instead
     of read from the even-column parity rule.
     """
@@ -240,3 +361,27 @@ def ldlr_exact_spike_average_log(n: int, d: int, D: int, beta: float, g_dist) ->
             fact = math.prod(math.factorial(e) for row in combo for e in row)
             total += placements * (t_prod * e_u) ** 2 / (fact * float(d) ** sum(tup))
     return float(np.log(total))
+
+
+def ldlr_wishart_limit(D: int, beta: float, gamma: float) -> float:
+    """Partial sum sum_{k=0}^D (2k-1)!!/(2k)!! beta^{2k}/gamma^k.
+
+    Fixed-ratio (gamma = d/n) limit of the degree-D LDLR norm in the
+    spiked Wishart model, as printed in its source; in the derivation the
+    terms with 2k > D vanish, so the printed index range is equivalent to
+    k <= floor(D/2) on the squared norm.  Bounded in D iff beta^2 < gamma
+    (the BBP threshold beta_c = sqrt(gamma)).
+    """
+    if gamma <= 0:
+        raise ValueError("gamma must be positive")
+    if D < 0:
+        raise ValueError("D must be >= 0")
+    total = 1.0
+    term = 1.0  # (2k-1)!!/(2k)!! beta^{2k}/gamma^k, built multiplicatively
+    growth = beta * beta / gamma
+    for k in range(1, D + 1):
+        term *= (2 * k - 1) / (2 * k) * growth
+        total += term
+        if not np.isfinite(total):
+            return float("inf")
+    return total

@@ -14,16 +14,16 @@ import numpy as np
 import pytest
 
 from cumlab import cli, datagen, learn, likelihood
-from cumlab.hermite import GDistribution, hermite_eval
-from cumlab.ldlr import (
-    ldlr_asymptotics,
-    ldlr_exact_small_log,
-    ldlr_lower_log,
-    ldlr_upper_log,
-    ldlr_wishart_limit,
-)
+from cumlab.hermite import GDistribution
+from cumlab.ldlr import ldlr_asymptotics, ldlr_lower_log, ldlr_norm_log, ldlr_upper_log
 from cumlab.rng import generator, spawn_seed
-from oracles import abs_coefficient_sum, whitening_matrix
+from oracles import (
+    abs_coefficient_sum,
+    hermite_eval,
+    ldlr_exact_small_log,
+    ldlr_wishart_limit,
+    whitening_matrix,
+)
 
 RADEM = GDistribution.from_kind("rademacher")
 UNIF = GDistribution.from_kind("uniform")
@@ -182,6 +182,23 @@ def test_criterion_06b_asymptotic_upper_tends_to_one():
     ok = all(b < a for a, b in zip(values, values[1:])) and values[-1] < 0.01
     assert report("6b (asymptotic upper -> 1 at theta=1.5)", ok,
                   f"log values {['%.1f' % v for v in values]}")
+
+
+def test_criterion_06c_exact_norm_on_the_6b_schedule():
+    # 6b's schedule read through the exact degree-D norm (the overlap
+    # series) in place of its asymptotic upper form; 6b itself stays as
+    # stated.  Below theta = 2 the exact log norm falls to ~0, above it grows.
+    def exact(theta, d):
+        n = int(np.ceil(d**theta))
+        return ldlr_norm_log(n, d, int(np.ceil(np.log(n) ** 1.5)), 10.0, RADEM)
+
+    low = [exact(1.5, d) for d in (10**2, 10**3, 10**4, 10**5, 10**6)]
+    high = [exact(2.5, d) for d in (10**2, 10**3, 10**4)]
+    ok = (all(b < a for a, b in zip(low, low[1:])) and low[-1] < 0.01
+          and all(b > a for a, b in zip(high, high[1:])) and high[1] > 100.0)
+    assert report("6c (exact LDLR norm: -> 1 at theta=1.5, grows at theta=2.5)", ok,
+                  f"theta=1.5 log values {['%.3g' % v for v in low]}, "
+                  f"theta=2.5 {['%.1f' % v for v in high]}")
 
 
 def test_criterion_07_bbp_reproduction():

@@ -38,6 +38,7 @@ SEARCH_CFG = {
 }
 LR_CFG = {"experiment": "lr-curve", "seed": 1, "d": [8], "theta": [1.0], "beta": [1.0]}
 LDLR_CFG = {"experiment": "ldlr-bounds", "seed": 1, "d": [8], "n": [20], "beta": [1.0]}
+CONFIGS = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "configs")
 # JSON that the decoder refuses for nesting deeper than the interpreter's stack
 TOO_DEEP = "[" * 100_000 + "]" * 100_000
 
@@ -135,8 +136,22 @@ def test_jobs_below_one_is_refused(tmp_path, capsys, jobs):
     assert not os.path.exists(out)
 
 
-def test_partial_failure_exit_code(tmp_path):
-    # an exact-norm budget blowup on one grid point: error row + exit 1
+def fail_ldlr_points_at_d16(monkeypatch):
+    """Make every ldlr-bounds point at d = 16 raise, as a point of a real
+    run fails."""
+    norm = cli.ldlr.ldlr_norm_log
+
+    def broken(n, d, D, beta, g_dist):
+        if d == 16:
+            raise ValueError("norm refused at d = 16")
+        return norm(n, d, D, beta, g_dist)
+
+    monkeypatch.setattr(cli.ldlr, "ldlr_norm_log", broken)
+
+
+def test_partial_failure_exit_code(tmp_path, monkeypatch):
+    # one failing grid point: error row + exit 1
+    fail_ldlr_points_at_d16(monkeypatch)
     cfg = write_config(
         tmp_path,
         "cfg.json",
@@ -147,7 +162,6 @@ def test_partial_failure_exit_code(tmp_path):
             "n": [40],
             "D": [8],
             "beta": [10.0],
-            "exact": True,
         },
     )
     out = str(tmp_path / "pf")
@@ -160,11 +174,12 @@ def test_partial_failure_exit_code(tmp_path):
     assert os.path.exists(os.path.join(out, "log_lower.csv"))
 
 
-def test_clean_rerun_removes_stale_errors_csv(tmp_path):
+def test_clean_rerun_removes_stale_errors_csv(tmp_path, monkeypatch):
     # a failed point writes errors.csv; a clean rerun into the same
     # directory must not leave it behind
+    fail_ldlr_points_at_d16(monkeypatch)
     cfg = {"experiment": "ldlr-bounds", "seed": 2, "d": [3, 16], "n": [40], "D": [8],
-           "beta": [10.0], "exact": True}
+           "beta": [10.0]}
     out = str(tmp_path / "rerun")
     failing = write_config(tmp_path, "failing.json", cfg)
     assert run_cli(["ldlr-bounds", "--config", failing, "--out", out]) == 1
@@ -191,11 +206,12 @@ def test_rerun_removes_metric_csv_it_does_not_write(tmp_path):
         f"{m}.csv" for m in manifest["metrics"])
 
 
-def test_failed_rerun_removes_every_earlier_output(tmp_path):
+def test_failed_rerun_removes_every_earlier_output(tmp_path, monkeypatch):
     # a clean run, then one whose only point fails: no metric CSV and no
     # aggregate of the first run survives beside the new errors.csv
+    fail_ldlr_points_at_d16(monkeypatch)
     cfg = {"experiment": "ldlr-bounds", "seed": 2, "d": [3], "n": [40], "D": [8],
-           "beta": [10.0], "exact": True}
+           "beta": [10.0]}
     out = str(tmp_path / "failed")
     clean = write_config(tmp_path, "clean.json", cfg)
     assert run_cli(["ldlr-bounds", "--config", clean, "--out", out]) == 0
@@ -226,15 +242,16 @@ def listing_is_outputs(out):
 
 
 def test_rerun_removes_plot_files(tmp_path):
-    # plot files of the exact run would sit beside metric CSVs of the new one
+    # plot files of the D = 4 run would sit beside metric CSVs of the new
+    # one, which has no asymptotic forms at D = 3
     cfg = {"experiment": "ldlr-bounds", "seed": 2, "d": [3], "n": [2], "D": [4],
-           "beta": [1.0], "exact": True}
+           "beta": [1.0]}
     out = str(tmp_path / "plots")
-    exact = write_config(tmp_path, "exact.json", cfg)
-    assert run_cli(["ldlr-bounds", "--config", exact, "--out", out]) == 0
+    with_asym = write_config(tmp_path, "asym.json", cfg)
+    assert run_cli(["ldlr-bounds", "--config", with_asym, "--out", out]) == 0
     assert run_cli(["emit-plotdata", "--out", out]) == 0
-    assert "plot_log_exact.csv" in os.listdir(out)
-    plain = write_config(tmp_path, "plain.json", dict(cfg, exact=False))
+    assert "plot_asym_upper.csv" in os.listdir(out)
+    plain = write_config(tmp_path, "plain.json", dict(cfg, D=[3]))
     assert run_cli(["ldlr-bounds", "--config", plain, "--out", out]) == 0
     assert not [name for name in os.listdir(out) if name.startswith("plot_")]
     assert listing_is_outputs(out)
@@ -331,7 +348,6 @@ def test_ldlr_bounds_csv_and_plotdata(tmp_path):
             "n": [2],
             "D": [3, 4, 8],
             "beta": [1.0, 10.0],
-            "exact": True,
         },
     )
     out = str(tmp_path / "lb")
@@ -342,7 +358,7 @@ def test_ldlr_bounds_csv_and_plotdata(tmp_path):
     assert len(rows) == 7
     # the convenience CSV holds, cell for cell, the value of each metric CSV
     # at its point, and an empty cell where that CSV has no row (the
-    # asymptotic forms at D < 4)
+    # asymptotic forms at D < 4, the upper bound at d < floor(D/2))
     metrics = ("log_lower", "log_upper", "log_exact", "asym_lower", "asym_upper")
     values = {}
     for metric in metrics:
@@ -360,7 +376,9 @@ def test_ldlr_bounds_csv_and_plotdata(tmp_path):
         for metric in metrics:
             assert r[metric] == values[metric].get(point, ""), (point, metric)
             empty += r[metric] == ""
-    assert empty == 4  # asym_lower and asym_upper at the two D = 3 points
+    # asym_lower and asym_upper at the two D = 3 points, log_upper at the
+    # two D = 8 points
+    assert empty == 6
     assert run_cli(["emit-plotdata", "--out", out]) == 0
     with open(os.path.join(out, "plot_log_exact.csv")) as fh:
         agg = fh.read().strip().splitlines()
@@ -710,6 +728,8 @@ GENERATE_CFG = {
      "grid point d=8, theta=400.0 has n = ceil(d^theta) over the float range"),
     ("search-curve", dict(SEARCH_CFG, d=[8], theta=[400.0]),
      "grid point d=8, theta=400.0 has n = ceil(d^theta) over the float range"),
+    ("search-curve", dict(SEARCH_CFG, d=[2], theta=[-1100.0]),
+     "grid point d=2, theta=-1100.0 has n = ceil(d^theta) = 0; the experiment needs n >= 1"),
 ])
 def test_bad_grid_value_is_refused(tmp_path, capsys, experiment, payload, message):
     # a value of the wrong type is refused, never truncated or cast
@@ -718,6 +738,24 @@ def test_bad_grid_value_is_refused(tmp_path, capsys, experiment, payload, messag
     assert run_cli([experiment, "--config", cfg, "--out", out]) == 2
     assert message in capsys.readouterr().err
     assert not os.path.exists(out)
+
+
+def test_lr_curve_takes_no_samples(tmp_path):
+    # d^theta underflows to n = 0, a norm of 1; only search-curve needs n >= 1
+    cfg = write_config(tmp_path, "zero.json", dict(LR_CFG, d=[2], theta=[-1100.0]))
+    out = str(tmp_path / "zero")
+    assert run_cli(["lr-curve", "--config", cfg, "--out", out]) == 0
+    with open(os.path.join(out, "log_lr_norm_sq.csv")) as fh:
+        rows = list(csv.DictReader(fh))
+    assert [(r["theta"], float(r["value"])) for r in rows] == [("-1100.0", 0.0)]
+
+
+@pytest.mark.parametrize("name", sorted(os.listdir(CONFIGS)))
+def test_shipped_config_validates(name):
+    # every shipped config still passes the checks of its subcommand
+    with open(os.path.join(CONFIGS, name)) as fh:
+        raw = json.load(fh)
+    assert cli._validate(raw).tasks
 
 
 class WithEnv(dict):
@@ -797,7 +835,7 @@ def test_every_subcommand_runs_without_scipy(tmp_path, experiment):
     ("nlgp-localisation", dict(NLGP_CFG, xi="1"), "'xi' has value '1'"),
     ("nlgp-localisation", dict(NLGP_CFG, periodic=1), "'periodic' has value 1"),
     ("lr-curve", dict(LR_CFG, log10="yes"), "'log10' has value 'yes'"),
-    ("ldlr-bounds", dict(LDLR_CFG, exact=0), "'exact' has value 0"),
+    ("ldlr-bounds", dict(LDLR_CFG, exact=True), "unknown config key 'exact'"),
     ("train-sweep", dict(TINY_TRAIN_CFG, rf_ridge=0), "'rf_ridge' has value 0.0, expected > 0"),
     ("train-sweep", dict(TINY_TRAIN_CFG, rf_ridge=-1.0),
      "'rf_ridge' has value -1.0, expected > 0"),

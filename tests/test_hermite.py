@@ -6,20 +6,20 @@ import numpy as np
 import pytest
 
 from cumlab.hermite import (
-    DEFAULT_MAX_DEGREE,
     G_KINDS,
-    DegreeError,
     GDistribution,
     hermite_coeff_expectation,
     hermite_coefficients,
-    hermite_eval,
     uniform_rule,
 )
 from oracles import (
+    DEFAULT_MAX_DEGREE,
+    DegreeError,
     abs_coefficient_sum,
     coeff_expectation_closed_form,
     coefficient_rows,
     eval_exact,
+    hermite_eval,
 )
 
 # h_0 .. h_4 written out longhand, independent of the recurrence

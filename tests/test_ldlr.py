@@ -1,23 +1,31 @@
-"""LDLR bounds, exact small-instance norm, and the spiked Wishart limit."""
+"""LDLR bounds, the exact norm by the overlap series and its enumeration
+oracle, and the spiked Wishart limit."""
 
 import math
+import time
 import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from cumlab.hermite import GDistribution
+from cumlab.hermite import G_KINDS, GDistribution
 from cumlab.ldlr import (
-    EXACT_ENUMERATION_BUDGET,
     bound_report,
     ldlr_asymptotics,
-    ldlr_exact_small_log,
     ldlr_lower_log,
+    ldlr_norm_log,
     ldlr_upper_log,
-    ldlr_wishart_limit,
     t_coeff,
 )
-from oracles import ldlr_exact_spike_average_log
+from oracles import (
+    EXACT_ENUMERATION_BUDGET,
+    enumeration_count,
+    ldlr_exact_small_log,
+    ldlr_exact_spike_average_log,
+    ldlr_norm_fraction,
+    ldlr_wishart_limit,
+)
 
 RADEM = GDistribution.from_kind("rademacher")
 UNIF = GDistribution.from_kind("uniform")
@@ -183,14 +191,85 @@ def test_wishart_limit_threshold_location():
 
 
 def test_bound_report_metrics():
-    rep = bound_report(2, 3, 8, 10.0, RADEM, exact=True)
+    rep = bound_report(2, 4, 8, 10.0, RADEM)
     assert list(rep) == ["log_lower", "log_upper", "log_exact", "asym_lower", "asym_upper"]
     assert rep["log_lower"] <= rep["log_exact"] <= rep["log_upper"]
-    assert rep["log_exact"] == ldlr_exact_small_log(2, 3, 8, 10.0, RADEM)
-    assert (rep["asym_lower"], rep["asym_upper"]) == ldlr_asymptotics(2, 3, 8, 10.0, -2.0, 1.0)
-    # undefined metrics are left out: no exact norm unless asked, no
-    # asymptotic form below D = 4
-    assert list(bound_report(2, 3, 3, 10.0, RADEM, exact=False)) == ["log_lower", "log_upper"]
+    assert rep["log_exact"] == ldlr_norm_log(2, 4, 8, 10.0, RADEM)
+    assert rep["log_exact"] == pytest.approx(ldlr_exact_small_log(2, 4, 8, 10.0, RADEM), abs=1e-13)
+    assert (rep["asym_lower"], rep["asym_upper"]) == ldlr_asymptotics(2, 4, 8, 10.0, -2.0, 1.0)
+    # undefined metrics are left out: no asymptotic form below D = 4, no
+    # upper bound below d = floor(D/2)
+    assert list(bound_report(2, 3, 3, 10.0, RADEM)) == ["log_lower", "log_upper", "log_exact"]
+    assert list(bound_report(2, 3, 8, 10.0, RADEM)) == [
+        "log_lower", "log_exact", "asym_lower", "asym_upper"]
+
+
+# the grid of the enumeration check: every instance of it that the oracle
+# visits in at most 30,000 multi-indices
+ORACLE_GRID = [(g, beta, n, d, D) for g in map(GDistribution, G_KINDS) for beta in (0.0, 0.5, 10.0)
+               for n in (1, 2, 5, 20) for d in range(1, 7) for D in (4, 8, 12, 16)
+               if enumeration_count(n, d, D) <= 30_000]
+
+
+def test_norm_matches_the_enumeration_oracle():
+    assert len(ORACLE_GRID) == 684
+    worst = max(abs(ldlr_norm_log(n, d, D, beta, g) - ldlr_exact_small_log(n, d, D, beta, g))
+                for g, beta, n, d, D in ORACLE_GRID)
+    assert worst <= 1e-13
+
+
+def test_norm_matches_exact_rational_arithmetic():
+    # at beta = 1/2 the series is rational: T_m^2 = 3^-m E[h_m(g)]^2
+    exact = ldlr_norm_fraction(20, 4, 16, Fraction(1, 2), RADEM)
+    assert math.log1p(float(exact - 1)) == 0.008046380027193904
+    assert abs(ldlr_norm_log(20, 4, 16, 0.5, RADEM) - 0.008046380027193904) <= 1e-15
+    # out of the oracle's reach: large n and d, where the log-gamma weights
+    # of the overlap law carry about 1e-12 of absolute error at d = 1000
+    for n, d, D in ((10**6, 50, 24), (10**10, 300, 20), (10**9, 1000, 12)):
+        for g in (RADEM, UNIF):
+            want = math.log(ldlr_norm_fraction(n, d, D, Fraction(10), g))
+            assert ldlr_norm_log(n, d, D, 10.0, g) == pytest.approx(want, rel=1e-13), (n, d, D)
+
+
+def test_norm_is_exactly_one_at_the_null():
+    for n, d, D in ((1, 1, 4), (20, 6, 16), (10**9, 10**4, 95)):
+        assert ldlr_norm_log(n, d, D, 10.0, GAUSS) == 0.0
+        for g in (RADEM, UNIF):
+            assert ldlr_norm_log(n, d, D, 0.0, g) == 0.0
+            for low in range(4):
+                assert ldlr_norm_log(n, d, low, 10.0, g) == 0.0
+    assert ldlr_norm_log(0, 5, 12, 10.0, RADEM) == 0.0  # no sample: the norm is 1
+
+
+def test_norm_at_the_largest_auto_degree_is_fast():
+    start = time.perf_counter()
+    value = ldlr_norm_log(10**9, 10**6, 95, 10.0, RADEM)
+    assert time.perf_counter() - start < 2.0
+    assert 0.0 < value < 1e-3
+
+
+def test_upper_is_a_bound_wherever_it_is_reported():
+    # below d = floor(D/2) ldlr_upper_log drops degrees the norm keeps: at
+    # this point the exact log norm is 31.75 and the formula gives 16.28
+    assert ldlr_norm_log(10**6, 3, 12, 10.0, RADEM) > ldlr_upper_log(10**6, 3, 12, 10.0, RADEM)
+    rng = np.random.default_rng(20)
+    points = [(10**6, 3, 12, 10.0, RADEM)]
+    while len(points) < 80:
+        n = int(10 ** rng.uniform(0, 10))
+        d = int(10 ** rng.uniform(0, 4))
+        auto = math.ceil(math.log(max(n, 2)) ** 1.5)
+        D = auto if rng.random() < 0.5 else int(rng.integers(0, min(4 * n, 40) + 1))
+        if D // 4 <= n:
+            points.append((n, d, D, float(rng.uniform(0.1, 30.0)), (RADEM, UNIF)[len(points) % 2]))
+    written = 0
+    for n, d, D, beta, g in points:
+        rep = bound_report(n, d, D, beta, g)
+        assert ("log_upper" in rep) == (d >= D // 2), (n, d, D)
+        assert rep["log_lower"] <= rep["log_exact"], (n, d, D, beta, g.kind)
+        if "log_upper" in rep:
+            written += 1
+            assert rep["log_exact"] <= rep["log_upper"], (n, d, D, beta, g.kind)
+    assert written >= 20 and len(points) - written >= 20
 
 
 @pytest.mark.parametrize("g", [RADEM, UNIF, GAUSS], ids=lambda g: g.kind)
@@ -203,3 +282,4 @@ def test_beta_zero_gives_the_null_norm_without_warnings(g):
         assert ldlr_upper_log(10, 3, 8, 0.0, g) == 0.0
         assert ldlr_asymptotics(10, 3, 8, 0.0, g.kappa4, g.lambda_growth) == (-np.inf, 0.0)
         assert ldlr_exact_small_log(2, 3, 8, 0.0, g) == 0.0
+        assert ldlr_norm_log(2, 3, 8, 0.0, g) == 0.0
