@@ -254,7 +254,7 @@ def _ldlr_points(v: dict) -> list[tuple]:
     # "auto" is the degree schedule D(n) = ceil(log^1.5 n), the sweep default;
     # it never gives floor(D/4) > n
     points = [(d, n, D, beta) for d in v["d"] for n in v["n"]
-              for D in ([int(np.ceil(np.log(max(n, 2)) ** 1.5))] if v["D"] == "auto" else v["D"])
+              for D in ([math.ceil(math.log(max(n, 2)) ** 1.5)] if v["D"] == "auto" else v["D"])
               for beta in v["beta"]]
     for d, n, D, beta in points:
         if D // 4 > n:

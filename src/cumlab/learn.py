@@ -96,25 +96,26 @@ class DivergenceError(RuntimeError):
 _MAX_SUM_SQ = math.sqrt(sys.float_info.max)
 
 
-def _unit_rows(W: np.ndarray) -> np.ndarray:
-    """W with each row divided by its largest absolute entry."""
-    return W / np.max(np.abs(W), axis=-1, keepdims=True)
+def ipr(w: np.ndarray) -> float | np.ndarray:
+    """Inverse participation ratio sum w_i^4 / (sum w_i^2)^2, in [1/d, 1], of a
+    vector, or of each row of a matrix.
 
-
-def ipr(w: np.ndarray) -> float:
-    """Inverse participation ratio sum w_i^4 / (sum w_i^2)^2, in [1/d, 1].
-
-    The ratio is scale-invariant; a vector whose powers would overflow is
-    rescaled first, and any other keeps the bits of the plain formula.
+    The ratio is scale-invariant; a row whose powers would overflow is first
+    divided by its largest absolute entry, and any other keeps the bits of the
+    plain formula, so a row's IPR does not depend on the rows beside it.
     """
     w = np.asarray(w, dtype=np.float64)
-    s2 = float(w @ w)
-    if s2 == 0.0:
+    sq = w * w
+    s2 = np.sum(sq, axis=-1)
+    if np.any(s2 == 0.0):
         raise ValueError("IPR of the zero vector is undefined")
-    if s2 > _MAX_SUM_SQ:
-        w = _unit_rows(w)
-        s2 = float(w @ w)
-    return float(np.sum(w**4) / s2**2)
+    big = s2 > _MAX_SUM_SQ
+    if np.any(big):
+        w = np.where(big[..., None], w / np.max(np.abs(w), axis=-1, keepdims=True), w)
+        sq = w * w
+        s2 = np.sum(sq, axis=-1)
+    out = np.sum(sq * sq, axis=-1) / (s2 * s2)
+    return float(out) if out.ndim == 0 else out
 
 
 def max_spike_overlap(W: np.ndarray, u: np.ndarray) -> float:
@@ -130,25 +131,9 @@ def max_spike_overlap(W: np.ndarray, u: np.ndarray) -> float:
 
 
 def _max_ipr(W: np.ndarray) -> float:
-    """max of ``ipr`` over the nonzero rows of W; nan if every row is zero.
-
-    A vectorised screen picks the rows within 1e-9 of its maximum, and only
-    those are rescored by ``ipr``: the screen's row sums may differ from
-    ``ipr``'s in the last bit, so it may select but never decide.
-    """
+    """max of ``ipr`` over the nonzero rows of W; nan if every row is zero."""
     rows = W[np.any(W, axis=1)]
-    if rows.shape[0] == 0:
-        return float("nan")
-    sq = rows * rows
-    s2 = np.sum(sq, axis=1)
-    if s2.max() > _MAX_SUM_SQ:  # huge but finite weights: rescale those rows
-        big = s2 > _MAX_SUM_SQ
-        rows[big] = _unit_rows(rows[big])
-        sq = rows * rows
-        s2 = np.sum(sq, axis=1)
-    screen = np.sum(sq * sq, axis=1) / s2**2
-    near = np.flatnonzero(screen >= screen.max() - 1e-9)
-    return max(ipr(rows[k]) for k in near)
+    return float(ipr(rows).max()) if len(rows) else float("nan")
 
 
 def train_2lnn(

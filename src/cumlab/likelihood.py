@@ -34,13 +34,6 @@ from . import _special
 from .hermite import RADEMACHER, STANDARD_GAUSSIAN, GDistribution, uniform_rule
 
 
-def log_binom(n, k) -> np.ndarray:
-    """log C(n, k), n >= k >= 0, via log-gamma; reaches d = 1e4 without factorial tables."""
-    n, k = np.asarray(n, dtype=np.float64), np.asarray(k, dtype=np.float64)
-    lgam = np.vectorize(_special.gammaln, otypes=[np.float64])
-    return lgam(n + 1.0) - lgam(k + 1.0) - lgam(n - k + 1.0)
-
-
 def _f_quadrature(beta: float, lam: np.ndarray, nodes, weights) -> np.ndarray:
     a = 1.0 + beta
     dn = a * a - (beta * lam) ** 2
@@ -93,7 +86,7 @@ def overlap_law(d: int) -> tuple[np.ndarray, np.ndarray]:
     """The law of the overlap lambda = <u, u'>/d of two independent spikes:
     its d + 1 values 2j/d - 1 and their log weights log(C(d, j) 2^-d)."""
     lam = 2.0 * np.arange(d + 1) / d - 1.0
-    # log_binom(d, j) from the d + 1 values log j!, where log_binom itself makes 3(d + 1) calls
+    # log C(d, j) from the d + 1 values log j!: d! is too large an integer to build at d = 1e6
     lgam = np.array([_special.gammaln(i + 1.0) for i in range(d + 1)])
     return lam, lgam[d] - lgam - lgam[::-1] - d * np.log(2.0)
 

@@ -337,6 +337,21 @@ def test_generate_round_trip(tmp_path):
     assert sorted(os.listdir(out)) == ["manifest.json", "rows_written.csv", "toy.bin", "toy.csv"]
 
 
+@pytest.mark.parametrize("n, D", [(2**64, "auto"), (10**30, [12])], ids=["2^64-auto", "1e30"])
+def test_ldlr_bounds_past_the_uint64_range(tmp_path, n, D):
+    # numpy's log refuses a Python int past 2^64; the run takes any n
+    cfg = write_config(tmp_path, "cfg.json", {"experiment": "ldlr-bounds", "seed": 1, "d": [16],
+                                              "n": [n], "D": D, "beta": [10.0]})
+    out = str(tmp_path / "big")
+    assert run_cli(["ldlr-bounds", "--config", cfg, "--out", out]) == 0
+    with open(os.path.join(out, "ldlr_bounds.csv")) as fh:
+        (row,) = csv.DictReader(fh)
+    assert int(row["n"]) == n
+    assert float(row["log_lower"]) <= float(row["log_exact"])
+    if row["log_upper"]:
+        assert float(row["log_exact"]) <= float(row["log_upper"])
+
+
 def test_ldlr_bounds_csv_and_plotdata(tmp_path):
     cfg = write_config(
         tmp_path,

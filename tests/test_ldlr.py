@@ -129,6 +129,26 @@ def test_sandwich_small_instances():
                         assert ex <= up + 1e-12, (g.kind, beta, n, d, D)
 
 
+def test_sandwich_holds_at_large_n():
+    # from n = 1e15 a difference of log-gamma values for log C(n, k) cancels
+    # to the wrong order: the bounds need the exact integer binomials
+    for e in range(15, 19):
+        rep = bound_report(10**e, 16, 16, 10.0, RADEM)
+        assert rep["log_lower"] <= rep["log_exact"] <= rep["log_upper"], e
+
+
+def test_lower_equals_its_exact_rational_sum_at_large_n():
+    # sum_m C(n, m) C(d+1, 2)^m q^m, q = (beta^2 kappa4)^2 / (24 d^4 (1+beta)^4),
+    # summed in rationals and rounded once
+    d, D, beta = 16, 16, Fraction(10)
+    q = (beta**2 * Fraction(RADEM.kappa4)) ** 2 / (24 * d**4 * (1 + beta) ** 4)
+    for e in range(10, 19):
+        n = 10**e
+        exact = sum(math.comb(n, m) * (math.comb(d + 1, 2) * q) ** m for m in range(D // 4 + 1))
+        got = ldlr_lower_log(n, d, D, 10.0, RADEM.kappa4)
+        assert got == pytest.approx(math.log(exact), rel=1e-15, abs=0.0), e
+
+
 def test_asymptotics_single_term_reduction():
     # D=4, n=d^2: the lower form is exactly (beta^2 kappa4/(1+beta)^2)^2
     d, beta = 50, 10.0

@@ -40,7 +40,8 @@ def scalar_max_ipr(W):
 
 @pytest.mark.parametrize("d", [8, 30, 64])
 def test_screened_max_ipr_equals_scalar_max(d):
-    # the vectorised screen only selects rows; the value is always ipr's
+    # ipr of a matrix gives each row the bits of ipr of that row alone, so
+    # the per-epoch maximum is the maximum of the per-row values
     rng = np.random.default_rng(d)
     base = rng.standard_normal(d)
     cases = [rng.standard_normal((150, d)) for _ in range(20)]
@@ -51,8 +52,13 @@ def test_screened_max_ipr_equals_scalar_max(d):
     with_zeros = rng.standard_normal((150, d))
     with_zeros[rng.choice(150, 40, replace=False)] = 0.0
     cases.append(with_zeros)
+    huge = rng.standard_normal((150, d))
+    huge[::7] *= 1e120
+    cases.append(huge)
     for W in cases:
         assert learn._max_ipr(W) == scalar_max_ipr(W)
+        rows = W[np.any(W, axis=1)]
+        assert learn.ipr(rows).tolist() == [learn.ipr(w) for w in rows]
     assert np.isnan(learn._max_ipr(np.zeros((5, d))))
 
 
@@ -65,7 +71,7 @@ def test_ipr_of_huge_but_finite_weights():
     assert learn._max_ipr(np.array([[1e100, 2e100, 0.0], [1.0, 0.0, 0.0]])) == 1.0
     assert learn._max_ipr(np.array([[1e100, 2e100, 0.0], [1.0, 1.0, 1.0]])) == pytest.approx(
         want, rel=1e-15)
-    # the rows the screen leaves alone keep their bits
+    # the rows that are not rescaled keep their bits
     rng = np.random.default_rng(6)
     W = rng.standard_normal((50, 8))
     W[3] *= 1e120

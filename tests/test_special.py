@@ -1,8 +1,6 @@
 """cumlab's special functions against scipy.special, their oracle."""
 
-import json
 import math
-import os
 
 import numpy as np
 import pytest
@@ -10,8 +8,6 @@ from scipy import special
 
 from cumlab import _special, likelihood
 from cumlab.hermite import GDistribution
-
-ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 
 def same_bits(got, want):
@@ -38,19 +34,10 @@ def test_gammaln_equals_scipy_on_reals():
 
 
 def test_gammaln_refuses_outside_its_port():
-    # log_binom needs x >= 1 only; Cephes gives inf past 2.556348e305
+    # overlap_law needs x >= 1 only; Cephes gives inf past 2.556348e305
     for x in (0.999, 0.0, -3.0, float("nan"), 3e305, float("inf")):
         with pytest.raises(ValueError, match="ported for 1 <= x <= 2.556348e305"):
             _special.gammaln(x)
-
-
-def test_log_binom_rows_of_the_shipped_lr_curve_equal_scipy():
-    with open(os.path.join(ROOT, "configs", "lr_curve.json")) as fh:
-        dims = json.load(fh)["d"]
-    for d in dims:
-        j = np.arange(d + 1, dtype=np.float64)
-        want = special.gammaln(d + 1.0) - special.gammaln(j + 1.0) - special.gammaln(d - j + 1.0)
-        assert np.array_equal(likelihood.log_binom(d, j).view(np.int64), want.view(np.int64)), d
 
 
 def test_lr_norm_equals_its_scipy_form():
