@@ -81,19 +81,18 @@ def search_best_code(X, scale, terms, block: int = 2048):
 
 # ---------------------------------------------------------------------------
 # One epoch of minibatch SGD on the two-layer ReLU network (squared loss on
-# +-1 labels, L2 decay on the weight matrices).  The update order over
+# real targets, L2 decay on the weight matrices).  The update order over
 # batches is part of the determinism contract: the epoch consumes a
 # precomputed permutation and touches parameters in a fixed sequence.
 # ---------------------------------------------------------------------------
 
 
-def sgd_epoch(W, bias, v, out_bias, X, y, order, batch_size, lr, wd, alpha=1.0, frozen=None):
-    """One pass over `order` in minibatches; updates W, bias, v in place.
+def sgd_epoch(W, bias, v, out_bias, X, y, order, batch_size, lr, wd):
+    """One pass over `order` in minibatches on the loss (phi(x) - y)^2;
+    updates W, bias, v in place and returns the updated output bias.
 
-    Returns the updated output bias.  With `frozen`, a function giving the
-    frozen initial network's outputs on a batch (e.g. ``net0.forward``), the
-    model output is the centred-scaled alpha * (phi(x) - frozen(x)) and the
-    loss is rescaled by 1/alpha^2; without it alpha must stay 1.
+    The targets `y` are real: the +-1 labels for a plain run, shifted ones
+    for a lazy run (see ``learn.train_2lnn``).
     """
     n = X.shape[0]
     c = out_bias
@@ -105,10 +104,7 @@ def sgd_epoch(W, bias, v, out_bias, X, y, order, batch_size, lr, wd, alpha=1.0, 
         A = Xb @ W.T + bias
         R = np.maximum(A, 0.0)
         out = R @ v + c
-        if frozen is not None:
-            out = alpha * (out - frozen(Xb))
-        # d loss / d phi = 2 (out - y) / (batch alpha^2) * alpha
-        gout = 2.0 * (out - yb) / (len(yb) * alpha)
+        gout = 2.0 * (out - yb) / len(yb)
         gv = R.T @ gout
         gc = gout.sum()
         GR = gout[:, None] * v[None, :]

@@ -245,8 +245,6 @@ def _counted_points(points, least: int = 0) -> list[tuple]:
 def _run_lr_point(p: dict, point_seed: int, out: Callable[[str], str]) -> dict:
     g = GDistribution.from_kind(p["g"])
     log_norm = likelihood.lr_norm_sq_log(_sample_count(p["d"], p["theta"]), p["d"], p["beta"], g)
-    if p["log10"]:  # display option; internals stay in natural log
-        log_norm /= np.log(10.0)
     return {"log_lr_norm_sq": log_norm, "gamma_beta": likelihood.gamma_beta(p["beta"], g)}
 
 
@@ -386,7 +384,6 @@ EXPERIMENTS = {
             "theta": Key(float, grid=True),
             "beta": Key(float, grid=True, check=_at_least(0)),
             "g": _G,
-            "log10": Key(bool, False),
         },
         coords=("d", "theta", "beta"), run=_run_lr_point,
         points=lambda v: _counted_points(itertools.product(v["d"], v["theta"], v["beta"]))),

@@ -1,7 +1,7 @@
 """Two-layer ReLU network, random-features ridge, and diagnostics.
 
 The network is phi(x) = v . relu(W x + b) + c, trained by minibatch SGD on
-the squared loss (phi - y)^2 against +-1 labels, with L2 weight decay on
+the squared loss (phi - y)^2 against +-1 labels y, with L2 weight decay on
 both weight matrices (biases are not decayed).  Hidden and output biases
 are included: without them the network is positively homogeneous, its
 decision is a function of x/|x| only, and the even-in-projection structure
@@ -9,12 +9,15 @@ of the whitened cumulant class caps its accuracy near chance regardless of
 spike recovery.
 
 Lazy training follows the centred alpha-scaling: for alpha > 1 the model
-output is alpha * (phi_theta(x) - phi_theta0(x)) with theta0 frozen at
-initialisation and the loss rescaled by 1/alpha^2; alpha = 1 trains the
-plain network.  ``TwoLayerNet.forward`` is the one forward pass: it gives
-the per-epoch test outputs and the frozen network's outputs alike.
+output is alpha * (phi_theta(x) - phi_theta0(x)) with theta0 the initial
+parameters and the loss rescaled by 1/alpha^2; alpha = 1 trains the plain
+network.  As (1/alpha^2)(alpha (phi - phi0) - y)^2 = (phi - (y/alpha + phi0))^2,
+a lazy run is a plain run on the shifted targets y/alpha + phi0(x), with the
+same gradient in every parameter, so one SGD epoch serves every alpha.
+``TwoLayerNet.forward`` is the one forward pass: it gives the per-epoch test
+outputs and the initial network's outputs alike.
 
-Random features are the frozen-first-layer ablation: the same ReLU and the
+Random features are the fixed-first-layer ablation: the same ReLU and the
 same N(0, 1/d) first-layer law, with a ridge readout at regulariser 0.1
 solved through the normal equations by numpy's LAPACK solver.  The module
 imports no scipy: scipy.linalg loads a second OpenBLAS with its own thread
@@ -51,9 +54,6 @@ class TwoLayerNet:
         out = h @ self.v
         out += self.c
         return out
-
-    def copy(self) -> "TwoLayerNet":
-        return TwoLayerNet(self.W.copy(), self.b.copy(), self.v.copy(), self.c)
 
 
 def init_network(d: int, width: int, rng: np.random.Generator) -> TwoLayerNet:
@@ -92,7 +92,8 @@ class DivergenceError(RuntimeError):
         self.epoch = epoch
 
 
-# the largest sum of squares whose square is finite
+# the sums of squares whose squares are finite and normal
+_MIN_SUM_SQ = math.sqrt(sys.float_info.min)
 _MAX_SUM_SQ = math.sqrt(sys.float_info.max)
 
 
@@ -100,18 +101,19 @@ def ipr(w: np.ndarray) -> float | np.ndarray:
     """Inverse participation ratio sum w_i^4 / (sum w_i^2)^2, in [1/d, 1], of a
     vector, or of each row of a matrix.
 
-    The ratio is scale-invariant; a row whose powers would overflow is first
-    divided by its largest absolute entry, and any other keeps the bits of the
-    plain formula, so a row's IPR does not depend on the rows beside it.
+    The ratio is scale-invariant; a row whose powers would overflow or
+    underflow is first divided by its largest absolute entry, and any other
+    keeps the bits of the plain formula, so a row's IPR does not depend on the
+    rows beside it.
     """
     w = np.asarray(w, dtype=np.float64)
+    if not np.all(np.any(w, axis=-1)):
+        raise ValueError("IPR of the zero vector is undefined")
     sq = w * w
     s2 = np.sum(sq, axis=-1)
-    if np.any(s2 == 0.0):
-        raise ValueError("IPR of the zero vector is undefined")
-    big = s2 > _MAX_SUM_SQ
-    if np.any(big):
-        w = np.where(big[..., None], w / np.max(np.abs(w), axis=-1, keepdims=True), w)
+    odd = (s2 < _MIN_SUM_SQ) | (s2 > _MAX_SUM_SQ)
+    if np.any(odd):
+        w = np.where(odd[..., None], w / np.max(np.abs(w), axis=-1, keepdims=True), w)
         sq = w * w
         s2 = np.sum(sq, axis=-1)
     out = np.sum(sq * sq, axis=-1) / (s2 * s2)
@@ -147,10 +149,11 @@ def train_2lnn(
     The initial network and the batch order of every epoch come from
     ``generator(cfg.seed, "train2lnn")``, so a (data, cfg) pair reproduces
     the report bit-for-bit.  Every alpha trains through
-    ``_kernels.sgd_epoch``; for alpha > 1 the frozen initial network is
-    subtracted batch by batch, and its test outputs are computed once per
-    call.  An epoch's test accuracy is the sign readout of ``forward``, of
-    alpha * (phi - phi0) when alpha > 1.
+    ``_kernels.sgd_epoch``: alpha = 1 on the labels y themselves, alpha > 1
+    on the targets y/alpha + phi0(x), computed once per call from the
+    initial network phi0.  An epoch's test accuracy is the sign readout of
+    phi at alpha = 1 and of phi - phi0 at alpha > 1, which has the sign of
+    the centred-scaled output alpha * (phi - phi0).
     Overlap diagnostics need the true spike u; pass None (e.g. NLGP task)
     to skip them.
     """
@@ -159,24 +162,22 @@ def train_2lnn(
     rng = generator(cfg.seed, "train2lnn")
     d = train.d
     net = init_network(d, cfg.width_factor * d, rng)
-    net0 = net.copy()
     alpha = cfg.alpha_lazy
-    frozen = None if alpha == 1.0 else net0.forward
     X, y = train.values, train.labels
     n = X.shape[0]
-    frozen_out = None if alpha == 1.0 else net0.forward(test.values)
+    test_offset = 0.0
+    if alpha != 1.0:
+        y = y / alpha + net.forward(X)
+        test_offset = net.forward(test.values)
     report = TrainReport()
     for epoch in range(cfg.epochs):
         net.c = _kernels.sgd_epoch(
             net.W, net.b, net.v, net.c, X, y, rng.permutation(n),
             cfg.batch_size, cfg.learning_rate, cfg.weight_decay,
-            alpha=alpha, frozen=frozen,
         )
         if not (np.all(np.isfinite(net.W)) and np.all(np.isfinite(net.v))):
             raise DivergenceError(epoch)
-        out = net.forward(test.values)
-        if frozen_out is not None:
-            out = alpha * (out - frozen_out)
+        out = net.forward(test.values) - test_offset
         report.test_acc.append(float(np.mean(np.sign(out) == test.labels)))
         report.overlap_trajectory.append(
             max_spike_overlap(net.W, u) if u is not None else float("nan")

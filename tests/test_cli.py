@@ -849,7 +849,7 @@ def test_every_subcommand_runs_without_scipy(tmp_path, experiment):
      "missing config key 'beta'"),
     ("nlgp-localisation", dict(NLGP_CFG, xi="1"), "'xi' has value '1'"),
     ("nlgp-localisation", dict(NLGP_CFG, periodic=1), "'periodic' has value 1"),
-    ("lr-curve", dict(LR_CFG, log10="yes"), "'log10' has value 'yes'"),
+    ("lr-curve", dict(LR_CFG, log10="yes"), "unknown config key 'log10'"),
     ("ldlr-bounds", dict(LDLR_CFG, exact=True), "unknown config key 'exact'"),
     ("train-sweep", dict(TINY_TRAIN_CFG, rf_ridge=0), "'rf_ridge' has value 0.0, expected > 0"),
     ("train-sweep", dict(TINY_TRAIN_CFG, rf_ridge=-1.0),

@@ -1,5 +1,7 @@
 """Network training, random features, and the overlap/IPR diagnostics."""
 
+import copy
+
 import numpy as np
 import pytest
 
@@ -55,11 +57,22 @@ def test_screened_max_ipr_equals_scalar_max(d):
     huge = rng.standard_normal((150, d))
     huge[::7] *= 1e120
     cases.append(huge)
+    # sums of squares below sqrt(float min) and squares that underflow to 0
+    tiny = rng.standard_normal((150, d))
+    tiny[::5] *= 1e-100
+    tiny[1::5] *= 1e-170
+    cases.append(tiny)
     for W in cases:
         assert learn._max_ipr(W) == scalar_max_ipr(W)
         rows = W[np.any(W, axis=1)]
         assert learn.ipr(rows).tolist() == [learn.ipr(w) for w in rows]
+    np.testing.assert_allclose(learn.ipr(tiny[::5]), learn.ipr(tiny[::5] * 1e100), rtol=1e-14)
+    np.testing.assert_allclose(learn.ipr(tiny[1::5]), learn.ipr(tiny[1::5] * 1e170), rtol=1e-14)
     assert np.isnan(learn._max_ipr(np.zeros((5, d))))
+    assert learn.ipr(np.array([1e-100, 2e-100])) == pytest.approx(0.68, rel=1e-15)
+    assert learn.ipr(np.array([1e-170, 1e-170])) == 0.5
+    assert learn._max_ipr(np.array([[1e-100, 2e-100], [1.0, 1.0]])) == pytest.approx(
+        0.68, rel=1e-15)
 
 
 def test_ipr_of_huge_but_finite_weights():
@@ -155,8 +168,8 @@ def test_divergence_aborts_with_epoch():
 
 def test_centred_forward_and_alpha_scaling():
     # each epoch's test accuracy is the sign readout of the plain network at
-    # alpha = 1 and of alpha * (phi - phi0) against the frozen initial
-    # network otherwise, exactly as net.forward computes them
+    # alpha = 1 and of phi - phi0 against the initial network otherwise
+    # (the sign of alpha * (phi - phi0)), exactly as net.forward computes them
     data, u = wishart_data(8, 60, 5.0, seed=19)
     test, _ = wishart_data(8, 200, 5.0, seed=20)
     for alpha in (1.0, 10.0):
@@ -165,19 +178,20 @@ def test_centred_forward_and_alpha_scaling():
         net0 = learn.init_network(8, cfg.width_factor * 8, generator(cfg.seed, "train2lnn"))
         out = net.forward(test.values)
         if alpha != 1.0:
-            out = alpha * (out - net0.forward(test.values))
+            out = out - net0.forward(test.values)
         assert rep.test_acc[-1] == float(np.mean(np.sign(out) == test.labels))
 
 
 @pytest.mark.parametrize("alpha", [1.0, 10.0])
 def test_forward_is_bit_equal_to_one_expression(alpha):
     # forward works in the one (n, m) array of the first layer, and gives
-    # the bits of the expression written out in full, centred-scaled too
+    # the bits of the expression written out in full, in the lazy run's
+    # centred readout phi - phi0 too
     rng = generator(21, "forward")
     d, m = 32, 160
     X = rng.standard_normal((4000, d))
     net0 = learn.init_network(d, m, rng)
-    net = net0.copy()
+    net = copy.deepcopy(net0)
     net.W += 0.1 * rng.standard_normal(net.W.shape)
     net.b = 0.1 * rng.standard_normal(m)
     net.c = float(rng.standard_normal())
@@ -187,25 +201,27 @@ def test_forward_is_bit_equal_to_one_expression(alpha):
 
     out, want = net.forward(X), expression(net)
     if alpha != 1.0:
-        out, want = alpha * (out - net0.forward(X)), alpha * (want - expression(net0))
+        out, want = out - net0.forward(X), want - expression(net0)
     assert np.array_equal(out, want)
 
 
 def test_gradients_match_finite_differences():
     # one full-batch step of the SGD kernel at lr = 1 moves every parameter
-    # by its loss gradient, plus weight decay on W and v
+    # by its loss gradient, plus weight decay on W and v; at alpha 10 the
+    # kernel steps on the shifted targets y/alpha + phi0 and the loss is the
+    # centred alpha^-2 (alpha (phi - phi0) - y)^2, which checks their identity
     rng = generator(77, "fd")
     n, d, m, wd = 12, 5, 8, 0.01
     X = rng.standard_normal((n, d))
     y = np.sign(rng.standard_normal(n))
     for alpha in (1.0, 10.0):
         net = learn.init_network(d, m, rng)
-        net0 = net.copy()
+        net0 = copy.deepcopy(net)
         net.W += 0.05 * rng.standard_normal(net.W.shape)  # move off kinks
-        after = net.copy()
+        after = copy.deepcopy(net)
+        targets = y if alpha == 1.0 else y / alpha + net0.forward(X)
         after.c = _kernels.sgd_epoch(
-            after.W, after.b, after.v, after.c, X, y, np.arange(n), n, 1.0, wd,
-            alpha=alpha, frozen=None if alpha == 1.0 else net0.forward,
+            after.W, after.b, after.v, after.c, X, targets, np.arange(n), n, 1.0, wd,
         )
         eps = 1e-6
 
@@ -218,7 +234,7 @@ def test_gradients_match_finite_differences():
         def fd_grad(key, idx):
             losses = []
             for delta in (eps, -eps):
-                probe = net.copy()
+                probe = copy.deepcopy(net)
                 if key == "c":
                     probe.c += delta
                 else:
@@ -234,6 +250,33 @@ def test_gradients_match_finite_differences():
                 decay = wd * getattr(net, key)[idx] if key in ("W", "v") else 0.0
                 step = getattr(net, key)[idx] - getattr(after, key)[idx]
                 assert step == pytest.approx(fd_grad(key, idx) + decay, rel=1e-5, abs=1e-7)
+
+
+def test_lazy_run_is_plain_sgd_on_shifted_targets():
+    # train_2lnn at alpha 10 is a loop of sgd_epoch on y/alpha + phi0(X) with
+    # the same permutations, and reads out the sign of phi - phi0
+    data, u = wishart_data(8, 60, 5.0, seed=21)
+    test, _ = wishart_data(8, 200, 5.0, seed=22)
+    alpha = 10.0
+    cfg = learn.TrainConfig(alpha_lazy=alpha, epochs=4, batch_size=16, seed=3)
+    rep, net = learn.train_2lnn(data, test, u, cfg)
+    rng = generator(cfg.seed, "train2lnn")
+    ref = learn.init_network(8, cfg.width_factor * 8, rng)
+    net0 = copy.deepcopy(ref)
+    targets = data.labels / alpha + net0.forward(data.values)
+    acc = []
+    for _ in range(cfg.epochs):
+        ref.c = _kernels.sgd_epoch(
+            ref.W, ref.b, ref.v, ref.c, data.values, targets, rng.permutation(len(targets)),
+            cfg.batch_size, cfg.learning_rate, cfg.weight_decay,
+        )
+        out = ref.forward(test.values) - net0.forward(test.values)
+        acc.append(float(np.mean(np.sign(out) == test.labels)))
+    np.testing.assert_array_equal(net.W, ref.W)
+    np.testing.assert_array_equal(net.b, ref.b)
+    np.testing.assert_array_equal(net.v, ref.v)
+    assert net.c == ref.c
+    assert rep.test_acc == acc
 
 
 def test_lazy_alpha_runs_use_centred_path():

@@ -1,5 +1,5 @@
 """Packaging: the third-party modules the package imports are exactly its
-declared runtime dependencies."""
+declared runtime dependencies, and the kernel module stands alone."""
 
 import ast
 import os
@@ -53,3 +53,18 @@ def test_every_declared_dependency_is_imported():
     # does not linger in `dependencies`
     declared, third_party = declared_and_imported()
     assert declared <= third_party, sorted(declared - third_party)
+
+
+def test_kernels_import_no_other_cumlab_module():
+    # the hot loops take everything they need as arguments, so they can be
+    # replaced or stacked without the rest of the package
+    with open(os.path.join(ROOT, "src", "cumlab", "_kernels.py")) as fh:
+        tree = ast.parse(fh.read())
+    inside = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            inside += [a.name for a in node.names if a.name.split(".")[0] == "cumlab"]
+        elif isinstance(node, ast.ImportFrom):
+            if node.level > 0 or (node.module or "").split(".")[0] == "cumlab":
+                inside.append("." * node.level + (node.module or ""))
+    assert not inside, inside
