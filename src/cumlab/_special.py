@@ -1,11 +1,11 @@
-"""The special functions cumlab evaluates, ported from scipy.special so that no subcommand
-imports scipy (0.11 s and 20 MB a process on 2 vCPUs); scipy is the tests' oracle.  Only
-math and numpy are imported here, as `datagen` imports this module in `import cumlab.cli`."""
+"""The special functions cumlab evaluates beyond the standard library's `math.lgamma`: erf,
+a 1-D logsumexp and log_ndtr, ported from scipy.special so that no subcommand imports scipy
+(0.11 s and 20 MB a process on 2 vCPUs); scipy is the tests' oracle.  Only math and numpy
+are imported here, as `datagen` imports this module in `import cumlab.cli`."""
 
 from __future__ import annotations
 
 import math
-from functools import reduce
 
 import numpy as np
 
@@ -58,43 +58,6 @@ def erf(x: np.ndarray) -> None:
             np.divide(p, q, out=p)
             np.copyto(ax, p, where=sq <= 1.0)
             np.copyto(v, ax)
-
-
-# Cephes gamma.c, as scipy.special.gammaln: Stirling's series (A) from 13 on; below, the recurrence
-# Gamma(x+1) = x Gamma(x) down or up to a rational fit on [2, 3) (B/C, C led by p1evl's 1)
-_LGAM_A = (8.11614167470508450300e-4, -5.95061904284301438324e-4, 7.93650340457716943945e-4,
-           -2.77777777730099687205e-3, 8.33333333333331927722e-2)
-_LGAM_B = (-1.37825152569120859100e3, -3.88016315134637840924e4, -3.31612992738871184744e5,
-           -1.16237097492762307383e6, -1.72173700820839662146e6, -8.53555664245765465627e5)
-_LGAM_C = (1.0, -3.51815701436523470549e2, -1.70642106651881159223e4, -2.20528590553854454839e5,
-           -1.13933444367982507207e6, -2.53252307177582951285e6, -2.01889141433532773231e6)
-
-
-def gammaln(x: float) -> float:
-    """log Gamma(x) of a float 1 <= x <= 2.556348e305, scipy.special.gammaln bit for bit:
-    libm's log through `math.log`, as numpy's SIMD log may differ in the last bit."""
-    if not 1.0 <= x <= 2.556348e305:
-        raise ValueError(f"gammaln is ported for 1 <= x <= 2.556348e305 only, got {x!r}")
-    if x >= 13.0:
-        q = (x - 0.5) * math.log(x) - x + 0.91893853320467274178  # + log(sqrt(2 pi))
-        if x > 1.0e8:
-            return q
-        p = 1.0 / (x * x)
-        if x >= 1000.0:
-            return q + ((7.9365079365079365079365e-4 * p - 2.7777777777777777777778e-3) * p
-                        + 0.0833333333333333333333) / x
-        return q + reduce(lambda acc, c: acc * p + c, _LGAM_A) / x
-    z, p = 1.0, 0.0
-    while x + p >= 3.0:
-        p -= 1.0
-        z *= x + p
-    if x < 2.0:
-        z, p = 1.0 / x, 1.0
-    if x + p == 2.0:
-        return math.log(z)
-    x = x + (p - 2.0)
-    return math.log(z) + (x * reduce(lambda acc, c: acc * x + c, _LGAM_B)
-                          / reduce(lambda acc, c: acc * x + c, _LGAM_C))
 
 
 def logsumexp(a) -> float:

@@ -320,9 +320,12 @@ def read_binary(path) -> DataMatrix:
         if len(header) < 8:
             raise ValueError(f"{path}: truncated file, no n and d after the magic")
         n, d = struct.unpack("<II", header)
+        short = ValueError(f"{path}: truncated file, shorter than its header's n = {n}, d = {d}")
+        # checked before allocating, so that a corrupt header cannot ask for terabytes
+        if os.fstat(fh.fileno()).st_size < 16 + 8 * n * (d + 1):
+            raise short
         labels, values = np.empty(n, dtype="<f8"), np.empty((n, d), dtype="<f8")
         for arr in (labels, values):
             if fh.readinto(arr) < arr.nbytes:
-                raise ValueError(f"{path}: truncated file, shorter than its header's "
-                                 f"n = {n}, d = {d}")
+                raise short
     return DataMatrix(values=values, labels=labels)

@@ -112,7 +112,8 @@ class GDistribution:
 @cache
 def uniform_rule() -> tuple[np.ndarray, np.ndarray]:
     """Nodes and weights (g_i, w_i) with E[F(g)] ~= sum_i w_i F(g_i) for
-    Uniform(-sqrt 3, sqrt 3) g, read-only: `likelihood.f_overlap`'s rule.
+    Uniform(-sqrt 3, sqrt 3) g, read-only: the rule over whose tensor
+    product `likelihood.f_overlap` sums f for Uniform g.
 
     The QUADRATURE_NODES-node Gauss-Legendre rule on the support, built on
     first use, so that `import cumlab.cli` does not load numpy.polynomial.

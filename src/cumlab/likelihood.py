@@ -6,8 +6,11 @@ so the d-term sum
 
     ||L_{n,d}||^2 = sum_j C(d,j) 2^(-d) f(beta, 2j/d - 1)^n
 
-is evaluated as a log-sum-exp with log-gamma binomial weights (exact
-enough out to d = 1e4 and n = 1e9, since n enters only multiplicatively).
+is evaluated as a log-sum-exp.  The log binomial weights come from
+`math.lgamma` and are rescaled to sum to 1, so the rounding of log d!
+cancels.  Against a 40-digit reference at n = d and beta = 10, the log
+norm is within 5e-13 relative at d = 1e3, 1.5e-10 at d = 1e5 and 1.4e-9
+at d = 1e6 (where it is 3.4e-7); what is left is the rounding of log j!.
 
 The replica-overlap function itself is
 
@@ -16,9 +19,9 @@ The replica-overlap function itself is
                     + (g_u^2+g_v^2)/2) ],
     pref = (1+beta)/sqrt((1+beta)^2 - beta^2 lam^2),
 
-reduced to a two-term sum for Rademacher g (only the product g_u g_v
-enters) and to the tensor product of the Gauss-Legendre rule
-`uniform_rule()` for Uniform g.  For standard normal g it is exactly 1:
+summed over the tensor product of a finite rule for g: the two atoms
++-1 of Rademacher g, exact, and the Gauss-Legendre rule `uniform_rule()`
+for Uniform g.  For standard normal g it is exactly 1:
 the whitened Gaussian model is the null.  The per-sample score
 `loglik_terms` has a closed form for every law.
 The critical ratio `gamma_beta` is log f(beta, 1) / log 2, a float.
@@ -34,20 +37,25 @@ from . import _special
 from .hermite import RADEMACHER, STANDARD_GAUSSIAN, GDistribution, uniform_rule
 
 
+# Rademacher g's law, exactly: atoms +-1 with weight 1/2 each
+_RADEMACHER_ATOMS = (np.array([-1.0, 1.0]), np.array([0.5, 0.5]))
+
+
 def _f_quadrature(beta: float, lam: np.ndarray, nodes, weights) -> np.ndarray:
+    """f(beta, lam) of a 1-D lam by the tensor product of the rule (nodes, weights),
+    over blocks of overlaps whose (block, nodes, nodes) arrays hold about 1 MB each."""
     a = 1.0 + beta
-    dn = a * a - (beta * lam) ** 2
-    pref = a / np.sqrt(dn)
-    gu = nodes[:, None]
-    gv = nodes[None, :]
+    gu, gv = nodes[:, None], nodes[None, :]
+    sq, cross = gu * gu + gv * gv, 2.0 * beta * gu * gv
     w2 = weights[:, None] * weights[None, :]
-    lam = lam[..., None, None]
-    dn = dn[..., None, None]
-    expo = (
-        -a * (a * (gu * gu + gv * gv) - 2.0 * beta * gu * gv * lam) / (2.0 * dn)
-        + 0.5 * (gu * gu + gv * gv)
-    )
-    return pref * np.sum(w2 * np.exp(expo), axis=(-2, -1))
+    out = np.empty_like(lam)
+    step = max(1, 2**17 // w2.size)
+    for start in range(0, len(lam), step):
+        lb = lam[start:start + step]
+        dn = a * a - (beta * lb) ** 2
+        expo = -a * (a * sq - cross * lb[:, None, None]) / (2.0 * dn[:, None, None]) + 0.5 * sq
+        out[start:start + step] = a / np.sqrt(dn) * np.sum(w2 * np.exp(expo), axis=(1, 2))
+    return out
 
 
 def f_overlap(beta: float, lam, g_dist: GDistribution):
@@ -55,8 +63,9 @@ def f_overlap(beta: float, lam, g_dist: GDistribution):
 
     Finite and positive on |lambda| <= 1; equals 1 at lambda = 0 and at
     beta = 0 for every admissible g, and everywhere for standard Gaussian
-    g, whose model is the null.  Uniform g uses the tensor product of
-    `uniform_rule()`, the 64-node Gauss-Legendre rule on its support.
+    g, whose model is the null.  Every other law is summed over the tensor
+    product of its finite rule: Rademacher's two atoms, exact, and for
+    Uniform `uniform_rule()`, the 64-node Gauss-Legendre rule on its support.
     """
     lam_arr = np.asarray(lam, dtype=np.float64)
     scalar = lam_arr.ndim == 0
@@ -69,16 +78,9 @@ def f_overlap(beta: float, lam, g_dist: GDistribution):
 
     if g_dist.kind == STANDARD_GAUSSIAN:
         out = np.ones_like(lam_arr)
-    elif g_dist.kind == RADEMACHER:
-        # g_u^2 = g_v^2 = 1; only s = g_u g_v = +-1 enters, each with prob 1/2
-        a = 1.0 + beta
-        dn = a * a - (beta * lam_arr) ** 2
-        pref = a / np.sqrt(dn)
-        out = np.zeros_like(lam_arr)
-        for s in (1.0, -1.0):
-            out += 0.5 * pref * np.exp(-a * (2.0 * a - 2.0 * beta * s * lam_arr) / (2.0 * dn) + 1.0)
     else:
-        out = _f_quadrature(beta, lam_arr, *uniform_rule())
+        rule = _RADEMACHER_ATOMS if g_dist.kind == RADEMACHER else uniform_rule()
+        out = _f_quadrature(beta, lam_arr.ravel(), *rule).reshape(lam_arr.shape)
     return float(out[0]) if scalar else out
 
 
@@ -87,8 +89,11 @@ def overlap_law(d: int) -> tuple[np.ndarray, np.ndarray]:
     its d + 1 values 2j/d - 1 and their log weights log(C(d, j) 2^-d)."""
     lam = 2.0 * np.arange(d + 1) / d - 1.0
     # log C(d, j) from the d + 1 values log j!: d! is too large an integer to build at d = 1e6
-    lgam = np.array([_special.gammaln(i + 1.0) for i in range(d + 1)])
-    return lam, lgam[d] - lgam - lgam[::-1] - d * np.log(2.0)
+    lgam = np.array([math.lgamma(i + 1.0) for i in range(d + 1)])
+    log_w = lgam[d] - lgam - lgam[::-1] - d * np.log(2.0)
+    # the rounding of log d! shifts every weight alike; rescaled, they sum to 1
+    log_w -= _special.logsumexp(log_w)
+    return lam, log_w
 
 
 def lr_norm_sq_log(n: int, d: int, beta: float, g_dist: GDistribution) -> float:

@@ -1,6 +1,7 @@
 """Samplers, whitening, exports, and their statistical contracts."""
 
 import os
+import struct
 import tracemalloc
 
 import numpy as np
@@ -274,6 +275,16 @@ def test_binary_truncated_file_is_refused(tmp_path):
         with pytest.raises(ValueError, match="truncated file") as info:
             datagen.read_binary(path)
         assert str(path) in str(info.value)
+
+
+def test_binary_header_is_checked_before_allocating(tmp_path):
+    # a header claiming n = d = 4e9 would ask for 29.8 GiB of labels alone
+    path = tmp_path / "huge.bin"
+    path.write_bytes(datagen._BINARY_MAGIC + struct.pack("<II", 4_000_000_000, 4_000_000_000)
+                     + b"\0" * 64)
+    with pytest.raises(ValueError, match="truncated file") as info:
+        datagen.read_binary(path)
+    assert str(path) in str(info.value)
 
 
 # values whose repr is easy to get wrong: signed zero, non-finite values,

@@ -285,7 +285,12 @@ def test_upper_is_a_bound_wherever_it_is_reported():
     for n, d, D, beta, g in points:
         rep = bound_report(n, d, D, beta, g)
         assert ("log_upper" in rep) == (d >= D // 2), (n, d, D)
-        assert rep["log_lower"] <= rep["log_exact"], (n, d, D, beta, g.kind)
+        if d == 1 and D < 6:
+            # both are log(1 + n a_4), summed in two orders: rounding decides their order
+            gap = abs(rep["log_lower"] - rep["log_exact"])
+            assert gap <= 4 * np.spacing(abs(rep["log_exact"])), (n, d, D, beta, g.kind)
+        else:
+            assert rep["log_lower"] <= rep["log_exact"], (n, d, D, beta, g.kind)
         if "log_upper" in rep:
             written += 1
             assert rep["log_exact"] <= rep["log_upper"], (n, d, D, beta, g.kind)

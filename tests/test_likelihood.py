@@ -1,5 +1,9 @@
 """Replica-overlap function, LR norm, conditional log-likelihood, gamma_beta."""
 
+import math
+import tracemalloc
+from decimal import Decimal, localcontext
+
 import numpy as np
 import pytest
 from scipy.special import logsumexp
@@ -93,6 +97,19 @@ def test_f_uniform_quadrature_converged():
     np.testing.assert_allclose(f_overlap(10.0, lam, UNIF), fine, rtol=1e-12)
 
 
+def test_f_uniform_memory_does_not_grow_with_overlaps():
+    # the rule is summed over blocks of overlaps, never one (d + 1, 64, 64) array
+    lam = 2.0 * np.arange(4097) / 4096 - 1.0
+    f_overlap(10.0, lam, UNIF)  # the rule is built outside the traced call
+    tracemalloc.start()
+    try:
+        f_overlap(10.0, lam, UNIF)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * 2**20, peak
+
+
 def test_uniform_rule_is_built_once(monkeypatch):
     # f's rule is built on first use only; the per-sample score needs none
     calls = []
@@ -136,6 +153,25 @@ def test_lr_norm_brute_force_sandwich():
                 assert lr_norm_sq_log(n, d, beta, RADEM) == pytest.approx(
                     np.log(direct), abs=1e-9
                 )
+
+
+def lr_norm_decimal(n, d, beta, g_dist):
+    """log sum_j C(d, j) 2^-d f(beta, 2j/d - 1)^n at 40 digits, from the exact integer
+    binomials and the code's own f."""
+    f = f_overlap(beta, 2.0 * np.arange(d + 1) / d - 1.0, g_dist)
+    with localcontext() as ctx:
+        ctx.prec = 40
+        total = sum(Decimal(math.comb(d, j)) * Decimal(float(fj)) ** n for j, fj in enumerate(f))
+        return float((total / Decimal(2) ** d).ln())
+
+
+def test_lr_norm_matches_a_40_digit_reference():
+    # the norm's excess over 1 is small at n = d, so weights that do not sum
+    # to 1 within rounding miss it by far more than the bound
+    for g_dist in (RADEM, UNIF):
+        for d in (1000, 4096):
+            want = lr_norm_decimal(d, d, 10.0, g_dist)
+            assert lr_norm_sq_log(d, d, 10.0, g_dist) == pytest.approx(want, rel=1e-10), d
 
 
 def test_lr_norm_replica_monte_carlo():

@@ -68,3 +68,38 @@ def test_kernels_import_no_other_cumlab_module():
             if node.level > 0 or (node.module or "").split(".")[0] == "cumlab":
                 inside.append("." * node.level + (node.module or ""))
     assert not inside, inside
+
+
+def unreferenced_definitions(package_dir):
+    """`module.name` of each top-level function or class and each non-dunder method under
+    `package_dir` whose name no Name or Attribute node outside its own definition reads."""
+    trees = {}
+    for file in sorted(os.listdir(package_dir)):
+        if file.endswith(".py"):
+            with open(os.path.join(package_dir, file)) as fh:
+                trees[file[:-3]] = ast.parse(fh.read(), file)
+    kinds = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
+    defs = []  # (module, name, its definition node)
+    for module, tree in trees.items():
+        for node in tree.body:
+            if isinstance(node, kinds):
+                defs.append((module, node.name, node))
+            if isinstance(node, ast.ClassDef):
+                defs += [(module, f"{node.name}.{item.name}", item) for item in node.body
+                         if isinstance(item, kinds) and not item.name.startswith("__")]
+    reads = [(id(n), n.id if isinstance(n, ast.Name) else n.attr)
+             for tree in trees.values() for n in ast.walk(tree)
+             if isinstance(n, (ast.Name, ast.Attribute))]
+    found = []
+    for module, name, node in defs:
+        inside = {id(n) for n in ast.walk(node)}
+        if not any(read == name.split(".")[-1] and key not in inside for key, read in reads):
+            found.append(f"{module}.{name}")
+    return found
+
+
+def test_every_definition_is_used_by_the_package():
+    # code that only tests call moves into the tests or is deleted; the
+    # dataset readers are the documented way to load what `generate` writes
+    found = unreferenced_definitions(os.path.join(ROOT, "src", "cumlab"))
+    assert found == ["datagen.read_csv", "datagen.read_binary"], found
