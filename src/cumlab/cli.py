@@ -37,7 +37,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import BLAS_IDLE_WAIT, __version__, cumtensor, datagen, detect, ldlr, learn, likelihood
+from . import BLAS_SETTINGS, __version__, cumtensor, datagen, detect, ldlr, learn, likelihood
 from .hermite import G_KINDS, GDistribution
 from .rng import generator, spawn_seed
 
@@ -584,7 +584,7 @@ def _write_outputs(cfg: ExperimentConfig, results: list[TaskResult], out_dir: st
         },
         "wall_time_s": {str(r.index): round(r.wall_time_s, 6) for r in results},
         "failed_points": len(errors),
-        "blas_idle_wait": BLAS_IDLE_WAIT,
+        "blas_settings": BLAS_SETTINGS,
     }
     _atomic_write(os.path.join(out_dir, "manifest.json"),
                   json.dumps(manifest, indent=2, sort_keys=True) + "\n")

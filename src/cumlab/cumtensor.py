@@ -101,10 +101,12 @@ def empirical_fourth_cumulant(data: np.ndarray) -> FourthCumulant:
     # (rows, pairs).T @ (rows, pairs) form, which is also slower to fill
     xt = np.subtract(data.T, data.mean(axis=0)[:, None], out=np.empty((d, n)))
     m2 = xt @ xt.T / n
-    pairs = np.empty((offsets[-1], min(n, _MOMENT_BLOCK_ROWS)))
+    # at most 2^22 pair products (32 MiB) per block: 4096 rows up to d 44
+    rows = min(_MOMENT_BLOCK_ROWS, 2**22 // offsets[-1])
+    pairs = np.empty((offsets[-1], min(n, rows)))
     gram = np.zeros((offsets[-1], offsets[-1]))
-    for start in range(0, n, _MOMENT_BLOCK_ROWS):
-        cols = xt[:, start : start + _MOMENT_BLOCK_ROWS]
+    for start in range(0, n, rows):
+        cols = xt[:, start : start + rows]
         block = pairs[:, : cols.shape[1]]
         for a in range(d):
             np.multiply(cols[a], cols[a:], out=block[offsets[a] : offsets[a + 1]])

@@ -567,22 +567,23 @@ def test_train_sweep_deterministic_across_jobs(tmp_path):
     assert csvs == sorted(n for n in os.listdir(out2) if n.endswith(".csv"))
     for name in csvs:
         assert read_bytes(os.path.join(out1, name)) == read_bytes(os.path.join(out2, name)), name
-    # the BLAS idle-wait settings are recorded at every --jobs
+    # the BLAS settings are recorded at every --jobs
     m1, m2 = (json.loads(read_bytes(os.path.join(out, "manifest.json"))) for out in (out1, out2))
-    assert m1["blas_idle_wait"] == m2["blas_idle_wait"] == cumlab.BLAS_IDLE_WAIT
+    assert m1["blas_settings"] == m2["blas_settings"] == cumlab.BLAS_SETTINGS
 
 
-BLAS_IDLE_WAIT_DEFAULTS = {"OPENBLAS_THREAD_TIMEOUT": "4", "OMP_WAIT_POLICY": "PASSIVE"}
+BLAS_DEFAULTS = {"OPENBLAS_NUM_THREADS": "1", "OPENBLAS_THREAD_TIMEOUT": "4",
+                 "OMP_WAIT_POLICY": "PASSIVE"}
 
 
 def env_without_blas_settings(**values):
     """os.environ without BLAS wait or thread-count variables, plus `values`."""
     env = {var: val for var, val in os.environ.items()
-           if var not in BLAS_IDLE_WAIT_DEFAULTS and not var.endswith("_NUM_THREADS")}
+           if var not in BLAS_DEFAULTS and not var.endswith("_NUM_THREADS")}
     return {**env, **values}
 
 
-def test_import_sets_blas_idle_wait_before_numpy():
+def test_import_sets_blas_settings_before_numpy():
     # the hook sees os.environ as it is when numpy starts to load, which is
     # when numpy's OpenBLAS reads it
     code = (
@@ -591,23 +592,34 @@ def test_import_sets_blas_idle_wait_before_numpy():
         "class Hook(importlib.abc.MetaPathFinder):\n"
         "    def find_spec(self, name, path, target=None):\n"
         "        if name == 'numpy' and not seen:\n"
-        "            seen.append({var: os.environ.get(var) for var in\n"
-        "                         ('OPENBLAS_THREAD_TIMEOUT', 'OMP_WAIT_POLICY')})\n"
+        f"            seen.append({{var: os.environ.get(var) for var in {tuple(BLAS_DEFAULTS)!r}}})\n"
         "sys.meta_path.insert(0, Hook())\n"
         "import cumlab\n"
-        "print(json.dumps([seen, cumlab.BLAS_IDLE_WAIT]))\n"
+        "print(json.dumps([seen, cumlab.BLAS_SETTINGS]))\n"
     )
     seen, recorded = json.loads(run_fresh_python(code, env_without_blas_settings()))
-    assert seen == [BLAS_IDLE_WAIT_DEFAULTS]
-    assert recorded == BLAS_IDLE_WAIT_DEFAULTS
+    assert seen == [BLAS_DEFAULTS]
+    assert recorded == BLAS_DEFAULTS
     # numpy loaded first has read its settings already: nothing is recorded
-    code = "import numpy, cumlab; print(cumlab.BLAS_IDLE_WAIT)"
+    code = "import numpy, cumlab; print(cumlab.BLAS_SETTINGS)"
     assert run_fresh_python(code, env_without_blas_settings()) == "None"
+
+
+@pytest.mark.skipif(not os.path.exists("/proc/self/status"), reason="needs Linux /proc")
+def test_blas_starts_no_thread():
+    # OpenBLAS starts its helper threads at load; a product large enough to
+    # be split would use them
+    code = (
+        "import cumlab, numpy as np\n"
+        "a = np.ones((1000, 1000)); a @ a\n"
+        "print(next(line for line in open('/proc/self/status') if line.startswith('Threads:')))\n"
+    )
+    assert run_fresh_python(code, env_without_blas_settings()).split() == ["Threads:", "1"]
 
 
 @pytest.mark.parametrize("jobs, user", [("1", {"OPENBLAS_THREAD_TIMEOUT": "30"}),
                                         ("2", {"OMP_WAIT_POLICY": "ACTIVE"})], ids=["1", "2"])
-def test_blas_idle_wait_keeps_user_values(tmp_path, jobs, user):
+def test_blas_settings_keep_user_values(tmp_path, jobs, user):
     # the user set a thread count and one wait setting, not the other
     cfg = write_config(tmp_path, "cfg.json", TINY_TRAIN_CFG)
     out = str(tmp_path / "out")
@@ -622,14 +634,41 @@ def test_blas_idle_wait_keeps_user_values(tmp_path, jobs, user):
     env = env_without_blas_settings(OPENBLAS_NUM_THREADS="2", **user)
     code, unchanged, environ = json.loads(run_fresh_python(code, env))
     assert code == 0 and unchanged  # the run itself changes no variable
-    expected = {**BLAS_IDLE_WAIT_DEFAULTS, **user}
-    assert {var: environ.get(var) for var in BLAS_IDLE_WAIT_DEFAULTS} == expected
-    # the thread count, user-set or default, is left as it is
+    expected = {**BLAS_DEFAULTS, "OPENBLAS_NUM_THREADS": "2", **user}
+    assert {var: environ.get(var) for var in BLAS_DEFAULTS} == expected
+    # no other thread count is set
     assert {var: val for var, val in environ.items() if var.endswith("_NUM_THREADS")} == {
         "OPENBLAS_NUM_THREADS": "2",
     }
     manifest = json.loads(read_bytes(os.path.join(out, "manifest.json")))
-    assert manifest["blas_idle_wait"] == expected
+    assert manifest["blas_settings"] == expected
+
+
+AFFINITY = sorted(os.sched_getaffinity(0)) if hasattr(os, "sched_setaffinity") else []
+
+
+@pytest.mark.skipif(len(AFFINITY) < 2, reason="needs sched_setaffinity and two CPUs")
+def test_metric_csvs_do_not_depend_on_the_cpu_count(tmp_path):
+    # BLAS starts one thread per CPU unless told otherwise, and splits the
+    # NLGP pair Gram between them, which moves the last bits of cp_ipr
+    # and cp_weight
+    cfg = os.path.join(CONFIGS, "nlgp_localisation.json")
+    outs = []
+    for cpus in ({AFFINITY[0]}, set(AFFINITY)):
+        out = str(tmp_path / str(len(cpus)))
+        code = (
+            "import os, sys\n"
+            f"os.sched_setaffinity(0, {cpus!r})\n"
+            "from cumlab import cli\n"
+            f"sys.exit(cli.main(['nlgp-localisation', '--config', {cfg!r}, '--out', {out!r}]))\n"
+        )
+        run_fresh_python(code, env_without_blas_settings())
+        outs.append(out)
+    csvs = sorted(n for n in os.listdir(outs[0]) if n.endswith(".csv"))
+    assert "cp_ipr.csv" in csvs and "cp_weight.csv" in csvs
+    assert csvs == sorted(n for n in os.listdir(outs[1]) if n.endswith(".csv"))
+    for name in csvs:
+        assert read_bytes(os.path.join(outs[0], name)) == read_bytes(os.path.join(outs[1], name)), name
 
 
 @pytest.mark.filterwarnings("error::DeprecationWarning")

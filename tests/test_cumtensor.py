@@ -149,6 +149,26 @@ def test_estimator_centres_the_data_once():
     assert peak < 1.5 * x.nbytes + block_bytes + 2 * 8 * pairs**2
 
 
+def test_pair_block_is_capped_by_size():
+    # at d = 64 a 4096-row pair block would be 65 MiB, twice the 33 MiB K;
+    # capped at 2^22 products it is 32 MiB, and the peak stays below 120 MiB
+    x = np.random.default_rng(8).exponential(size=(4096, 64))
+    cumtensor.empirical_fourth_cumulant(x)  # warm the index cache
+    tracemalloc.start()
+    k = cumtensor.empirical_fourth_cumulant(x)
+    peak = tracemalloc.get_traced_memory()[1]
+    tracemalloc.stop()
+    assert peak < 120 * 2**20
+    # blocks of 2016, 2016 and 64 rows sum to the moments written out longhand
+    xc = x - x.mean(axis=0)
+    m2 = xc.T @ xc / len(x)
+    pair_of = cumtensor._pair_numbering(64)[3]
+    for i, j, l, m in [(0, 0, 0, 0), (0, 1, 2, 3), (5, 5, 63, 63), (10, 20, 20, 40)]:
+        ref = (np.mean(xc[:, i] * xc[:, j] * xc[:, l] * xc[:, m])
+               - m2[i, j] * m2[l, m] - m2[i, l] * m2[j, m] - m2[i, m] * m2[j, l])
+        assert abs(k.matrix[pair_of[i, j], pair_of[l, m]] - ref) <= 1e-13 * np.abs(k.matrix).max()
+
+
 def reference_rank1_cp(tensor, rng, restarts=8, max_iters=1000, tol=1e-10):
     """Power iteration that contracts afresh for every weight it needs.
 
