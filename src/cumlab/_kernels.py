@@ -95,31 +95,47 @@ def sgd_epoch(W, bias, v, out_bias, X, y, order, batch_size, lr, wd):
     for a lazy run (see ``learn.train_2lnn``).
     """
     n = X.shape[0]
-    c = out_bias
+    m, d = W.shape
+    md, k = m * d, m * d + m
+    # one flat parameter vector theta = [W row-major, v, b, c] and its
+    # gradient g in the same layout, so that a step updates every parameter
+    # in four calls; weight decay acts on the prefix of length k, W and v.
+    # The per-parameter arrays are views into theta and g.
+    theta = np.concatenate((W.ravel(), v, bias, [out_bias]))
+    g = np.empty_like(theta)
+    Wt, vt, bt, ct = theta[:md].reshape(m, d), theta[md:k], theta[k:-1], theta[-1:]
+    gW, gv, gb = g[:md].reshape(m, d), g[md:k], g[k:-1]
+    theta_wd, g_wd, decay = theta[:k], g[:k], np.empty(k)
     # one gather per epoch; each batch is then a contiguous slice
     Xo, yo = X[order], y[order]
     for s in range(0, n, batch_size):
         Xb = Xo[s : s + batch_size]
         yb = yo[s : s + batch_size]
-        A = Xb @ W.T + bias
+        # at these sizes ndarray.dot and np.putmask cost fewer microseconds
+        # than @ and np.copyto(where=), for the same bits
+        A = Xb.dot(Wt.T)
+        A += bt
         R = np.maximum(A, 0.0)
-        out = R @ v + c
-        gout = 2.0 * (out - yb) / len(yb)
-        gv = R.T @ gout
-        gc = gout.sum()
-        GR = gout[:, None] * v[None, :]
-        np.copyto(GR, 0.0, where=A <= 0.0)
-        gW = GR.T @ Xb
-        gb = GR.sum(axis=0)
-        # in place, and bit-equal to W -= lr * (gW + wd * W): IEEE + and *
-        # are commutative, so only the temporaries go
-        gW += wd * W
-        gW *= lr
-        W -= gW
-        gb *= lr
-        bias -= gb
-        gv += wd * v
-        gv *= lr
-        v -= gv
-        c -= lr * gc
-    return c
+        out = R.dot(vt)
+        out += ct
+        # out becomes the output gradient 2 (out - y) / len(y)
+        out -= yb
+        out *= 2.0
+        out /= len(yb)
+        R.T.dot(out, out=gv)
+        g[-1] = np.add.reduce(out)
+        GR = out[:, None] * vt[None, :]
+        np.putmask(GR, A <= 0.0, 0.0)
+        GR.T.dot(Xb, out=gW)
+        np.add.reduce(GR, axis=0, out=gb)
+        # per element, theta -= lr * (g + wd * theta) on W and v and
+        # theta -= lr * g on b and c, rounded as written: IEEE + and * are
+        # commutative, so only the temporaries go
+        np.multiply(theta_wd, wd, out=decay)
+        g_wd += decay
+        g *= lr
+        theta -= g
+    W[...] = Wt
+    v[...] = vt
+    bias[...] = bt
+    return theta[-1]

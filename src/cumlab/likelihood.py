@@ -170,13 +170,15 @@ def sample_log_likelihood(x: np.ndarray, u: np.ndarray, beta: float, g_dist: GDi
 
 
 def gamma_beta(beta: float, g_dist: GDistribution) -> float:
-    """Critical linear-regime sample ratio log f(beta,1) / log 2, or 0.
+    """Critical linear-regime ratio log f(beta,1) / log 2, or 0.
 
-    For n = d/gamma with gamma > gamma_beta the LR norm is guaranteed to
-    diverge.  When f(beta, 1) <= 1 there is no such guarantee and 0 is
-    returned, so gamma_beta > 0 exactly when divergence is guaranteed.
-    Boundedness below gamma_beta is conjectured in the source material,
-    not proven; callers should report it, never assert it.
+    For n > d/gamma_beta, that is n = d/gamma with gamma < gamma_beta, the
+    LR norm is guaranteed to diverge: the overlap lambda = 1 alone adds
+    2^-d f(beta, 1)^n to it, and there n log f(beta, 1) > d log 2.
+    When f(beta, 1) <= 1 there is no such guarantee and 0 is returned, so
+    gamma_beta > 0 exactly when divergence is guaranteed at some ratio.
+    Boundedness for n < d/gamma_beta is conjectured in the source
+    material, not proven; callers should report it, never assert it.
     """
     f1 = f_overlap(beta, 1.0, g_dist)
     return float(np.log(f1) / np.log(2.0)) if f1 > 1.0 else 0.0

@@ -605,6 +605,11 @@ def test_import_sets_blas_settings_before_numpy():
     assert run_fresh_python(code, env_without_blas_settings()) == "None"
 
 
+def test_tests_run_at_the_command_blas_settings():
+    # tests/conftest.py imports cumlab before anything loads numpy
+    assert cumlab.BLAS_SETTINGS == {var: os.environ[var] for var in BLAS_DEFAULTS}
+
+
 @pytest.mark.skipif(not os.path.exists("/proc/self/status"), reason="needs Linux /proc")
 def test_blas_starts_no_thread():
     # OpenBLAS starts its helper threads at load; a product large enough to

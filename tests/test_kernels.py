@@ -201,12 +201,20 @@ def reference_sgd_epoch(W, bias, v, c, X, y, order, batch_size, lr, wd):
 
 
 # alpha 1 trains on the +-1 labels, alpha 10 on the lazy run's shifted
-# targets y/alpha + phi0(x)
+# targets y/alpha + phi0(x); the kernel's dot and putmask give the bits of
+# the reference's @ and boolean-index store only as long as BLAS and numpy
+# do, so the shipped sweeps' shapes are among the cases
 @pytest.mark.parametrize("alpha", [1.0, 10.0])
-@pytest.mark.parametrize("batch_size", [7, 8])  # 8 leaves a short last batch
-def test_sgd_epoch_bit_equal_to_reference(alpha, batch_size):
+@pytest.mark.parametrize("n, d, batch_size", [
+    pytest.param(105, 12, 7, id="7"),
+    pytest.param(105, 12, 8, id="8"),  # a short last batch
+    pytest.param(200, 32, 8, id="d32-8"),  # the Wishart sweep's shape
+    pytest.param(250, 24, 16, id="d24-16"),  # the cumulant sweep's, a short last batch
+    pytest.param(105, 12, 128, id="one-batch"),  # a batch larger than n
+    pytest.param(60, 1, 8, id="d1"),
+])
+def test_sgd_epoch_bit_equal_to_reference(alpha, n, d, batch_size):
     rng = np.random.default_rng(5)
-    n, d = 105, 12
     X = rng.standard_normal((n, d))
     y = np.sign(rng.standard_normal(n))
     net = learn.init_network(d, 5 * d, rng)

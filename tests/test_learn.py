@@ -1,6 +1,7 @@
 """Network training, random features, and the overlap/IPR diagnostics."""
 
 import copy
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -184,25 +185,49 @@ def test_centred_forward_and_alpha_scaling():
 
 @pytest.mark.parametrize("alpha", [1.0, 10.0])
 def test_forward_is_bit_equal_to_one_expression(alpha):
-    # forward works in the one (n, m) array of the first layer, and gives
-    # the bits of the expression written out in full, in the lazy run's
-    # centred readout phi - phi0 too
+    # forward works a block of rows at a time and gives the bits of the
+    # expression written out in full over all rows at once, in the lazy
+    # run's centred readout phi - phi0 too: on one row, on one block, on a
+    # block and one row (the row joins the block) and on 4000 rows.  Width
+    # 205 is there because blocks of 256 rows, a multiple of 64 but not of
+    # 192, gave other bits than the whole product at that width
     rng = generator(21, "forward")
+
+    def expression(n, Xn):
+        return np.maximum(Xn @ n.W.T + n.b, 0.0) @ n.v + n.c
+
+    for d, m in ((32, 160), (41, 205)):
+        X = rng.standard_normal((4000, d))
+        net0 = learn.init_network(d, m, rng)
+        net = copy.deepcopy(net0)
+        net.W += 0.1 * rng.standard_normal(net.W.shape)
+        net.b = 0.1 * rng.standard_normal(m)
+        net.c = float(rng.standard_normal())
+        align = learn._FORWARD_ROW_ALIGN
+        block = max(1, learn._FORWARD_BLOCK_VALUES // m // align) * align
+        assert 1 < block < 4000
+        for rows in (1, block, block + 1, 4000):
+            Xn = X[:rows]
+            out, want = net.forward(Xn), expression(net, Xn)
+            if alpha != 1.0:
+                out, want = out - net0.forward(Xn), want - expression(net0, Xn)
+            assert np.array_equal(out, want), (m, rows)
+
+
+def test_forward_working_set_stays_small():
+    # one (20000, 160) hidden array takes 25.6 MB; the block buffer stays
+    # under 1 MB
+    rng = generator(22, "forward")
     d, m = 32, 160
-    X = rng.standard_normal((4000, d))
-    net0 = learn.init_network(d, m, rng)
-    net = copy.deepcopy(net0)
-    net.W += 0.1 * rng.standard_normal(net.W.shape)
-    net.b = 0.1 * rng.standard_normal(m)
-    net.c = float(rng.standard_normal())
-
-    def expression(n):
-        return np.maximum(X @ n.W.T + n.b, 0.0) @ n.v + n.c
-
-    out, want = net.forward(X), expression(net)
-    if alpha != 1.0:
-        out, want = out - net0.forward(X), want - expression(net0)
-    assert np.array_equal(out, want)
+    X = rng.standard_normal((20000, d))
+    net = learn.init_network(d, m, rng)
+    tracemalloc.start()
+    try:
+        net.forward(X)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2_000_000
 
 
 def test_gradients_match_finite_differences():
