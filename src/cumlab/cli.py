@@ -96,14 +96,19 @@ _DATASET_NAME = ((lambda name: _FILE_NAME[0](name) and not set(name) & set(',"\n
 def _scalar(name: str, val, key: Key):
     """`val` as `key.kind`, type-checked and never cast: a bool (JSON
     true/false is a Python int) is no number, an int key takes no float,
-    and a float key takes no NaN or infinity (JSON NaN, Infinity)."""
+    and a float key takes no NaN, infinity (JSON NaN, Infinity) or integer
+    past the float range."""
     if key.kind in (bool, str):
         ok = isinstance(val, key.kind)
     else:
         ok = not isinstance(val, bool) and isinstance(val, int if key.kind is int else (int, float))
     if not ok:
         raise ConfigError(f"config key {name!r} has value {val!r}, expected {key.kind.__name__}")
-    val = key.kind(val)
+    try:
+        val = key.kind(val)
+    except OverflowError:  # an int past the float range
+        raise ConfigError(f"config key {name!r} has an integer value of {len(str(abs(val)))} "
+                          "digits, expected a finite number") from None
     if key.kind is float and not np.isfinite(val):
         raise ConfigError(f"config key {name!r} has value {val!r}, expected a finite number")
     if key.check and not key.check[0](val):
@@ -282,8 +287,9 @@ def _run_search(p: dict, point_seed: int, out: Callable[[str], str]) -> dict:
                                     "beta": p["beta"], "g": p["g"]}), point_seed)
     rows = datagen.sample_class(spec, _sample_count(p["d"], p["theta"]),
                                 spawn_seed(point_seed, "data"))
-    res = detect.exhaustive_search(rows, p["beta"], spec.g_dist, true_spike=spec.spike)
-    return {"success": 1.0 if res.success else 0.0}
+    spike, _ = detect.exhaustive_search(rows, p["beta"], spec.g_dist)
+    # the search pins the first coordinate to +1; the spike's entries are +-1
+    return {"success": float(np.array_equal(spike, spec.spike * spec.spike[0]))}
 
 
 def _success_rate(cfg: ExperimentConfig, done: list[tuple]) -> str:
@@ -323,9 +329,9 @@ def _run_train(p: dict, point_seed: int, out: Callable[[str], str]) -> dict:
     if pos.spike is not None:
         metrics["nn_final_max_overlap"] = report.overlap_trajectory[-1]
     if p["rf"]:
-        rf_cfg = learn.RFConfig(width=cfg.width_factor * p["d"], ridge=p["rf_ridge"],
-                                seed=spawn_seed(point_seed, "rf"))
-        metrics["rf_acc"] = learn.fit_random_features(train_data, test_data, rf_cfg)
+        metrics["rf_acc"] = learn.fit_random_features(
+            train_data, test_data, cfg.width_factor * p["d"], p["rf_ridge"],
+            spawn_seed(point_seed, "rf"))
     return metrics
 
 
@@ -421,7 +427,7 @@ EXPERIMENTS = {
             "xi": Key(float, 1.0, check=_above(0)),
             "n_test_per_class": Key(int, 2000, check=_at_least(1)),
             "rf": Key(bool, True),
-            "rf_ridge": Key(float, learn.RFConfig.ridge, check=_above(0)),
+            "rf_ridge": Key(float, 0.1, check=_above(0)),
             "train": _TRAIN,
             "runs": _RUNS,
         },

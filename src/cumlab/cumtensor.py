@@ -169,6 +169,4 @@ def rank1_cp(tensor: FourthCumulant, rng: np.random.Generator) -> CpResult:
                 break
         if abs(gamma) > abs(best.weight):
             best = CpResult(gamma, v, False)
-    if best.degenerate:
-        return CpResult(0.0, best.factor, True)
     return best

@@ -38,7 +38,7 @@ import numpy as np
 
 from . import _special
 from .hermite import GDistribution
-from .rng import block_generator, spawn_seed
+from .rng import generator, spawn_seed
 
 NULL = "null"
 SPIKED_WISHART = "spiked_wishart"
@@ -140,16 +140,9 @@ def _cholesky_or_raise(cov: np.ndarray, what: str) -> np.ndarray:
     try:
         return np.linalg.cholesky(cov)
     except np.linalg.LinAlgError:
-        # locate the first non-PD leading minor for the error message
-        k = cov.shape[0]
-        for j in range(1, cov.shape[0] + 1):
-            if np.linalg.eigvalsh(cov[:j, :j]).min() <= 0:
-                k = j
-                break
-        raise ValueError(
-            f"{what} covariance is not positive definite "
-            f"(leading minor of order {k}); increase xi or reduce d"
-        ) from None
+        # both field covariances are positive definite at every finite xi; in
+        # floating point they fail only when xi makes the field almost constant
+        raise ValueError(f"{what} covariance is numerically singular; reduce xi") from None
 
 
 class _Sampler:
@@ -193,8 +186,8 @@ class _Sampler:
 def sample_class(spec: ModelSpec, n: int, seed: int, out: np.ndarray | None = None) -> np.ndarray:
     """Draw n rows of the given class, bit-reproducible from the seed.
 
-    Rows are generated in blocks of 65536, each block from its own
-    counter-derived stream, so generation order cannot affect the output.
+    Rows are generated in blocks of 65536, each block from its own stream
+    (see `cumlab.rng`), so generation order cannot affect the output.
     The rows fill `out`, a C-contiguous (n, d) float64 array, if given.
     """
     if n < 1:
@@ -205,12 +198,8 @@ def sample_class(spec: ModelSpec, n: int, seed: int, out: np.ndarray | None = No
     elif out.shape != (n, spec.d) or out.dtype != np.float64 or not out.flags.c_contiguous:
         raise ValueError(f"out must be a C-contiguous float64 array of shape ({n}, {spec.d})")
     for b, start in enumerate(range(0, n, _BLOCK_ROWS)):
-        sampler.block(out[start:start + _BLOCK_ROWS], block_generator(seed, b))
+        sampler.block(out[start:start + _BLOCK_ROWS], generator(seed, "block", b))
     return out
-
-
-def null_spec(d: int) -> ModelSpec:
-    return ModelSpec(kind=NULL, d=d)
 
 
 def make_dataset(
@@ -224,7 +213,7 @@ def make_dataset(
     The negative class defaults to the isotropic Gaussian null.
     """
     if neg is None:
-        neg = null_spec(pos.d)
+        neg = ModelSpec(kind=NULL, d=pos.d)
     if neg.d != pos.d:
         raise ValueError("class dimensions differ")
     values = np.empty((2 * n_per_class, pos.d))

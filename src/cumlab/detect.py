@@ -13,12 +13,11 @@ smallest candidate code in the kernel's bit encoding.
 
 The success-rate curve has one protocol, the `search-curve` experiment of
 `cumlab.cli`: one search per (d, theta, run) grid point, on a spike and a
-dataset drawn from that point's seed.
+dataset drawn from that point's seed; a search succeeds when it returns
+the drawn spike up to sign.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -29,24 +28,14 @@ from .likelihood import loglik_terms, sample_log_likelihood
 MAX_SEARCH_DIM = 30
 
 
-@dataclass
-class SearchResult:
-    best_spike: np.ndarray
-    best_loglik: float
-    success: bool | None
-
-
 def exhaustive_search(
-    data: np.ndarray,
-    beta: float,
-    g_dist: GDistribution,
-    true_spike: np.ndarray | None = None,
-) -> SearchResult:
-    """Maximise the total conditional log-likelihood over all sign spikes.
+    data: np.ndarray, beta: float, g_dist: GDistribution
+) -> tuple[np.ndarray, float]:
+    """The sign spike of largest total conditional log-likelihood, with
+    first coordinate +1, and that log-likelihood.
 
-    `data` holds only rows of the putative spiked class.  Success (exact
-    recovery up to sign) is reported when `true_spike` is given.  Hard cap
-    d <= 30: the cost is 2^(d-1) * n per-sample score evaluations.
+    `data` holds only rows of the putative spiked class.  Hard cap d <= 30:
+    the cost is 2^(d-1) * n per-sample score evaluations.
     """
     data = np.asarray(data, dtype=np.float64)
     n, d = data.shape
@@ -67,9 +56,4 @@ def exhaustive_search(
     spike = np.concatenate(([1.0], _kernels.code_signs(best_code, d - 1)))
     # score the winner as a standalone spike, so the reported value does
     # not depend on the block it was found in
-    loglik = sample_log_likelihood(data, spike, beta, g_dist)
-    success = None
-    if true_spike is not None:
-        aligned = true_spike if true_spike[0] > 0 else -true_spike
-        success = bool(np.array_equal(spike, aligned))
-    return SearchResult(best_spike=spike, best_loglik=loglik, success=success)
+    return spike, sample_log_likelihood(data, spike, beta, g_dist)

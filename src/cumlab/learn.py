@@ -18,10 +18,11 @@ same gradient in every parameter, so one SGD epoch serves every alpha.
 outputs and the initial network's outputs alike.
 
 Random features are the fixed-first-layer ablation: the same ReLU and the
-same N(0, 1/d) first-layer law, with a ridge readout at regulariser 0.1
-solved through the normal equations by numpy's LAPACK solver.  The module
-imports no scipy: scipy.linalg loads a second OpenBLAS with its own thread
-pool and costs more than the rest of ``import cumlab.cli``.
+same N(0, 1/d) first-layer law, with a ridge readout solved through the
+normal equations by numpy's LAPACK solver; its regulariser is the
+train-sweep key `rf_ridge`, 0.1 by default.  The module imports no scipy:
+scipy.linalg loads a second OpenBLAS with its own thread pool and costs
+more than the rest of ``import cumlab.cli``.
 """
 
 from __future__ import annotations
@@ -95,7 +96,7 @@ def init_network(d: int, width: int, rng: np.random.Generator) -> TwoLayerNet:
 class TrainConfig:
     learning_rate: float = 0.002
     weight_decay: float = 0.002
-    epochs: int = 50  # 200 for the spiked cumulant task
+    epochs: int = 50  # the train-sweep default is 50 for Wishart, 200 for cumulant and NLGP
     batch_size: int = 128
     alpha_lazy: float = 1.0
     width_factor: int = 5  # hidden neurons per input dimension
@@ -215,26 +216,22 @@ def train_2lnn(
     return report, net
 
 
-@dataclass(frozen=True)
-class RFConfig:
-    width: int
-    ridge: float = 0.1
-    seed: int = 0
-
-
-def fit_random_features(train: DataMatrix, test: DataMatrix, cfg: RFConfig) -> float:
+def fit_random_features(
+    train: DataMatrix, test: DataMatrix, width: int, ridge: float, seed: int
+) -> float:
     """ReLU random-features ridge regression; returns sign-readout accuracy.
 
-    Features are relu(F x) with F drawn once, rows i.i.d. N(0, 1/d); the
-    readout solves (Phi^T Phi + ridge I) w = Phi^T y with ``np.linalg.solve``
-    (LU with partial pivoting; the ridge keeps the system positive definite).
+    Features are relu(F x) with F, `width` rows i.i.d. N(0, 1/d), drawn
+    from ``generator(seed, "rf")``; the readout solves
+    (Phi^T Phi + ridge I) w = Phi^T y with ``np.linalg.solve`` (LU with
+    partial pivoting; the ridge keeps the system positive definite).
     """
-    if cfg.ridge <= 0:
+    if ridge <= 0:
         raise ValueError("ridge regulariser must be positive")
     d = train.d
-    F = generator(cfg.seed, "rf").standard_normal((cfg.width, d)) / np.sqrt(d)
+    F = generator(seed, "rf").standard_normal((width, d)) / np.sqrt(d)
     phi_tr = np.maximum(train.values @ F.T, 0.0)
     phi_te = np.maximum(test.values @ F.T, 0.0)
-    gram = phi_tr.T @ phi_tr + cfg.ridge * np.eye(cfg.width)
+    gram = phi_tr.T @ phi_tr + ridge * np.eye(width)
     w = np.linalg.solve(gram, phi_tr.T @ train.labels)
     return float(np.mean(np.sign(phi_te @ w) == test.labels))

@@ -6,6 +6,8 @@ run index, block index, ...) through SHA-256 and keying a Philox
 counter-based generator with the first 128 bits of the digest.  The
 (SHA-256, Philox4x64) pair is the fixed, documented contract: results are
 reproducible across machines, process counts and generation order.
+Row block b of a dataset sampled from seed s (`datagen.sample_class`)
+comes from ``generator(s, "block", b)``.
 """
 
 from __future__ import annotations
@@ -30,8 +32,3 @@ def spawn_seed(seed: int, *parts) -> int:
 def generator(seed: int, *parts) -> np.random.Generator:
     """Philox generator on the substream named by `parts`."""
     return np.random.Generator(np.random.Philox(key=derive_key(seed, *parts)))
-
-
-def block_generator(seed: int, block_index: int) -> np.random.Generator:
-    """Stream for one fixed-size row block of a dataset."""
-    return generator(seed, "block", block_index)

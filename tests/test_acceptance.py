@@ -256,9 +256,7 @@ def test_criterion_09b_wishart_rf_at_chance():
     spec = datagen.ModelSpec(kind=datagen.SPIKED_WISHART, d=d, beta=5.0, spike=u)
     train = datagen.make_dataset(spec, 10 * d, spawn_seed(seed, "tr10"))
     test = datagen.make_dataset(spec, 5000, spawn_seed(seed, "te"))
-    acc = learn.fit_random_features(
-        train, test, learn.RFConfig(width=5 * d, seed=spawn_seed(seed, "rf"))
-    )
+    acc = learn.fit_random_features(train, test, 5 * d, 0.1, spawn_seed(seed, "rf"))
     se = 0.5 / np.sqrt(2 * 5000)
     ok = abs(acc - 0.5) <= 3 * se
     assert report("9b (RF at chance on Wishart at n=10d)", ok,
@@ -277,9 +275,7 @@ def _cumulant_setup(seed, d, n_per):
 def test_criterion_10a_cumulant_rf_at_chance():
     seed, d = 2, 24
     _, train, test = _cumulant_setup(seed, d, d * d)
-    acc = learn.fit_random_features(
-        train, test, learn.RFConfig(width=5 * d, seed=spawn_seed(seed, "rf"))
-    )
+    acc = learn.fit_random_features(train, test, 5 * d, 0.1, spawn_seed(seed, "rf"))
     se = 0.5 / np.sqrt(2 * 2000)
     ok = abs(acc - 0.5) <= 3 * se
     assert report("10a (RF at chance on cumulant at n=d^2)", ok,

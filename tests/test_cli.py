@@ -720,7 +720,7 @@ def test_wishart_and_cumulant_points_load_no_scipy():
         "    train = datagen.make_dataset(spec, 40, 2)\n"
         "    test = datagen.make_dataset(spec, 40, 3)\n"
         "    learn.train_2lnn(train, test, u, learn.TrainConfig(epochs=2, batch_size=8))\n"
-        "    learn.fit_random_features(train, test, learn.RFConfig(width=40))\n"
+        "    learn.fit_random_features(train, test, 40, 0.1, 0)\n"
         "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
     )
     assert run_fresh_python(code) == "[]"
@@ -789,6 +789,8 @@ GENERATE_CFG = {
      "grid point d=8, theta=400.0 has n = ceil(d^theta) over the float range"),
     ("search-curve", dict(SEARCH_CFG, d=[2], theta=[-1100.0]),
      "grid point d=2, theta=-1100.0 has n = ceil(d^theta) = 0; the experiment needs n >= 1"),
+    ("lr-curve", dict(LR_CFG, theta=[1.0, 10**400]),
+     "'theta' has an integer value of 401 digits, expected a finite number"),
 ])
 def test_bad_grid_value_is_refused(tmp_path, capsys, experiment, payload, message):
     # a value of the wrong type is refused, never truncated or cast
@@ -981,6 +983,8 @@ def test_every_subcommand_runs_without_scipy(tmp_path, experiment):
     ("generate", dict(GENERATE_CFG, name="errors"), "'name' has value 'errors', expected"),
     ("generate", dict(GENERATE_CFG, name="plot_rows_written"),
      "'name' has value 'plot_rows_written', expected"),
+    ("search-curve", dict(SEARCH_CFG, beta=-10**400),
+     "'beta' has an integer value of 401 digits, expected a finite number"),
 ])
 def test_bad_scalar_value_is_refused(tmp_path, capsys, monkeypatch, experiment, payload, message):
     # scalar keys are checked like grid values: never truncated, cast or
@@ -1019,6 +1023,18 @@ def test_success_rate_leaves_out_failed_runs(tmp_path, monkeypatch):
         f"0.5,{hits['0.5'] / 5},5,7,10.0,21",
         f"1.25,{hits['1.25'] / 6},6,7,10.0,21",
     ]
+
+
+def test_search_success_is_recovery_up_to_sign(tmp_path, monkeypatch):
+    # the search returns the spike with first coordinate +1, so a drawn spike
+    # that starts with -1 is recovered as its negative, which is a success
+    monkeypatch.setattr(cli.datagen, "draw_spike",
+                        lambda d, rng: np.array([-1.0, 1.0, 1.0, -1.0, 1.0, -1.0]))
+    cfg = write_config(tmp_path, "cfg.json", dict(SEARCH_CFG, d=6, theta=[2.0], runs=3))
+    out = str(tmp_path / "s")
+    assert run_cli(["search-curve", "--config", cfg, "--out", out, "--jobs", "1"]) == 0
+    with open(os.path.join(out, "success_rate.csv")) as fh:
+        assert fh.read().splitlines()[1] == "2.0,1.0,3,6,10.0,21"
 
 
 # Fixed values: rng.derive_key renders each coordinate with str(), so a

@@ -10,7 +10,7 @@ from scipy import special, stats
 
 from cumlab import _special, datagen
 from cumlab.hermite import GDistribution
-from cumlab.rng import block_generator, spawn_seed
+from cumlab.rng import generator, spawn_seed
 from oracles import erf_variance_quadrature, whitening_matrix, write_csv_unbuffered
 
 RADEM = GDistribution.from_kind("rademacher")
@@ -69,7 +69,7 @@ def test_closed_form_matches_whitening_matrix():
     spec = cumulant_spec(d, beta, seed=5)
     x = datagen.sample_class(spec, 500, seed)
     S = whitening_matrix(spec.spike, beta)
-    rng = block_generator(seed, 0)
+    rng = generator(seed, "block", 0)
     z = rng.standard_normal((500, d))
     g = spec.g_dist.sample(500, rng)
     raw = z + np.sqrt(beta / d) * np.outer(g, spec.spike)
@@ -92,7 +92,7 @@ def test_block_streams_are_independent():
     first = datagen.sample_class(spec, 65536, 55)
     assert np.array_equal(big[:65536], first)
     tail = big[65536:]
-    rng = block_generator(55, 1)
+    rng = generator(55, "block", 1)
     assert np.array_equal(tail, rng.standard_normal((200, 3)))
 
 
@@ -213,10 +213,14 @@ def test_gp_match_covariance_matches_nlgp():
     assert np.abs(emp_gp - target).max() < 6e-3
 
 
-def test_cholesky_failure_reports_minor():
-    bad = np.array([[1.0, 2.0], [2.0, 1.0]])  # indefinite
-    with pytest.raises(ValueError, match="leading minor of order 2"):
-        datagen._cholesky_or_raise(bad, "test")
+def test_cholesky_failure_says_to_reduce_xi():
+    # exp(-|i-j|/xi) is positive definite at every finite xi; the factorisation
+    # fails only when xi makes the periodic field almost constant
+    for kind, what in ((datagen.NLGP, "NLGP latent"), (datagen.GP_MATCH, "GPMatch")):
+        spec = datagen.ModelSpec(kind=kind, d=20, xi=1e10, periodic=True)
+        with pytest.raises(ValueError, match=f"^{what} covariance is numerically singular; "
+                                             "reduce xi$"):
+            datagen.sample_class(spec, 3, 1)
 
 
 def test_make_dataset_labels_and_pairing():
@@ -225,7 +229,8 @@ def test_make_dataset_labels_and_pairing():
     assert data.n == 80 and data.d == 6
     assert np.all(data.labels[:40] == 1.0) and np.all(data.labels[40:] == -1.0)
     null_rows = data.values[data.labels < 0]
-    expected = datagen.sample_class(datagen.null_spec(6), 40, spawn_seed(4, "neg"))
+    null = datagen.ModelSpec(kind=datagen.NULL, d=6)
+    expected = datagen.sample_class(null, 40, spawn_seed(4, "neg"))
     assert np.array_equal(null_rows, expected)
     assert np.array_equal(data.values[:40], datagen.sample_class(spec, 40, spawn_seed(4, "pos")))
 
@@ -375,7 +380,8 @@ def test_make_dataset_samples_into_one_value_array():
     # each class is drawn straight into its half of the returned array, so
     # beside that array only one class's sampler output is ever held
     n, d = 2_000, 50
-    peak = traced_peak(lambda: datagen.make_dataset(datagen.null_spec(d), n, 1))
+    null = datagen.ModelSpec(kind=datagen.NULL, d=d)
+    peak = traced_peak(lambda: datagen.make_dataset(null, n, 1))
     assert peak < 1.75 * (2 * n * d * 8), peak
 
 
@@ -391,7 +397,7 @@ def test_spiked_class_is_sampled_into_its_output_rows():
                                  np.empty((3, 5)).T])
 def test_sample_class_refuses_an_unfit_output(out):
     with pytest.raises(ValueError, match="C-contiguous float64 array of shape"):
-        datagen.sample_class(datagen.null_spec(3), 5, 1, out=out)
+        datagen.sample_class(datagen.ModelSpec(kind=datagen.NULL, d=3), 5, 1, out=out)
 
 
 def test_write_binary_makes_no_full_copy(tmp_path):

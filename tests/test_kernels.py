@@ -30,9 +30,9 @@ def test_search_matches_brute_force_oracle():
                 spikes = [np.array((1.0,) + signs)
                           for signs in itertools.product((-1.0, 1.0), repeat=d - 1)]
                 scores = [sample_log_likelihood(X, v, beta, dist) for v in spikes]
-                res = detect.exhaustive_search(X, beta, dist)
-                np.testing.assert_array_equal(res.best_spike, spikes[int(np.argmax(scores))])
-                assert res.best_loglik == pytest.approx(max(scores), rel=1e-12)
+                spike, loglik = detect.exhaustive_search(X, beta, dist)
+                np.testing.assert_array_equal(spike, spikes[int(np.argmax(scores))])
+                assert loglik == pytest.approx(max(scores), rel=1e-12)
 
 
 def loop_code_to_spike(code, d):

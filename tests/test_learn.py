@@ -325,8 +325,8 @@ def test_rf_duplication_invariance():
         values=np.vstack([data.values, data.values]),
         labels=np.concatenate([data.labels, data.labels]),
     )
-    acc1 = learn.fit_random_features(data, test, learn.RFConfig(width=50, ridge=0.1, seed=3))
-    acc2 = learn.fit_random_features(doubled, test, learn.RFConfig(width=50, ridge=0.2, seed=3))
+    acc1 = learn.fit_random_features(data, test, 50, 0.1, 3)
+    acc2 = learn.fit_random_features(doubled, test, 50, 0.2, 3)
     assert acc1 == acc2
 
 
@@ -335,13 +335,13 @@ def test_rf_readout_matches_cholesky_reference():
 
     data, _ = wishart_data(16, 300, 5.0, seed=29)
     test, _ = wishart_data(16, 1000, 5.0, seed=30)
-    cfg = learn.RFConfig(width=80, ridge=0.1, seed=31)
-    F = generator(cfg.seed, "rf").standard_normal((cfg.width, 16)) / np.sqrt(16)
+    width, ridge, seed = 80, 0.1, 31
+    F = generator(seed, "rf").standard_normal((width, 16)) / np.sqrt(16)
     phi_tr = np.maximum(data.values @ F.T, 0.0)
-    gram = phi_tr.T @ phi_tr + cfg.ridge * np.eye(cfg.width)
+    gram = phi_tr.T @ phi_tr + ridge * np.eye(width)
     w = cho_solve(cho_factor(gram), phi_tr.T @ data.labels)
     ref = float(np.mean(np.sign(np.maximum(test.values @ F.T, 0.0) @ w) == test.labels))
-    assert learn.fit_random_features(data, test, cfg) == ref
+    assert learn.fit_random_features(data, test, width, ridge, seed) == ref
 
 
 def test_strong_signal_wishart_run():
@@ -361,7 +361,7 @@ def test_rf_learns_wishart_variance_signal():
     # quadratic-regime smoke check at small scale
     data, u = wishart_data(12, 600, 20.0, seed=16)
     test, _ = wishart_data(12, 1500, 20.0, seed=17)
-    acc = learn.fit_random_features(data, test, learn.RFConfig(width=60, seed=4))
+    acc = learn.fit_random_features(data, test, 60, 0.1, 4)
     assert acc > 0.55
 
 
@@ -374,7 +374,7 @@ def test_rf_at_chance_on_cumulant_linear_regime():
                              g_dist=RADEM, spike=u)
     train = datagen.make_dataset(spec, 10 * d, 22)
     test = datagen.make_dataset(spec, 2000, 23)
-    acc = learn.fit_random_features(train, test, learn.RFConfig(width=5 * d, seed=24))
+    acc = learn.fit_random_features(train, test, 5 * d, 0.1, 24)
     se = 0.5 / np.sqrt(2 * 2000)
     assert abs(acc - 0.5) < 3 * se
 
@@ -383,7 +383,7 @@ def test_rf_learns_wishart_at_quadratic_complexity():
     d, beta = 24, 5.0
     data, _ = wishart_data(d, d * d, beta, seed=25, spike_seed=26)
     test, _ = wishart_data(d, 2000, beta, seed=27, spike_seed=26)
-    acc = learn.fit_random_features(data, test, learn.RFConfig(width=5 * d, seed=28))
+    acc = learn.fit_random_features(data, test, 5 * d, 0.1, 28)
     assert acc > 0.55
 
 
