@@ -38,7 +38,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import BLAS_SETTINGS, __version__, cumtensor, datagen, detect, ldlr, learn, likelihood
-from .hermite import G_KINDS, GDistribution
+from .hermite import G_KINDS, MAX_FLOAT_DEGREE, STANDARD_GAUSSIAN, GDistribution
 from .rng import generator, spawn_seed
 
 
@@ -70,9 +70,6 @@ class Key:
     check: tuple[Callable, str] | None = None
     keys: dict[str, Key] | None = None
     build: Callable[[dict], object] | None = None
-
-
-PER_POINT = Key(None, OPTIONAL)  # a key the runner sets for each point
 
 
 def _above(low):
@@ -146,12 +143,8 @@ def _check(obj: dict, keys: dict[str, Key], where: str) -> dict:
     """The checked values of `obj` under key table `keys`; `where` names
     the object ("config" at the top level)."""
     for name in obj:
-        if keys.get(name) is PER_POINT:
-            raise ConfigError(f"{where} key {name!r} is set for each point; "
-                              f"it may not appear in the {where} object")
         if name not in keys:
-            raise ConfigError(f"unknown {where} key {name!r}; expected one of "
-                              f"{', '.join(n for n, k in keys.items() if k is not PER_POINT)}")
+            raise ConfigError(f"unknown {where} key {name!r}; expected one of {', '.join(keys)}")
     out = {}
     for name, key in keys.items():
         path = name if where == "config" else f"{where}.{name}"
@@ -188,15 +181,14 @@ _MODEL = Key(dict, keys={
     "xi": Key(float, 1.0),
     "periodic": Key(bool, False),
 }, build=_model_spec)
-# passed to learn.TrainConfig, with its defaults; the runner sets epochs by task
+# keyword arguments of learn.train_2lnn, and the one home of their defaults;
+# the runner sets epochs by task when absent, and alpha_lazy and seed by point
 _TRAIN = Key(dict, {}, keys={
     "epochs": Key(int, OPTIONAL, check=_at_least(1)),
-    "batch_size": Key(int, learn.TrainConfig.batch_size, check=_at_least(1)),
-    "width_factor": Key(int, learn.TrainConfig.width_factor, check=_at_least(1)),
-    "learning_rate": Key(float, learn.TrainConfig.learning_rate, check=_above(0)),
-    "weight_decay": Key(float, learn.TrainConfig.weight_decay, check=_at_least(0)),
-    "alpha_lazy": PER_POINT,
-    "seed": PER_POINT,
+    "batch_size": Key(int, 128, check=_at_least(1)),
+    "width_factor": Key(int, 5, check=_at_least(1)),  # hidden neurons per input dimension
+    "learning_rate": Key(float, 0.002, check=_above(0)),
+    "weight_decay": Key(float, 0.002, check=_at_least(0)),
 }, build=dict)
 COMMON_KEYS = {"experiment": Key(str, OPTIONAL), "seed": Key(int, 0)}
 
@@ -260,9 +252,13 @@ def _ldlr_points(v: dict) -> list[tuple]:
               for D in ([math.ceil(math.log(max(n, 2)) ** 1.5)] if v["D"] == "auto" else v["D"])
               for beta in v["beta"]]
     for d, n, D, beta in points:
+        where = f"grid point d={d}, n={n}, D={D}, beta={beta}"
         if D // 4 > n:
-            raise ConfigError(f"grid point d={d}, n={n}, D={D}, beta={beta} has floor(D/4) = "
-                              f"{D // 4} > n; the LDLR index set needs floor(D/4) <= n")
+            raise ConfigError(f"{where} has floor(D/4) = {D // 4} > n; the LDLR index set "
+                              "needs floor(D/4) <= n")
+        if D > MAX_FLOAT_DEGREE and v["g"] != STANDARD_GAUSSIAN:
+            raise ConfigError(f"{where} has D > {MAX_FLOAT_DEGREE}; E[h_m(g)] of g = {v['g']} "
+                              f"overflows a float from m = {MAX_FLOAT_DEGREE + 1}")
     return points
 
 
@@ -316,21 +312,19 @@ def _run_train(p: dict, point_seed: int, out: Callable[[str], str]) -> dict:
                                       neg=neg)
     test_data = datagen.make_dataset(pos, p["n_test_per_class"], spawn_seed(point_seed, "test"),
                                      neg=neg)
-    overrides = dict(p["train"])
-    epochs = overrides.pop("epochs", 50 if p["task"] == datagen.SPIKED_WISHART else 200)
-    cfg = learn.TrainConfig(alpha_lazy=p["alpha_lazy"], epochs=epochs,
-                            seed=spawn_seed(point_seed, "net"), **overrides)
-    report, _net = learn.train_2lnn(train_data, test_data, pos.spike, cfg)
+    train = {"epochs": 50 if p["task"] == datagen.SPIKED_WISHART else 200, **p["train"]}
+    curves, _net = learn.train_2lnn(train_data, test_data, pos.spike, alpha_lazy=p["alpha_lazy"],
+                                    seed=spawn_seed(point_seed, "net"), **train)
     metrics = {
-        "nn_early_stop_acc": report.early_stop_acc,
-        "nn_final_test_acc": report.test_acc[-1],
-        "nn_final_max_ipr": report.ipr_trajectory[-1],
+        "nn_early_stop_acc": max(curves["test_acc"]),
+        "nn_final_test_acc": curves["test_acc"][-1],
+        "nn_final_max_ipr": curves["max_ipr"][-1],
     }
     if pos.spike is not None:
-        metrics["nn_final_max_overlap"] = report.overlap_trajectory[-1]
+        metrics["nn_final_max_overlap"] = curves["max_overlap"][-1]
     if p["rf"]:
         metrics["rf_acc"] = learn.fit_random_features(
-            train_data, test_data, cfg.width_factor * p["d"], p["rf_ridge"],
+            train_data, test_data, train["width_factor"] * p["d"], p["rf_ridge"],
             spawn_seed(point_seed, "rf"))
     return metrics
 
@@ -351,9 +345,8 @@ def _run_cp(p: dict, point_seed: int, out: Callable[[str], str]) -> dict:
                              periodic=p["periodic"])
     rows = datagen.sample_class(spec, p["n"], spawn_seed(point_seed, "data"))
     tensor = cumtensor.empirical_fourth_cumulant(rows)
-    res = cumtensor.rank1_cp(tensor, rng=generator(point_seed, "cp"))
-    return {"cp_ipr": float("nan") if res.degenerate else learn.ipr(res.factor),
-            "cp_weight": res.weight}
+    weight, factor = cumtensor.rank1_cp(tensor, rng=generator(point_seed, "cp"))
+    return {"cp_ipr": float("nan") if weight == 0.0 else learn.ipr(factor), "cp_weight": weight}
 
 
 @dataclass(frozen=True)
@@ -361,16 +354,15 @@ class Experiment:
     """One subcommand: its config keys (besides COMMON_KEYS), the
     coordinate columns of its metric CSVs, its grid and its runner.
 
-    `points` maps the checked config to the coordinate tuples of the grid;
-    None takes the product of the coordinate keys.  `aggregate` names a
-    convenience CSV and makes its text from the config and the finished
-    tasks, each a (coordinates, run, metrics) tuple.
+    `points` maps the checked config to the coordinate tuples of the grid.
+    `aggregate` names a convenience CSV and makes its text from the config
+    and the finished tasks, each a (coordinates, run, metrics) tuple.
     """
 
     keys: dict[str, Key]
     coords: tuple[str, ...]
     run: Callable[[dict, int, Callable[[str], str]], dict]
-    points: Callable[[dict], list[tuple]] | None = None
+    points: Callable[[dict], list[tuple]]
     aggregate: tuple[str, Callable[[ExperimentConfig, list[tuple]], str]] | None = None
 
 
@@ -431,7 +423,8 @@ EXPERIMENTS = {
             "train": _TRAIN,
             "runs": _RUNS,
         },
-        coords=("d", "n_per_class", "alpha_lazy"), run=_run_train),
+        coords=("d", "n_per_class", "alpha_lazy"), run=_run_train,
+        points=lambda v: list(itertools.product(v["d"], v["n_per_class"], v["alpha_lazy"]))),
     "nlgp-localisation": Experiment(
         keys={
             "d": Key(int, check=_at_least(1, cumtensor.MAX_CUMULANT_DIM)),
@@ -474,12 +467,7 @@ def _validate(raw: dict) -> ExperimentConfig:
             seed = int(env_seed)
         except ValueError:
             raise ConfigError(f"CUMLAB_SEED has value {env_seed!r}, expected int") from None
-    if exp.points is None:
-        points = list(itertools.product(*(values[c] if exp.keys[c].grid else [values[c]]
-                                          for c in exp.coords)))
-    else:
-        points = exp.points(values)
-    tasks = [(point, run) for point in points for run in range(values.get("runs", 1))]
+    tasks = [(point, run) for point in exp.points(values) for run in range(values.get("runs", 1))]
     # a repeated grid value would give tasks with the same point seed, so
     # the "independent" runs of that point would be copies of each other
     seen = set()

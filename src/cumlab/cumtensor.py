@@ -31,7 +31,6 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
-from typing import NamedTuple
 
 import numpy as np
 
@@ -123,18 +122,12 @@ def _norm(v: np.ndarray) -> float:
     return math.sqrt(v @ v)
 
 
-class CpResult(NamedTuple):
-    weight: float
-    factor: np.ndarray
-    degenerate: bool
-
-
 CP_RESTARTS = 8
 CP_MAX_ITERS = 1000
 CP_TOL = 1e-10
 
 
-def rank1_cp(tensor: FourthCumulant, rng: np.random.Generator) -> CpResult:
+def rank1_cp(tensor: FourthCumulant, rng: np.random.Generator) -> tuple[float, np.ndarray]:
     """Best rank-1 symmetric approximation weight*v^(x4) of the cumulant.
 
     Each of CP_RESTARTS restarts starts from a Gaussian direction drawn
@@ -142,11 +135,12 @@ def rank1_cp(tensor: FourthCumulant, rng: np.random.Generator) -> CpResult:
     sign-corrected T (so the iterated tensor has positive weight along the
     current direction); a step shorter than CP_TOL ends it.  |T(v,v,v,v)|
     is monotone over accepted steps and a decrease beyond tolerance stops
-    the restart.  Returns the best restart by |weight|; a tensor whose
-    every restart contracts to zero is flagged degenerate.
+    the restart.  Returns (weight, factor) of the best restart by |weight|;
+    a tensor whose every restart contracts to zero gives weight 0.0 and a
+    zero factor, and only such a tensor does.
     """
     d = tensor.d
-    best = CpResult(0.0, np.zeros(d), True)
+    weight, factor = 0.0, np.zeros(d)
     for _ in range(CP_RESTARTS):
         v = rng.standard_normal(d)
         v /= _norm(v)
@@ -167,6 +161,6 @@ def rank1_cp(tensor: FourthCumulant, rng: np.random.Generator) -> CpResult:
             v, t, gamma = w, tw, new_gamma
             if step < CP_TOL:
                 break
-        if abs(gamma) > abs(best.weight):
-            best = CpResult(gamma, v, False)
-    return best
+        if abs(gamma) > abs(weight):
+            weight, factor = gamma, v
+    return weight, factor

@@ -35,6 +35,10 @@ STANDARD_GAUSSIAN = "standard_gaussian"
 
 G_KINDS = (RADEMACHER, UNIFORM, STANDARD_GAUSSIAN)
 
+# E[h_m(g)] of Rademacher and Uniform g overflows a float from m = 304; a
+# Gaussian g's is 0 at every m >= 1
+MAX_FLOAT_DEGREE = 303
+
 # Gauss-Legendre nodes of the Uniform rule of the overlap function f
 QUADRATURE_NODES = 64
 

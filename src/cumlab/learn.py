@@ -15,7 +15,9 @@ network.  As (1/alpha^2)(alpha (phi - phi0) - y)^2 = (phi - (y/alpha + phi0))^2,
 a lazy run is a plain run on the shifted targets y/alpha + phi0(x), with the
 same gradient in every parameter, so one SGD epoch serves every alpha.
 ``TwoLayerNet.forward`` is the one forward pass: it gives the per-epoch test
-outputs and the initial network's outputs alike.
+outputs and the initial network's outputs alike.  ``train_2lnn`` takes every
+hyperparameter as a keyword with no default; the train-sweep `train` keys
+hold the defaults, and the runner sets `epochs` by task.
 
 Random features are the fixed-first-layer ablation: the same ReLU and the
 same N(0, 1/d) first-layer law, with a ridge readout solved through the
@@ -29,7 +31,7 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -92,29 +94,6 @@ def init_network(d: int, width: int, rng: np.random.Generator) -> TwoLayerNet:
     return TwoLayerNet(W=W, b=np.zeros(width), v=v, c=0.0)
 
 
-@dataclass(frozen=True)
-class TrainConfig:
-    learning_rate: float = 0.002
-    weight_decay: float = 0.002
-    epochs: int = 50  # the train-sweep default is 50 for Wishart, 200 for cumulant and NLGP
-    batch_size: int = 128
-    alpha_lazy: float = 1.0
-    width_factor: int = 5  # hidden neurons per input dimension
-    seed: int = 0
-
-    def __post_init__(self):
-        if self.alpha_lazy < 1.0:
-            raise ValueError("alpha_lazy must be >= 1")
-
-
-@dataclass
-class TrainReport:
-    test_acc: list[float] = field(default_factory=list)
-    overlap_trajectory: list[float] = field(default_factory=list)
-    ipr_trajectory: list[float] = field(default_factory=list)
-    early_stop_acc: float = 0.0
-
-
 class DivergenceError(RuntimeError):
     def __init__(self, epoch: int):
         super().__init__(f"training diverged (non-finite loss) at epoch {epoch}")
@@ -168,52 +147,49 @@ def _max_ipr(W: np.ndarray) -> float:
 
 
 def train_2lnn(
-    train: DataMatrix,
-    test: DataMatrix,
-    u: np.ndarray | None,
-    cfg: TrainConfig,
-) -> tuple[TrainReport, TwoLayerNet]:
-    """Minibatch SGD on the squared loss; per-epoch test diagnostics.
+    train: DataMatrix, test: DataMatrix, u: np.ndarray | None, *, epochs: int, batch_size: int,
+    learning_rate: float, weight_decay: float, width_factor: int, alpha_lazy: float, seed: int,
+) -> tuple[dict[str, list[float]], TwoLayerNet]:
+    """Minibatch SGD on the squared loss; returns the per-epoch test curves
+    ``{"test_acc", "max_overlap", "max_ipr"}`` and the trained network.
 
-    The initial network and the batch order of every epoch come from
-    ``generator(cfg.seed, "train2lnn")``, so a (data, cfg) pair reproduces
-    the report bit-for-bit.  Every alpha trains through
-    ``_kernels.sgd_epoch``: alpha = 1 on the labels y themselves, alpha > 1
-    on the targets y/alpha + phi0(x), computed once per call from the
-    initial network phi0.  An epoch's test accuracy is the sign readout of
-    phi at alpha = 1 and of phi - phi0 at alpha > 1, which has the sign of
-    the centred-scaled output alpha * (phi - phi0).
-    Overlap diagnostics need the true spike u; pass None (e.g. NLGP task)
-    to skip them.
+    The network has ``width_factor * d`` hidden neurons.  It and the batch
+    order of every epoch come from ``generator(seed, "train2lnn")``, so the
+    same data and arguments reproduce the curves bit-for-bit.  Every alpha
+    trains through ``_kernels.sgd_epoch``: alpha = 1 on the labels y
+    themselves, alpha > 1 on the targets y/alpha + phi0(x), computed once
+    per call from the initial network phi0.  An epoch's test accuracy is
+    the sign readout of phi at alpha = 1 and of phi - phi0 at alpha > 1,
+    which has the sign of the centred-scaled output alpha * (phi - phi0).
+    The overlap curve needs the true spike u; with u None (e.g. NLGP task)
+    it is nan.
     """
     if train.d != test.d:
         raise ValueError("train/test dimensions differ")
-    rng = generator(cfg.seed, "train2lnn")
+    if alpha_lazy < 1.0:
+        raise ValueError("alpha_lazy must be >= 1")
+    rng = generator(seed, "train2lnn")
     d = train.d
-    net = init_network(d, cfg.width_factor * d, rng)
-    alpha = cfg.alpha_lazy
+    net = init_network(d, width_factor * d, rng)
     X, y = train.values, train.labels
     n = X.shape[0]
     test_offset = 0.0
-    if alpha != 1.0:
-        y = y / alpha + net.forward(X)
+    if alpha_lazy != 1.0:
+        y = y / alpha_lazy + net.forward(X)
         test_offset = net.forward(test.values)
-    report = TrainReport()
-    for epoch in range(cfg.epochs):
+    curves = {"test_acc": [], "max_overlap": [], "max_ipr": []}
+    for epoch in range(epochs):
         net.c = _kernels.sgd_epoch(
             net.W, net.b, net.v, net.c, X, y, rng.permutation(n),
-            cfg.batch_size, cfg.learning_rate, cfg.weight_decay,
+            batch_size, learning_rate, weight_decay,
         )
         if not (np.all(np.isfinite(net.W)) and np.all(np.isfinite(net.v))):
             raise DivergenceError(epoch)
         out = net.forward(test.values) - test_offset
-        report.test_acc.append(float(np.mean(np.sign(out) == test.labels)))
-        report.overlap_trajectory.append(
-            max_spike_overlap(net.W, u) if u is not None else float("nan")
-        )
-        report.ipr_trajectory.append(_max_ipr(net.W))
-    report.early_stop_acc = max(report.test_acc, default=0.0)
-    return report, net
+        curves["test_acc"].append(float(np.mean(np.sign(out) == test.labels)))
+        curves["max_overlap"].append(max_spike_overlap(net.W, u) if u is not None else np.nan)
+        curves["max_ipr"].append(_max_ipr(net.W))
+    return curves, net
 
 
 def fit_random_features(

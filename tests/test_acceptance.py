@@ -27,6 +27,9 @@ from oracles import (
 
 RADEM = GDistribution.from_kind("rademacher")
 UNIF = GDistribution.from_kind("uniform")
+# the train-sweep defaults of train_2lnn's keyword arguments, at alpha 1
+TRAIN = {name: key.default for name, key in cli._TRAIN.keys.items()
+         if key.default is not cli.OPTIONAL} | {"alpha_lazy": 1.0}
 
 
 def report(criterion: str, passed: bool, detail: str) -> bool:
@@ -239,12 +242,12 @@ def test_criterion_09a_wishart_network_learns():
     spec = datagen.ModelSpec(kind=datagen.SPIKED_WISHART, d=d, beta=5.0, spike=u)
     train = datagen.make_dataset(spec, 50 * d, spawn_seed(seed, "tr"))
     test = datagen.make_dataset(spec, 5000, spawn_seed(seed, "te"))
-    cfg = learn.TrainConfig(epochs=50, batch_size=8, seed=spawn_seed(seed, "net"))
-    rep, _ = learn.train_2lnn(train, test, u, cfg)
-    overlap = max(rep.overlap_trajectory)
-    ok = rep.early_stop_acc >= 0.65 and overlap >= 0.6
+    curves, _ = learn.train_2lnn(train, test, u, **dict(TRAIN, epochs=50, batch_size=8,
+                                                         seed=spawn_seed(seed, "net")))
+    early_stop, overlap = max(curves["test_acc"]), max(curves["max_overlap"])
+    ok = early_stop >= 0.65 and overlap >= 0.6
     assert report("9a (2LNN learns spiked Wishart at n=50d)", ok,
-                  f"early_stop={rep.early_stop_acc:.4f} overlap={overlap:.3f}")
+                  f"early_stop={early_stop:.4f} overlap={overlap:.3f}")
 
 
 def test_criterion_09b_wishart_rf_at_chance():
@@ -289,12 +292,12 @@ def test_criterion_10b_cumulant_network_learns():
     # tried); encoded as stated, expected red.
     seed, d = 1, 24
     u, train, test = _cumulant_setup(seed, d, 24 * 24)
-    cfg = learn.TrainConfig(epochs=200, batch_size=16, seed=spawn_seed(seed, "net"))
-    rep, _ = learn.train_2lnn(train, test, u, cfg)
-    ok = rep.early_stop_acc >= 0.6
+    curves, _ = learn.train_2lnn(train, test, u, **dict(TRAIN, epochs=200, batch_size=16,
+                                                         seed=spawn_seed(seed, "net")))
+    early_stop = max(curves["test_acc"])
+    ok = early_stop >= 0.6
     assert report("10b (2LNN learns cumulant at n=d^2)", ok,
-                  f"early_stop={rep.early_stop_acc:.4f} "
-                  f"overlap={max(rep.overlap_trajectory):.3f}")
+                  f"early_stop={early_stop:.4f} overlap={max(curves['max_overlap']):.3f}")
 
 
 def test_criterion_11_nlgp_localisation():
@@ -307,8 +310,8 @@ def test_criterion_11_nlgp_localisation():
     def leading_ipr(spec, n, tag):
         rows = datagen.sample_class(spec, n, spawn_seed(spawn_seed(seed, tag), "rows"))
         tensor = cumtensor.empirical_fourth_cumulant(rows)
-        res = cumtensor.rank1_cp(tensor, rng=generator(spawn_seed(seed, tag), "cp"))
-        return learn.ipr(res.factor)
+        _, factor = cumtensor.rank1_cp(tensor, rng=generator(spawn_seed(seed, tag), "cp"))
+        return learn.ipr(factor)
 
     small = leading_ipr(nl, 10 * d, "s")
     large = leading_ipr(nl, 1000 * d, "l")

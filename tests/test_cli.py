@@ -337,11 +337,15 @@ def test_generate_round_trip(tmp_path):
     assert sorted(os.listdir(out)) == ["manifest.json", "rows_written.csv", "toy.bin", "toy.csv"]
 
 
-@pytest.mark.parametrize("n, D", [(2**64, "auto"), (10**30, [12])], ids=["2^64-auto", "1e30"])
-def test_ldlr_bounds_past_the_uint64_range(tmp_path, n, D):
-    # numpy's log refuses a Python int past 2^64; the run takes any n
+@pytest.mark.parametrize("n, D, g", [
+    (2**64, "auto", "rademacher"), (10**30, [12], "rademacher"), (10**19, [303], "rademacher"),
+    (10**19, [303], "uniform"), (10**19, [304], "standard_gaussian"),
+], ids=["2^64-auto", "1e30", "D303", "D303-uniform", "D304-gaussian"])
+def test_ldlr_bounds_past_the_uint64_range(tmp_path, n, D, g):
+    # numpy's log refuses a Python int past 2^64; the run takes any n.  It
+    # takes D up to 303 for every g, and past it for a Gaussian g
     cfg = write_config(tmp_path, "cfg.json", {"experiment": "ldlr-bounds", "seed": 1, "d": [16],
-                                              "n": [n], "D": D, "beta": [10.0]})
+                                              "n": [n], "D": D, "beta": [10.0], "g": g})
     out = str(tmp_path / "big")
     assert run_cli(["ldlr-bounds", "--config", cfg, "--out", out]) == 0
     with open(os.path.join(out, "ldlr_bounds.csv")) as fh:
@@ -540,6 +544,19 @@ def test_nlgp_localisation_smoke(tmp_path):
     assert classes == {"nlgp", "gp_match"}
 
 
+def test_nlgp_localisation_degenerate_fit(tmp_path, monkeypatch):
+    # a fit of weight 0.0 has a zero factor, whose IPR is recorded as nan
+    monkeypatch.setattr(cli.cumtensor, "rank1_cp", lambda tensor, rng: (0.0, np.zeros(tensor.d)))
+    cfg = write_config(tmp_path, "cfg.json", NLGP_CFG)
+    out = str(tmp_path / "nl")
+    assert run_cli(["nlgp-localisation", "--config", cfg, "--out", out]) == 0
+    for metric, value in (("cp_ipr", "nan"), ("cp_weight", "0.0")):
+        with open(os.path.join(out, f"{metric}.csv")) as fh:
+            rows = fh.read().strip().splitlines()
+        assert [r.split(",")[2:] for r in rows[1:]] == [["nlgp", "0", value],
+                                                       ["gp_match", "0", value]]
+
+
 # d = 20 gives 100 hidden neurons and 100 random features.  OpenBLAS 0.3.31
 # rounds a 100-wide Gram product differently with one thread and with two.
 TINY_TRAIN_CFG = {
@@ -719,7 +736,8 @@ def test_wishart_and_cumulant_points_load_no_scipy():
         "                               g_dist=GDistribution.from_kind('rademacher'))):\n"
         "    train = datagen.make_dataset(spec, 40, 2)\n"
         "    test = datagen.make_dataset(spec, 40, 3)\n"
-        "    learn.train_2lnn(train, test, u, learn.TrainConfig(epochs=2, batch_size=8))\n"
+        "    learn.train_2lnn(train, test, u, epochs=2, batch_size=8, learning_rate=0.002,\n"
+        "                     weight_decay=0.002, width_factor=5, alpha_lazy=1.0, seed=0)\n"
         "    learn.fit_random_features(train, test, 40, 0.1, 0)\n"
         "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
     )
@@ -791,6 +809,13 @@ GENERATE_CFG = {
      "grid point d=2, theta=-1100.0 has n = ceil(d^theta) = 0; the experiment needs n >= 1"),
     ("lr-curve", dict(LR_CFG, theta=[1.0, 10**400]),
      "'theta' has an integer value of 401 digits, expected a finite number"),
+    ("ldlr-bounds", dict(LDLR_CFG, n=[10**48]),
+     f"grid point d=8, n={10**48}, D=1162, beta=1.0 has D > 303; E[h_m(g)] of g = rademacher "
+     "overflows a float from m = 304"),
+    ("ldlr-bounds", dict(LDLR_CFG, n=[100], D=[304]),
+     "grid point d=8, n=100, D=304, beta=1.0 has D > 303"),
+    ("ldlr-bounds", dict(LDLR_CFG, n=[100], D=[304], g="uniform"),
+     "grid point d=8, n=100, D=304, beta=1.0 has D > 303; E[h_m(g)] of g = uniform"),
 ])
 def test_bad_grid_value_is_refused(tmp_path, capsys, experiment, payload, message):
     # a value of the wrong type is refused, never truncated or cast
@@ -914,8 +939,9 @@ def test_every_subcommand_runs_without_scipy(tmp_path, experiment):
      "'n_per_d' has value 0.1, which gives n = 1 at d = 8"),
     ("train-sweep", dict(TINY_TRAIN_CFG, train={"epochz": 3}), "unknown train key 'epochz'"),
     ("train-sweep", dict(TINY_TRAIN_CFG, train={"alpha_lazy": 2.0}),
-     "train key 'alpha_lazy' is set for each point"),
-    ("train-sweep", dict(TINY_TRAIN_CFG, train={"seed": 3}), "train key 'seed' is set"),
+     "unknown train key 'alpha_lazy'; expected one of epochs, batch_size, width_factor, "
+     "learning_rate, weight_decay"),
+    ("train-sweep", dict(TINY_TRAIN_CFG, train={"seed": 3}), "unknown train key 'seed'"),
     ("train-sweep", dict(TINY_TRAIN_CFG, train={"epochs": 2.5}),
      "'train.epochs' has value 2.5, expected int"),
     ("train-sweep", dict(TINY_TRAIN_CFG, train={"batch_size": "8"}),
@@ -1120,8 +1146,6 @@ def test_dead_worker_fails_its_point(tmp_path):
 
 def describe(name, key):
     """Key `name` as the README's config schema lists it."""
-    if key is cli.PER_POINT:
-        return f"`{name}` (set for each point, refused)"
     if key.kind is None:
         kind = "one of `" + "|".join(map(str, key.choices)) + "`"
     else:

@@ -6,11 +6,14 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from cumlab import _kernels, datagen, learn
+from cumlab import _kernels, cli, datagen, learn
 from cumlab.hermite import GDistribution
 from cumlab.rng import generator
 
 RADEM = GDistribution.from_kind("rademacher")
+# the train-sweep defaults of train_2lnn's keyword arguments, at alpha 1
+TRAIN = {name: key.default for name, key in cli._TRAIN.keys.items()
+         if key.default is not cli.OPTIONAL} | {"alpha_lazy": 1.0}
 
 
 def wishart_data(d, n_per, beta, seed, spike_seed=0):
@@ -132,11 +135,11 @@ def test_initial_overlap_concentration():
 def test_train_determinism():
     data, u = wishart_data(10, 150, 5.0, seed=5)
     test, _ = wishart_data(10, 150, 5.0, seed=6)
-    cfg = learn.TrainConfig(epochs=5, batch_size=32, seed=11)
-    rep1, net1 = learn.train_2lnn(data, test, u, cfg)
-    rep2, net2 = learn.train_2lnn(data, test, u, cfg)
-    assert rep1.test_acc == rep2.test_acc
-    assert rep1.overlap_trajectory == rep2.overlap_trajectory
+    kwargs = dict(TRAIN, epochs=5, batch_size=32, seed=11)
+    curves1, net1 = learn.train_2lnn(data, test, u, **kwargs)
+    curves2, net2 = learn.train_2lnn(data, test, u, **kwargs)
+    assert curves1["test_acc"] == curves2["test_acc"]
+    assert curves1["max_overlap"] == curves2["max_overlap"]
     assert np.array_equal(net1.W, net2.W) and np.array_equal(net1.v, net2.v)
 
 
@@ -146,25 +149,44 @@ def test_train_shuffled_labels_at_chance():
     data.labels = rng.permutation(data.labels)
     test, _ = wishart_data(12, 800, 5.0, seed=9)
     test.labels = rng.permutation(test.labels)
-    cfg = learn.TrainConfig(epochs=10, batch_size=32, seed=12)
-    rep, _ = learn.train_2lnn(data, test, u, cfg)
+    curves, _ = learn.train_2lnn(data, test, u, **dict(TRAIN, epochs=10, batch_size=32, seed=12))
     se = 0.5 / np.sqrt(2 * 800)
-    assert abs(rep.test_acc[-1] - 0.5) < 4 * se
+    assert abs(curves["test_acc"][-1] - 0.5) < 4 * se
 
 
-def test_early_stop_is_max_over_epochs():
-    data, u = wishart_data(10, 200, 5.0, seed=10)
-    test, _ = wishart_data(10, 400, 5.0, seed=11)
-    rep, _ = learn.train_2lnn(data, test, u, learn.TrainConfig(epochs=8, seed=1))
-    assert rep.early_stop_acc == max(rep.test_acc)
+def test_early_stop_is_max_over_epochs(monkeypatch, tmp_path):
+    # train-sweep records the best test accuracy over the epochs
+    monkeypatch.delenv("CUMLAB_SEED", raising=False)
+    runs, train_2lnn = [], learn.train_2lnn
+
+    def recorded(*args, **kwargs):
+        runs.append(train_2lnn(*args, **kwargs))
+        return runs[-1]
+
+    monkeypatch.setattr(learn, "train_2lnn", recorded)
+    cfg = cli._validate({"experiment": "train-sweep", "task": "spiked_wishart", "d": 10,
+                         "n_per_class": 200, "n_test_per_class": 400, "beta": 5.0, "rf": False,
+                         "train": {"epochs": 8}})
+    (point, run), = cfg.tasks
+    result = cli._run_task((0, cfg.experiment, cfg.values, point, run, cfg.seed, str(tmp_path)))
+    assert result.error is None
+    (curves, _), = runs
+    assert len(curves["test_acc"]) == 8
+    assert result.metrics["nn_early_stop_acc"] == max(curves["test_acc"])
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_divergence_aborts_with_epoch():
     data, u = wishart_data(8, 120, 5.0, seed=13)
-    cfg = learn.TrainConfig(learning_rate=50.0, epochs=10, batch_size=8, seed=2)
+    kwargs = dict(TRAIN, learning_rate=50.0, epochs=10, batch_size=8, seed=2)
     with pytest.raises(learn.DivergenceError, match="epoch"):
-        learn.train_2lnn(data, data, u, cfg)
+        learn.train_2lnn(data, data, u, **kwargs)
+
+
+def test_train_refuses_alpha_below_one():
+    data, u = wishart_data(8, 20, 5.0, seed=13)
+    with pytest.raises(ValueError, match="alpha_lazy must be >= 1"):
+        learn.train_2lnn(data, data, u, **dict(TRAIN, alpha_lazy=0.5, epochs=1, seed=2))
 
 
 def test_centred_forward_and_alpha_scaling():
@@ -174,13 +196,13 @@ def test_centred_forward_and_alpha_scaling():
     data, u = wishart_data(8, 60, 5.0, seed=19)
     test, _ = wishart_data(8, 200, 5.0, seed=20)
     for alpha in (1.0, 10.0):
-        cfg = learn.TrainConfig(alpha_lazy=alpha, epochs=3, batch_size=16, seed=9)
-        rep, net = learn.train_2lnn(data, test, u, cfg)
-        net0 = learn.init_network(8, cfg.width_factor * 8, generator(cfg.seed, "train2lnn"))
+        kwargs = dict(TRAIN, alpha_lazy=alpha, epochs=3, batch_size=16, seed=9)
+        curves, net = learn.train_2lnn(data, test, u, **kwargs)
+        net0 = learn.init_network(8, TRAIN["width_factor"] * 8, generator(9, "train2lnn"))
         out = net.forward(test.values)
         if alpha != 1.0:
             out = out - net0.forward(test.values)
-        assert rep.test_acc[-1] == float(np.mean(np.sign(out) == test.labels))
+        assert curves["test_acc"][-1] == float(np.mean(np.sign(out) == test.labels))
 
 
 @pytest.mark.parametrize("alpha", [1.0, 10.0])
@@ -283,17 +305,17 @@ def test_lazy_run_is_plain_sgd_on_shifted_targets():
     data, u = wishart_data(8, 60, 5.0, seed=21)
     test, _ = wishart_data(8, 200, 5.0, seed=22)
     alpha = 10.0
-    cfg = learn.TrainConfig(alpha_lazy=alpha, epochs=4, batch_size=16, seed=3)
-    rep, net = learn.train_2lnn(data, test, u, cfg)
-    rng = generator(cfg.seed, "train2lnn")
-    ref = learn.init_network(8, cfg.width_factor * 8, rng)
+    kwargs = dict(TRAIN, alpha_lazy=alpha, epochs=4, batch_size=16, seed=3)
+    curves, net = learn.train_2lnn(data, test, u, **kwargs)
+    rng = generator(3, "train2lnn")
+    ref = learn.init_network(8, TRAIN["width_factor"] * 8, rng)
     net0 = copy.deepcopy(ref)
     targets = data.labels / alpha + net0.forward(data.values)
     acc = []
-    for _ in range(cfg.epochs):
+    for _ in range(4):
         ref.c = _kernels.sgd_epoch(
             ref.W, ref.b, ref.v, ref.c, data.values, targets, rng.permutation(len(targets)),
-            cfg.batch_size, cfg.learning_rate, cfg.weight_decay,
+            16, TRAIN["learning_rate"], TRAIN["weight_decay"],
         )
         out = ref.forward(test.values) - net0.forward(test.values)
         acc.append(float(np.mean(np.sign(out) == test.labels)))
@@ -301,7 +323,7 @@ def test_lazy_run_is_plain_sgd_on_shifted_targets():
     np.testing.assert_array_equal(net.b, ref.b)
     np.testing.assert_array_equal(net.v, ref.v)
     assert net.c == ref.c
-    assert rep.test_acc == acc
+    assert curves["test_acc"] == acc
 
 
 def test_lazy_alpha_runs_use_centred_path():
@@ -311,11 +333,11 @@ def test_lazy_alpha_runs_use_centred_path():
                              g_dist=RADEM, spike=u)
     train = datagen.make_dataset(spec, 10 * d, 31)
     test = datagen.make_dataset(spec, 1000, 32)
-    cfg = learn.TrainConfig(alpha_lazy=100.0, epochs=15, batch_size=32, seed=5)
-    rep, _ = learn.train_2lnn(train, test, u, cfg)
+    kwargs = dict(TRAIN, alpha_lazy=100.0, epochs=15, batch_size=32, seed=5)
+    curves, _ = learn.train_2lnn(train, test, u, **kwargs)
     # the laziest network cannot learn this task in the linear regime
     se = 0.5 / np.sqrt(2 * 1000)
-    assert abs(rep.test_acc[-1] - 0.5) < 5 * se + 0.02
+    assert abs(curves["test_acc"][-1] - 0.5) < 5 * se + 0.02
 
 
 def test_rf_duplication_invariance():
@@ -351,10 +373,9 @@ def test_strong_signal_wishart_run():
     spec = datagen.ModelSpec(kind=datagen.SPIKED_WISHART, d=d, beta=beta, spike=u)
     train = datagen.make_dataset(spec, 50 * d, 41)
     test = datagen.make_dataset(spec, 2000, 42)
-    cfg = learn.TrainConfig(epochs=50, batch_size=8, seed=43)
-    rep, _ = learn.train_2lnn(train, test, u, cfg)
-    assert rep.early_stop_acc > 0.8
-    assert rep.overlap_trajectory[-1] > 0.7
+    curves, _ = learn.train_2lnn(train, test, u, **dict(TRAIN, epochs=50, batch_size=8, seed=43))
+    assert max(curves["test_acc"]) > 0.8
+    assert curves["max_overlap"][-1] > 0.7
 
 
 def test_rf_learns_wishart_variance_signal():
@@ -389,5 +410,6 @@ def test_rf_learns_wishart_at_quadratic_complexity():
 
 def test_train_report_serialisation():
     data, u = wishart_data(8, 80, 5.0, seed=18)
-    rep, _ = learn.train_2lnn(data, data, u, learn.TrainConfig(epochs=3, seed=6))
-    assert len(rep.test_acc) == len(rep.overlap_trajectory) == len(rep.ipr_trajectory) == 3
+    curves, _ = learn.train_2lnn(data, data, u, **dict(TRAIN, epochs=3, seed=6))
+    assert {name: len(curve) for name, curve in curves.items()} == {
+        "test_acc": 3, "max_overlap": 3, "max_ipr": 3}
