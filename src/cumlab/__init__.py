@@ -23,11 +23,10 @@ if "numpy" in sys.modules:
 
 __version__ = "0.1.0"
 
-from .hermite import GDistribution, hermite_coeff_expectation, hermite_coefficients
+from .hermite import GDistribution, hermite_coeff_expectation
 
 __all__ = [
     "GDistribution",
     "hermite_coeff_expectation",
-    "hermite_coefficients",
     "__version__",
 ]

@@ -38,7 +38,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import BLAS_SETTINGS, __version__, cumtensor, datagen, detect, ldlr, learn, likelihood
-from .hermite import G_KINDS, MAX_FLOAT_DEGREE, STANDARD_GAUSSIAN, GDistribution
+from .hermite import G_KINDS, GDistribution, hermite_coeff_expectation
 from .rng import generator, spawn_seed
 
 
@@ -239,6 +239,12 @@ def _counted_points(points, least: int = 0) -> list[tuple]:
     return points
 
 
+def _lr_points(v: dict) -> list[tuple]:
+    for beta in v["beta"]:  # refuses, as a ValueError, a beta with a non-finite f(beta, 1)
+        likelihood.gamma_beta(beta, GDistribution(v["g"]))
+    return _counted_points(itertools.product(v["d"], v["theta"], v["beta"]))
+
+
 def _run_lr_point(p: dict, point_seed: int, out: Callable[[str], str]) -> dict:
     g = GDistribution.from_kind(p["g"])
     log_norm = likelihood.lr_norm_sq_log(_sample_count(p["d"], p["theta"]), p["d"], p["beta"], g)
@@ -256,9 +262,12 @@ def _ldlr_points(v: dict) -> list[tuple]:
         if D // 4 > n:
             raise ConfigError(f"{where} has floor(D/4) = {D // 4} > n; the LDLR index set "
                               "needs floor(D/4) <= n")
-        if D > MAX_FLOAT_DEGREE and v["g"] != STANDARD_GAUSSIAN:
-            raise ConfigError(f"{where} has D > {MAX_FLOAT_DEGREE}; E[h_m(g)] of g = {v['g']} "
-                              f"overflows a float from m = {MAX_FLOAT_DEGREE + 1}")
+        try:  # E[h_m(g)] = 0 at odd m for every (even) law; the cache fills before --jobs forks
+            for m in range(0, D + 1, 2):
+                hermite_coeff_expectation(GDistribution(v["g"]), m)
+        except OverflowError:
+            raise ConfigError(f"{where} has D > {m - 1}; E[h_m(g)] of g = {v['g']} "
+                              f"overflows a float from m = {m}") from None
     return points
 
 
@@ -363,6 +372,7 @@ class Experiment:
     coords: tuple[str, ...]
     run: Callable[[dict, int, Callable[[str], str]], dict]
     points: Callable[[dict], list[tuple]]
+    size: Callable[[dict], int]  # float64 values in the largest array of a point, from its values
     aggregate: tuple[str, Callable[[ExperimentConfig, list[tuple]], str]] | None = None
 
 
@@ -375,7 +385,8 @@ EXPERIMENTS = {
             "format": Key(None, "both", choices=("csv", "binary", "both")),
             "negative_model": dataclasses.replace(_MODEL, default=None, choices=(None,)),
         },
-        coords=("name",), run=_run_generate, points=_generate_points),
+        coords=("name",), run=_run_generate, points=_generate_points,
+        size=lambda p: 2 * p["n_per_class"] * p["model"].d),
     "lr-curve": Experiment(
         keys={
             "d": Key(int, grid=True, check=_at_least(1)),
@@ -384,7 +395,7 @@ EXPERIMENTS = {
             "g": _G,
         },
         coords=("d", "theta", "beta"), run=_run_lr_point,
-        points=lambda v: _counted_points(itertools.product(v["d"], v["theta"], v["beta"]))),
+        points=_lr_points, size=lambda p: p["d"] + 1),  # the overlap law's weights
     "ldlr-bounds": Experiment(
         keys={
             "d": Key(int, grid=True, check=_at_least(1)),
@@ -394,7 +405,7 @@ EXPERIMENTS = {
             "g": _G,
         },
         coords=("d", "n", "D", "beta"), run=_run_ldlr_point, points=_ldlr_points,
-        aggregate=("ldlr_bounds.csv", _bound_rows)),
+        size=lambda p: p["d"] + 1, aggregate=("ldlr_bounds.csv", _bound_rows)),
     "search-curve": Experiment(
         keys={
             "d": Key(int, grid=True, check=_at_least(1, detect.MAX_SEARCH_DIM)),
@@ -405,6 +416,7 @@ EXPERIMENTS = {
         },
         coords=("d", "theta"), run=_run_search,
         points=lambda v: _counted_points(itertools.product(v["d"], v["theta"]), least=1),
+        size=lambda p: _sample_count(p["d"], p["theta"]) * p["d"],
         aggregate=("success_rate.csv", _success_rate)),
     "train-sweep": Experiment(
         keys={
@@ -424,7 +436,8 @@ EXPERIMENTS = {
             "runs": _RUNS,
         },
         coords=("d", "n_per_class", "alpha_lazy"), run=_run_train,
-        points=lambda v: list(itertools.product(v["d"], v["n_per_class"], v["alpha_lazy"]))),
+        points=lambda v: list(itertools.product(v["d"], v["n_per_class"], v["alpha_lazy"])),
+        size=lambda p: 2 * max(p["n_per_class"], p["n_test_per_class"]) * p["d"]),
     "nlgp-localisation": Experiment(
         keys={
             "d": Key(int, check=_at_least(1, cumtensor.MAX_CUMULANT_DIM)),
@@ -434,7 +447,8 @@ EXPERIMENTS = {
             "periodic": Key(bool, False),
             "runs": _RUNS,
         },
-        coords=("d", "n", "data_class"), run=_run_cp, points=_cp_points),
+        coords=("d", "n", "data_class"), run=_run_cp, points=_cp_points,
+        size=lambda p: p["n"] * p["d"]),
 }
 
 
@@ -472,11 +486,13 @@ def _validate(raw: dict) -> ExperimentConfig:
     # the "independent" runs of that point would be copies of each other
     seen = set()
     for point, run in tasks:
+        coords = ", ".join(f"{c}={v}" for c, v in zip(exp.coords, point))
         if (point, run) in seen:
-            coords = ", ".join(f"{c}={v}" for c, v in zip(exp.coords, point))
             raise ConfigError(f"grid point {coords} (run {run}) appears twice; "
                               "grid values must be distinct")
         seen.add((point, run))
+        if exp.size({**values, **dict(zip(exp.coords, point))}) > np.iinfo(np.intp).max // 8:
+            raise ConfigError(f"grid point {coords} needs an array larger than numpy can hold")
     return ExperimentConfig(experiment=experiment, seed=seed, raw=raw, values=values, tasks=tasks)
 
 
@@ -711,7 +727,7 @@ def main(argv=None) -> int:
         if raw.setdefault("experiment", ns.command) != ns.command:
             raise ConfigError(f"config is for {raw['experiment']!r}, not {ns.command!r}")
         cfg = _validate(raw)
-    except (OSError, ValueError, RecursionError) as exc:  # ValueError: ConfigError, bad JSON
+    except (OSError, ValueError, RecursionError) as exc:  # ConfigError, bad JSON, a refused beta
         print(f"config error: {exc}", file=sys.stderr)
         return 2
     try:

@@ -6,18 +6,19 @@ measure:
     (2*pi)^(-1/2) * integral h_n(x) h_m(x) exp(-x^2/2) dx = n! delta_{n,m}
 
 with h_0 = 1, h_1 = x, h_2 = x^2 - 1, h_3 = x^3 - 3x, h_4 = x^4 - 6x^2 + 3.
-The exact integer coefficients a_{m,k} of h_m = sum_k a_{m,k} x^k
-(`hermite_coefficients`) follow from the three-term recurrence
+The exact integer coefficients of h_m = sum_k a_{m,k} x^k are
 
-    h_{m+1}(x) = x * h_m(x) - m * h_{m-1}(x),
+    a_{m,m-2j} = (-1)^j m! / (j! (m-2j)! 2^j),   j = 0, ..., floor(m/2),
 
-read as polynomials.
+and 0 at every k of the other parity than m.
 
 This module also describes the latent scalar laws used by the spiked data
 models: Rademacher(1/2), Uniform(-sqrt(3), sqrt(3)) and the standard
 Gaussian.  All three are even with mean 0 and variance 1.  Each is given
 once, by its exact moments E[g^k]; its fourth cumulant and its Hermite
-coefficient expectations E[h_m(g)] = sum_k a_{m,k} E[g^k] follow from them.
+coefficient expectations E[h_m(g)] = sum_k a_{m,k} E[g^k] follow from them,
+and so does the degree from which E[h_m(g)] overflows a float: 304 for
+Rademacher and Uniform g, none for Gaussian g (0 at every m >= 1).
 """
 
 from __future__ import annotations
@@ -35,35 +36,8 @@ STANDARD_GAUSSIAN = "standard_gaussian"
 
 G_KINDS = (RADEMACHER, UNIFORM, STANDARD_GAUSSIAN)
 
-# E[h_m(g)] of Rademacher and Uniform g overflows a float from m = 304; a
-# Gaussian g's is 0 at every m >= 1
-MAX_FLOAT_DEGREE = 303
-
 # Gauss-Legendre nodes of the Uniform rule of the overlap function f
 QUADRATURE_NODES = 64
-
-_rows: tuple[tuple[int, ...], ...] = ((1,), (0, 1))  # the table of hermite_coefficients
-
-
-def hermite_coefficients(m: int) -> tuple[int, ...]:
-    """Exact integer coefficients (a_{m,0}, ..., a_{m,m}) of h_m.
-
-    Built from h_m = x h_{m-1} - (m-1) h_{m-2} in one table for the
-    process, grown on demand: a longer table replaces the old one whole,
-    so no caller sees it half grown.  Python integers lose nothing.
-    """
-    global _rows
-    if m < 0:
-        raise ValueError("degree must be nonnegative")
-    rows = _rows
-    if m >= len(rows):
-        grown = list(rows)
-        for k in range(len(rows), m + 1):
-            # x h_{k-1} has k + 1 coefficients; h_{k-2} has k - 1
-            grown.append(tuple(a - (k - 1) * b for a, b in
-                               zip((0,) + grown[k - 1], grown[k - 2] + (0, 0))))
-        _rows = rows = tuple(grown)
-    return rows[m]
 
 
 @dataclass(frozen=True)
@@ -130,6 +104,13 @@ def uniform_rule() -> tuple[np.ndarray, np.ndarray]:
 
 @cache
 def hermite_coeff_expectation(dist: GDistribution, m: int) -> float:
-    """E_{g~dist}[h_m(g)] = sum_k a_{m,k} E[g^k], summed exactly and rounded
-    once; cached, as each LDLR point at degree D needs every m <= D."""
-    return float(sum(a * dist.moment(k) for k, a in enumerate(hermite_coefficients(m))))
+    """E_{g~dist}[h_m(g)] = sum_j a_{m,m-2j} E[g^(m-2j)], summed exactly and
+    rounded once; OverflowError where that is past the float range.  Cached,
+    as each LDLR point at degree D needs every m <= D."""
+    if m < 0:
+        raise ValueError("degree must be nonnegative")
+    total, a = 0, 1  # a = a_{m,m-2j}, each from the last by an exact integer division
+    for k in range(m, -1, -2):
+        total += a * dist.moment(k)
+        a = -a * k * (k - 1) // (m - k + 2)
+    return float(total)

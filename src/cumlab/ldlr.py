@@ -17,7 +17,9 @@ prior kills every alpha with an odd column sum.  This module provides
 * the exact norm at every (n, d, D), as a series in the spike overlap, and
 * `bound_report`, the {metric: value} dict of one `ldlr-bounds` grid point.
 
-All norms are returned as natural logs of the squared norm.  Every binomial
+Each takes the latent law as a `GDistribution`, whose E[h_m(g)] overflows
+a float (OverflowError) from m = 304 for Rademacher and Uniform g.  All
+norms are returned as natural logs of the squared norm.  Every binomial
 C(n, k) is the exact integer `math.comb(n, k)`, its log rounded once.
 """
 
@@ -38,7 +40,7 @@ def t_coeff(m: int, beta: float, g_dist: GDistribution) -> float:
     return hermite_coeff_expectation(g_dist, m) * (beta / (1.0 + beta)) ** (m / 2.0)
 
 
-def ldlr_lower_log(n: int, d: int, D: int, beta: float, kappa4: float) -> float:
+def ldlr_lower_log(n: int, d: int, D: int, beta: float, g_dist: GDistribution) -> float:
     """Log of the finite-sum lower bound on ||L^{<=D}||^2.
 
     sum_{m=0}^{floor(D/4)} C(n,m) C(d+1,2)^m
@@ -47,7 +49,7 @@ def ldlr_lower_log(n: int, d: int, D: int, beta: float, kappa4: float) -> float:
     The counted index set picks m distinct samples, so floor(D/4) <= n is
     required.  At kappa4 = 0 or beta = 0 only the m = 0 term, 1, is left.
     """
-    top = D // 4
+    top, kappa4 = D // 4, g_dist.kappa4
     if top > n:
         raise ValueError(f"floor(D/4) = {top} exceeds n = {n}: index set needs distinct samples")
     if kappa4 == 0.0 or beta == 0.0 or top == 0:
@@ -97,17 +99,16 @@ def ldlr_upper_log(n: int, d: int, D: int, beta: float, g_dist: GDistribution) -
     return logsumexp(np.array(terms))
 
 
-def ldlr_asymptotics(
-    n: int, d: int, D: int, beta: float, kappa4: float, lambda_growth: float
-) -> tuple[float, float]:
+def ldlr_asymptotics(n: int, d: int, D: int, beta: float,
+                     g_dist: GDistribution) -> tuple[float, float]:
     """Closed-form asymptotic bracket (log lower, log upper).
 
     Lower: (1/floor(D/4) * (beta^2 kappa4/(1+beta)^2)^2 * n/d^2)^{floor(D/4)},
     valid for D >= 4.  Upper: 1 + sum_{m=1}^D (Lambda^2 beta/(1+beta))^m
-    m^{4m} (n/d^2)^{m/4}.  Large-(n,d) regime forms only; the finite-sum
-    bounds above are the quantitative ones.
+    m^{4m} (n/d^2)^{m/4}, Lambda the law's `lambda_growth`.  Large-(n,d)
+    regime forms only; the finite-sum bounds above are the quantitative ones.
     """
-    top = D // 4
+    top, kappa4 = D // 4, g_dist.kappa4
     if top < 1:
         raise ValueError("asymptotic lower form needs D >= 4")
     log_ratio = math.log(n) - 2.0 * np.log(d)  # math.log takes an n past the float range
@@ -121,7 +122,7 @@ def ldlr_asymptotics(
         )
     m = np.arange(1, D + 1, dtype=np.float64)
     with np.errstate(divide="ignore"):  # beta = 0: every term is -inf and drops out
-        log_b = np.log(lambda_growth**2 * beta / (1.0 + beta))
+        log_b = np.log(g_dist.lambda_growth**2 * beta / (1.0 + beta))
     terms = m * log_b + 4.0 * m * np.log(m) + 0.25 * m * log_ratio
     upper = logsumexp(np.concatenate([[0.0], terms]))
     return float(lower), upper
@@ -175,12 +176,10 @@ def bound_report(n: int, d: int, D: int, beta: float, g_dist: GDistribution) -> 
     D >= 4, where the asymptotic lower form is defined.  A metric undefined
     at the point is left out.
     """
-    metrics = {"log_lower": ldlr_lower_log(n, d, D, beta, g_dist.kappa4)}
+    metrics = {"log_lower": ldlr_lower_log(n, d, D, beta, g_dist)}
     if d >= D // 2:
         metrics["log_upper"] = ldlr_upper_log(n, d, D, beta, g_dist)
     metrics["log_exact"] = ldlr_norm_log(n, d, D, beta, g_dist)
     if D >= 4:
-        metrics["asym_lower"], metrics["asym_upper"] = ldlr_asymptotics(
-            n, d, D, beta, g_dist.kappa4, g_dist.lambda_growth
-        )
+        metrics["asym_lower"], metrics["asym_upper"] = ldlr_asymptotics(n, d, D, beta, g_dist)
     return metrics

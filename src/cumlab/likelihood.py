@@ -179,6 +179,10 @@ def gamma_beta(beta: float, g_dist: GDistribution) -> float:
     gamma_beta > 0 exactly when divergence is guaranteed at some ratio.
     Boundedness for n < d/gamma_beta is conjectured in the source
     material, not proven; callers should report it, never assert it.
+    ValueError where f(beta, 1) is not finite in floats, as from beta ~ 1e16.
     """
-    f1 = f_overlap(beta, 1.0, g_dist)
+    with np.errstate(all="ignore"):  # a non-finite f is refused below
+        f1 = f_overlap(beta, 1.0, g_dist)
+    if not np.isfinite(f1):
+        raise ValueError(f"f(beta, 1) of g = {g_dist.kind} is {f1} in floats at beta = {beta!r}")
     return float(np.log(f1) / np.log(2.0)) if f1 > 1.0 else 0.0

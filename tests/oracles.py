@@ -13,13 +13,7 @@ from math import erf
 import numpy as np
 
 from cumlab.cumtensor import FourthCumulant
-from cumlab.hermite import (
-    RADEMACHER,
-    STANDARD_GAUSSIAN,
-    UNIFORM,
-    hermite_coefficients,
-    uniform_rule,
-)
+from cumlab.hermite import RADEMACHER, STANDARD_GAUSSIAN, UNIFORM, uniform_rule
 from cumlab.ldlr import t_coeff
 
 
@@ -152,6 +146,12 @@ def coefficient_rows(max_degree: int) -> list[list[int]]:
     return rows
 
 
+def hermite_coefficients(m: int) -> tuple[int, ...]:
+    """Exact integer coefficients (a_{m,0}, ..., a_{m,m}) of h_m: row m of
+    `coefficient_rows`."""
+    return tuple(coefficient_rows(m)[m])
+
+
 def coeff_expectation_closed_form(kind: str, m: int) -> float:
     """E[h_m(g)] by one closed form per law, exact up to the final rounding.
 
@@ -173,7 +173,7 @@ def coeff_expectation_closed_form(kind: str, m: int) -> float:
             prev, cur = cur, cur - k * prev
         return float(cur)
     assert kind == UNIFORM, kind
-    coeffs = coefficient_rows(m)[m]
+    coeffs = hermite_coefficients(m)
     total = Fraction(0)
     for k in range(0, m + 1, 2):
         total += Fraction(coeffs[k]) * Fraction(3 ** (k // 2), k + 1)

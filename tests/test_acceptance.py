@@ -143,7 +143,7 @@ def test_criterion_05_ldlr_sandwich():
                     for D in range(0, 9):
                         if D // 4 > n:
                             continue
-                        lo = ldlr_lower_log(n, d, D, beta, g.kappa4)
+                        lo = ldlr_lower_log(n, d, D, beta, g)
                         ex = ldlr_exact_small_log(n, d, D, beta, g)
                         up = ldlr_upper_log(n, d, D, beta, g)
                         if not (lo <= ex + 1e-12 and ex <= up + 1e-12):
@@ -163,7 +163,7 @@ def test_criterion_06a_asymptotic_lower_divergence():
     for d in (10**2, 10**3, 10**4, 10**5, 10**6):
         n = int(np.ceil(d**theta))
         D = int(np.ceil(np.log(n) ** 1.5))
-        lo, _ = ldlr_asymptotics(n, d, D, beta, RADEM.kappa4, RADEM.lambda_growth)
+        lo, _ = ldlr_asymptotics(n, d, D, beta, RADEM)
         values.append(lo)
     ok = all(b > a for a, b in zip(values, values[1:])) and values[-1] > 50.0
     assert report("6a (asymptotic lower -> inf at theta=2.5)", ok,
@@ -180,7 +180,7 @@ def test_criterion_06b_asymptotic_upper_tends_to_one():
     for d in (10**2, 10**3, 10**4, 10**5, 10**6):
         n = int(np.ceil(d**theta))
         D = int(np.ceil(np.log(n) ** 1.5))
-        _, up = ldlr_asymptotics(n, d, D, beta, RADEM.kappa4, RADEM.lambda_growth)
+        _, up = ldlr_asymptotics(n, d, D, beta, RADEM)
         values.append(up)
     ok = all(b < a for a, b in zip(values, values[1:])) and values[-1] < 0.01
     assert report("6b (asymptotic upper -> 1 at theta=1.5)", ok,

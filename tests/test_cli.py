@@ -4,6 +4,7 @@ import contextlib
 import csv
 import dataclasses
 import json
+import math
 import os
 import resource
 import signal
@@ -853,6 +854,57 @@ class WithEnv(dict):
 
 
 NLGP_CFG = {"experiment": "nlgp-localisation", "seed": 2, "d": 8, "n_per_d": [10]}
+
+# the largest array of each point below holds more float64 values than
+# numpy allows: n d rows, 2 n_per_class d or 2 n_test_per_class d rows, or
+# d + 1 overlap weights
+@pytest.mark.parametrize("experiment, payload, point", [
+    ("train-sweep", dict(TINY_TRAIN_CFG, n_per_class=[10**30]),
+     f"d=20, n_per_class={10**30}, alpha_lazy=1.0"),
+    ("train-sweep", dict(TINY_TRAIN_CFG, n_test_per_class=10**30),
+     "d=20, n_per_class=40, alpha_lazy=1.0"),
+    ("generate", dict(GENERATE_CFG, n_per_class=10**30), "name=dataset"),
+    ("nlgp-localisation", dict(NLGP_CFG, n_per_d=[1e300]),
+     f"d=8, n={int(round(1e300 * 8))}, data_class=nlgp"),
+    ("search-curve", dict(SEARCH_CFG, d=[8], theta=[30.0]), "d=8, theta=30.0"),
+    ("lr-curve", dict(LR_CFG, d=[10**19]), f"d={10**19}, theta=1.0, beta=1.0"),
+    ("ldlr-bounds", dict(LDLR_CFG, d=[10**19]), f"d={10**19}, n=20, D=6, beta=1.0"),
+], ids=["train", "train-test", "generate", "nlgp", "search", "lr", "ldlr"])
+def test_array_numpy_cannot_hold_is_refused(tmp_path, capsys, experiment, payload, point):
+    cfg = write_config(tmp_path, "big.json", payload)
+    out = str(tmp_path / "big")
+    assert run_cli([experiment, "--config", cfg, "--out", out]) == 2
+    assert capsys.readouterr().err == (
+        f"config error: grid point {point} needs an array larger than numpy can hold\n")
+    assert not os.path.exists(out)
+
+
+def test_array_bound_is_numpys():
+    # the bound is numpy's: one float64 value more is its own "array is too
+    # big", raised before any allocation.  At d 8, n_per_class 10^15 and
+    # 2^56 - 1 (2^60 - 16 values) are under it, and 2^56 (2^60 values) is past it
+    bound = np.iinfo(np.intp).max // 8
+    with pytest.raises(ValueError, match="array is too big"):
+        np.empty(bound + 1)
+    for n, ok in ((10**15, True), (bound // 16, True), (bound // 16 + 1, False)):
+        raw = dict(TINY_TRAIN_CFG, d=[8], n_per_class=[n], n_test_per_class=1)
+        if ok:
+            assert cli._validate(raw).tasks
+        else:
+            with pytest.raises(cli.ConfigError, match="larger than numpy can hold"):
+                cli._validate(raw)
+
+
+@pytest.mark.parametrize("g", ["rademacher", "uniform"])
+def test_lr_curve_refuses_a_beta_past_float_precision(tmp_path, capsys, g):
+    # from beta ~ 1e16, (1+beta)^2 - beta^2 cancels to 0 and f(beta, 1) is nan;
+    # the run wrote nan and gamma_beta 0.0, which claims no divergence
+    cfg = write_config(tmp_path, "beta.json", dict(LR_CFG, beta=[1.0, 1e16], g=g))
+    out = str(tmp_path / "beta")
+    assert run_cli(["lr-curve", "--config", cfg, "--out", out]) == 2
+    assert capsys.readouterr().err == (
+        f"config error: f(beta, 1) of g = {g} is nan in floats at beta = 1e+16\n")
+    assert not os.path.exists(out)
 
 
 # One small config per subcommand, with the NLGP sampler wherever it can run.

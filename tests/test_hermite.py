@@ -5,20 +5,14 @@ import math
 import numpy as np
 import pytest
 
-from cumlab.hermite import (
-    G_KINDS,
-    GDistribution,
-    hermite_coeff_expectation,
-    hermite_coefficients,
-    uniform_rule,
-)
+from cumlab.hermite import G_KINDS, GDistribution, hermite_coeff_expectation, uniform_rule
 from oracles import (
     DEFAULT_MAX_DEGREE,
     DegreeError,
     abs_coefficient_sum,
     coeff_expectation_closed_form,
-    coefficient_rows,
     eval_exact,
+    hermite_coefficients,
     hermite_eval,
 )
 
@@ -65,6 +59,18 @@ def test_basis_monic_and_recurrence():
         assert nxt[0] == -cur[1]
         for k in range(1, m + 2):
             assert nxt[k] == cur[k - 1] - (k + 1) * cur[k + 1]
+    # the rows against h_{m+1} = x h_m - m h_{m-1} read as polynomials, and
+    # against the closed form a_{m,m-2j} = (-1)^j m! / (j! (m-2j)! 2^j);
+    # degree 150 is past the 94 of the "auto" LDLR schedule
+    rows = [hermite_coefficients(m) for m in range(151)]
+    for m in range(1, 150):
+        assert rows[m + 1] == tuple(a - m * b for a, b in
+                                    zip((0,) + rows[m], rows[m - 1] + (0, 0)))
+    for m in (4, 37, 150):
+        assert rows[m] == tuple(
+            0 if (m - k) % 2 else (-1) ** ((m - k) // 2) * math.factorial(m)
+            // (math.factorial((m - k) // 2) * math.factorial(k) * 2 ** ((m - k) // 2))
+            for k in range(m + 1))
 
 
 def test_abs_coefficient_sum_bounded_by_factorial():
@@ -191,23 +197,22 @@ def test_quadrature_moments():
     assert not nodes.flags.writeable and not weights.flags.writeable
 
 
-def test_coefficient_table_matches_coefficient_recurrence():
-    # the rows of h_m = x h_{m-1} - (m-1) h_{m-2} against the recurrence on
-    # the coefficients; degree 150 is past the 94 of the "auto" LDLR schedule
-    assert [list(hermite_coefficients(m)) for m in range(151)] == coefficient_rows(150)
-    assert hermite_coefficients(100) is hermite_coefficients(100)
-    with pytest.raises(ValueError, match="nonnegative"):
-        hermite_coefficients(-1)
-
-
 def test_coefficient_expectation_matches_closed_forms():
     # one moment sum for every law against each law's own closed form, by
-    # repr, so the rounding and the sign of zero agree too
+    # repr, so the rounding and the sign of zero agree too: every degree up
+    # to 303, the last at which E[h_m(g)] of Rademacher and Uniform g fits a
+    # float, and Gaussian degrees near 600
     for kind in G_KINDS:
         dist = GDistribution.from_kind(kind)
-        for m in range(131):
+        degrees = [*range(304), *(range(598, 604) if kind == "standard_gaussian" else ())]
+        for m in degrees:
             assert repr(hermite_coeff_expectation(dist, m)) == repr(
                 coeff_expectation_closed_form(kind, m)), (kind, m)
+    for kind in ("rademacher", "uniform"):
+        with pytest.raises(OverflowError):
+            hermite_coeff_expectation(GDistribution(kind), 304)
+    with pytest.raises(ValueError, match="nonnegative"):
+        hermite_coeff_expectation(GDistribution("rademacher"), -1)
 
 
 def test_law_constants():

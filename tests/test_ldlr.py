@@ -45,23 +45,23 @@ def test_t_coeff_values():
 
 def test_lower_trivial_and_hand_expansion():
     # floor(D/4) = 0: only the constant term survives
-    assert ldlr_lower_log(5, 3, 3, 10.0, -2.0) == 0.0
+    assert ldlr_lower_log(5, 3, 3, 10.0, RADEM) == 0.0
     # n=1, d=2, D=4: 1 + C(1,1) C(3,2) q^2 with q = beta^2 kappa4/(sqrt(24) d^2 (1+beta)^2)
     q = 100.0 * 2.0 / (math.sqrt(24.0) * 4.0 * 121.0)
     expected = math.log(1.0 + 3.0 * q * q)
-    assert ldlr_lower_log(1, 2, 4, 10.0, -2.0) == pytest.approx(expected, rel=1e-12)
+    assert ldlr_lower_log(1, 2, 4, 10.0, RADEM) == pytest.approx(expected, rel=1e-12)
 
 
 def test_lower_monotonicity():
-    base = ldlr_lower_log(8, 5, 8, 10.0, -2.0)
-    assert ldlr_lower_log(8, 5, 12, 10.0, -2.0) >= base  # D up
-    assert ldlr_lower_log(16, 5, 8, 10.0, -2.0) >= base  # n up
-    assert ldlr_lower_log(8, 5, 8, 10.0, -3.0) >= base  # |kappa4| up
+    base = ldlr_lower_log(8, 5, 8, 10.0, RADEM)
+    assert ldlr_lower_log(8, 5, 12, 10.0, RADEM) >= base  # D up
+    assert ldlr_lower_log(16, 5, 8, 10.0, RADEM) >= base  # n up
+    assert base >= ldlr_lower_log(8, 5, 8, 10.0, UNIF)  # |kappa4| up: 2 against Uniform's 1.2
 
 
 def test_lower_precondition():
     with pytest.raises(ValueError, match="distinct samples"):
-        ldlr_lower_log(1, 4, 8, 10.0, -2.0)
+        ldlr_lower_log(1, 4, 8, 10.0, RADEM)
 
 
 def test_upper_trivial():
@@ -77,7 +77,7 @@ def test_upper_dominates_lower_on_random_grid():
         d = int(rng.integers(2, 40))
         D = int(rng.integers(0, min(4 * n, 16) + 1))
         beta = float(rng.uniform(0.1, 30.0))
-        lo = ldlr_lower_log(n, d, D, beta, RADEM.kappa4)
+        lo = ldlr_lower_log(n, d, D, beta, RADEM)
         up = ldlr_upper_log(n, d, D, beta, RADEM)
         assert up >= lo - 1e-12, (n, d, D, beta)
 
@@ -122,7 +122,7 @@ def test_sandwich_small_instances():
                     for D in range(0, 9):
                         if D // 4 > n:
                             continue
-                        lo = ldlr_lower_log(n, d, D, beta, g.kappa4)
+                        lo = ldlr_lower_log(n, d, D, beta, g)
                         ex = ldlr_exact_small_log(n, d, D, beta, g)
                         up = ldlr_upper_log(n, d, D, beta, g)
                         assert lo <= ex + 1e-12, (g.kind, beta, n, d, D)
@@ -145,14 +145,14 @@ def test_lower_equals_its_exact_rational_sum_at_large_n():
     for e in range(10, 19):
         n = 10**e
         exact = sum(math.comb(n, m) * (math.comb(d + 1, 2) * q) ** m for m in range(D // 4 + 1))
-        got = ldlr_lower_log(n, d, D, 10.0, RADEM.kappa4)
+        got = ldlr_lower_log(n, d, D, 10.0, RADEM)
         assert got == pytest.approx(math.log(exact), rel=1e-15, abs=0.0), e
 
 
 def test_asymptotics_single_term_reduction():
     # D=4, n=d^2: the lower form is exactly (beta^2 kappa4/(1+beta)^2)^2
     d, beta = 50, 10.0
-    lower, _ = ldlr_asymptotics(d * d, d, 4, beta, -2.0, 1.0)
+    lower, _ = ldlr_asymptotics(d * d, d, 4, beta, RADEM)
     expected = 2.0 * math.log(beta**2 * 2.0 / (1 + beta) ** 2)
     assert lower == pytest.approx(expected, rel=1e-12)
 
@@ -164,13 +164,13 @@ def test_asymptotics_dichotomy_direction():
     for d in (100, 1000, 10_000):
         n = int(d**2.5)
         D = int(np.ceil(np.log(n) ** 1.5))
-        lo, _ = ldlr_asymptotics(n, d, D, beta, -2.0, 1.0)
+        lo, _ = ldlr_asymptotics(n, d, D, beta, RADEM)
         lowers.append(lo)
     assert lowers[0] < lowers[1] < lowers[2]
     uppers = []
     for d in (10**4, 10**6, 10**8):
         n = d  # theta = 1, far enough below the theta = 2 threshold
-        lo_, up = ldlr_asymptotics(n, d, 8, beta, -2.0, 1.0)
+        lo_, up = ldlr_asymptotics(n, d, 8, beta, RADEM)
         uppers.append(up)
     assert uppers[0] > uppers[1] > uppers[2]
 
@@ -216,7 +216,7 @@ def test_bound_report_metrics():
     assert rep["log_lower"] <= rep["log_exact"] <= rep["log_upper"]
     assert rep["log_exact"] == ldlr_norm_log(2, 4, 8, 10.0, RADEM)
     assert rep["log_exact"] == pytest.approx(ldlr_exact_small_log(2, 4, 8, 10.0, RADEM), abs=1e-13)
-    assert (rep["asym_lower"], rep["asym_upper"]) == ldlr_asymptotics(2, 4, 8, 10.0, -2.0, 1.0)
+    assert (rep["asym_lower"], rep["asym_upper"]) == ldlr_asymptotics(2, 4, 8, 10.0, RADEM)
     # undefined metrics are left out: no asymptotic form below D = 4, no
     # upper bound below d = floor(D/2)
     assert list(bound_report(2, 3, 3, 10.0, RADEM)) == ["log_lower", "log_upper", "log_exact"]
@@ -303,8 +303,8 @@ def test_beta_zero_gives_the_null_norm_without_warnings(g):
     # asymptotic lower form is log 0; the log(0) terms drop out silently
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        assert ldlr_lower_log(10, 3, 8, 0.0, g.kappa4) == 0.0
+        assert ldlr_lower_log(10, 3, 8, 0.0, g) == 0.0
         assert ldlr_upper_log(10, 3, 8, 0.0, g) == 0.0
-        assert ldlr_asymptotics(10, 3, 8, 0.0, g.kappa4, g.lambda_growth) == (-np.inf, 0.0)
+        assert ldlr_asymptotics(10, 3, 8, 0.0, g) == (-np.inf, 0.0)
         assert ldlr_exact_small_log(2, 3, 8, 0.0, g) == 0.0
         assert ldlr_norm_log(2, 3, 8, 0.0, g) == 0.0

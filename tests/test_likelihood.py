@@ -2,6 +2,7 @@
 
 import math
 import tracemalloc
+import warnings
 from decimal import Decimal, localcontext
 
 import numpy as np
@@ -307,6 +308,17 @@ def test_gamma_beta_properties():
     vals = [gamma_beta(b, RADEM) for b in grid]
     assert all(b > a for a, b in zip(vals, vals[1:]))  # monotone increasing
     assert all(v > 0 for v in vals)
+
+
+def test_gamma_beta_refuses_a_non_finite_f():
+    # at beta 1e16, (1+beta)^2 - beta^2 cancels to 0 and f(beta, 1) is nan,
+    # which once read as gamma_beta 0.0, "no divergence"; the refusal is silent
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for g in (RADEM, UNIF):
+            with pytest.raises(ValueError, match=f"f\\(beta, 1\\) of g = {g.kind} is nan"):
+                gamma_beta(1e16, g)
+        assert gamma_beta(1e16, GAUSS) == 0.0
 
 
 def test_gamma_beta_calibration_bracket():

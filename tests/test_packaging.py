@@ -71,8 +71,9 @@ def test_kernels_import_no_other_cumlab_module():
 
 
 def unreferenced_definitions(package_dir):
-    """`module.name` of each top-level function or class and each non-dunder method under
-    `package_dir` whose name no Name or Attribute node outside its own definition reads."""
+    """`module.name` of each top-level function, class or assigned non-dunder name and each
+    non-dunder method under `package_dir` whose name no Name or Attribute node outside its
+    own definition reads."""
     trees = {}
     for file in sorted(os.listdir(package_dir)):
         if file.endswith(".py"):
@@ -84,6 +85,10 @@ def unreferenced_definitions(package_dir):
         for node in tree.body:
             if isinstance(node, kinds):
                 defs.append((module, node.name, node))
+            if isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                defs += [(module, n.id, node) for target in targets for n in ast.walk(target)
+                         if isinstance(n, ast.Name) and not n.id.startswith("__")]
             if isinstance(node, ast.ClassDef):
                 defs += [(module, f"{node.name}.{item.name}", item) for item in node.body
                          if isinstance(item, kinds) and not item.name.startswith("__")]
