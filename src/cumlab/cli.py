@@ -55,12 +55,11 @@ class Key:
     """One config key: the values it takes and its value when absent.
 
     `kind` is int, float, bool, str or dict.  A dict key takes a JSON
-    object, checked against the key table `keys` and handed to the runner
-    as `build(checked object)`.  A key of kind None takes only `choices`;
-    a value in `choices` is taken as it is by any key.  A grid key takes a
-    value or a non-empty list of values.  `check` is a test every value
-    must pass and the words for it in the refusal.  An absent key takes
-    `default`, checked like a given value.
+    object, checked against the key table `keys`.  A key of kind None
+    takes only `choices`; a value in `choices` is taken as it is by any
+    key.  A grid key takes a value or a non-empty list of values.
+    `check` is a test every value must pass and the words for it in the
+    refusal.  An absent key takes `default`, checked like a given value.
     """
 
     kind: type | None
@@ -69,16 +68,14 @@ class Key:
     choices: tuple = ()
     check: tuple[Callable, str] | None = None
     keys: dict[str, Key] | None = None
-    build: Callable[[dict], object] | None = None
 
 
-def _above(low):
-    return (lambda v: v > low), f"> {low}"
+def _above(low, high=math.inf):
+    return (lambda v: low < v <= high), f"> {low}" + f" and <= {high}" * (high < math.inf)
 
 
-def _at_least(low, high=None):
-    return ((lambda v: low <= v and (high is None or v <= high)),
-            f">= {low}" + ("" if high is None else f" and <= {high}"))
+def _at_least(low, high=math.inf):
+    return (lambda v: low <= v <= high), f">= {low}" + f" and <= {high}" * (high < math.inf)
 
 
 _FILE_NAME = ((lambda name: name not in ("", ".", "..") and os.path.basename(name) == name),
@@ -124,11 +121,7 @@ def _value(name: str, val, key: Key):
         if not isinstance(val, dict):
             raise ConfigError(f"config key {name!r} has type {type(val).__name__}, "
                               "expected an object")
-        checked = _check(val, key.keys, name)
-        try:
-            return key.build(checked)
-        except ValueError as exc:
-            raise ConfigError(f"{name} object: {exc}") from None
+        return _check(val, key.keys, name)
     if not key.grid:
         return _scalar(name, val, key)
     if isinstance(val, bool) or not isinstance(val, (int, float, list)):
@@ -157,30 +150,20 @@ def _check(obj: dict, keys: dict[str, Key], where: str) -> dict:
     return out
 
 
-def _model_spec(model: dict) -> datagen.ModelSpec:
-    """The ModelSpec of model keys, with no spike; each point draws its own."""
-    g = GDistribution.from_kind(model["g"]) if model["kind"] == datagen.SPIKED_CUMULANT else None
-    return datagen.ModelSpec(**{k: v for k, v in model.items() if k != "g"}, g_dist=g)
-
-
-def _with_spike(spec: datagen.ModelSpec, seed: int) -> datagen.ModelSpec:
-    """`spec` with a spike drawn from the stream of `seed`, if its kind has one."""
-    if spec.kind not in (datagen.SPIKED_WISHART, datagen.SPIKED_CUMULANT):
-        return spec
-    return dataclasses.replace(spec, spike=datagen.draw_spike(spec.d, generator(seed, "spike")))
-
-
+# the range of every beta and gain key: past 1e100 a value moves no metric, only overflows
+_BETA = _at_least(0, 1e100)
+_GAIN = _above(0, 1e100)
 _G = Key(None, "rademacher", choices=G_KINDS)
 _RUNS = Key(int, 1, check=_at_least(1))
 _MODEL = Key(dict, keys={
     "kind": Key(None, choices=datagen.KINDS),
-    "d": Key(int),
-    "beta": Key(float, 0.0),
+    "d": Key(int, check=_at_least(1)),
+    "beta": Key(float, 0.0, check=_BETA),
     "g": _G,
-    "gain": Key(float, 1.0),
-    "xi": Key(float, 1.0),
+    "gain": Key(float, 1.0, check=_GAIN),
+    "xi": Key(float, 1.0, check=_above(0)),
     "periodic": Key(bool, False),
-}, build=_model_spec)
+})
 # keyword arguments of learn.train_2lnn, and the one home of their defaults;
 # the runner sets epochs by task when absent, and alpha_lazy and seed by point
 _TRAIN = Key(dict, {}, keys={
@@ -189,7 +172,7 @@ _TRAIN = Key(dict, {}, keys={
     "width_factor": Key(int, 5, check=_at_least(1)),  # hidden neurons per input dimension
     "learning_rate": Key(float, 0.002, check=_above(0)),
     "weight_decay": Key(float, 0.002, check=_at_least(0)),
-}, build=dict)
+})
 COMMON_KEYS = {"experiment": Key(str, OPTIONAL), "seed": Key(int, 0)}
 
 
@@ -200,16 +183,25 @@ COMMON_KEYS = {"experiment": Key(str, OPTIONAL), "seed": Key(int, 0)}
 # ---------------------------------------------------------------------------
 
 
+def _spec(p: dict, kind: str, seed: int) -> datagen.ModelSpec:
+    """The class `kind` of the model keys in `p`; a spiked kind's spike is `seed`'s "spike" draw."""
+    return datagen.ModelSpec(
+        kind, p["d"], **{k: p[k] for k in ("beta", "gain", "xi", "periodic") if k in p},
+        g_dist=GDistribution.from_kind(p["g"]) if kind == datagen.SPIKED_CUMULANT else None,
+        spike=(datagen.draw_spike(p["d"], generator(seed, "spike"))
+               if kind in datagen.SPIKED_KINDS else None))
+
+
 def _generate_points(v: dict) -> list[tuple]:
-    if v["negative_model"] is not None and v["negative_model"].d != v["model"].d:
+    if v["negative_model"] is not None and v["negative_model"]["d"] != v["model"]["d"]:
         raise ConfigError("negative_model dimension differs from model dimension")
     return [(v["name"],)]
 
 
 def _run_generate(p: dict, point_seed: int, out: Callable[[str], str]) -> dict:
-    pos = _with_spike(p["model"], point_seed)
-    neg = p["negative_model"] and _with_spike(p["negative_model"],
-                                              spawn_seed(point_seed, "negmodel"))
+    pos = _spec(p["model"], p["model"]["kind"], point_seed)
+    neg = p["negative_model"] and _spec(p["negative_model"], p["negative_model"]["kind"],
+                                        spawn_seed(point_seed, "negmodel"))
     data = datagen.make_dataset(pos, p["n_per_class"], point_seed, neg=neg)
     if p["format"] in ("csv", "both"):
         datagen.write_csv(data, out(f"{p['name']}.csv"))
@@ -288,8 +280,7 @@ def _bound_rows(cfg: ExperimentConfig, done: list[tuple]) -> str:
 
 
 def _run_search(p: dict, point_seed: int, out: Callable[[str], str]) -> dict:
-    spec = _with_spike(_model_spec({"kind": datagen.SPIKED_CUMULANT, "d": p["d"],
-                                    "beta": p["beta"], "g": p["g"]}), point_seed)
+    spec = _spec(p, datagen.SPIKED_CUMULANT, point_seed)
     rows = datagen.sample_class(spec, _sample_count(p["d"], p["theta"]),
                                 spawn_seed(point_seed, "data"))
     spike, _ = detect.exhaustive_search(rows, p["beta"], spec.g_dist)
@@ -313,10 +304,9 @@ def _success_rate(cfg: ExperimentConfig, done: list[tuple]) -> str:
 
 
 def _run_train(p: dict, point_seed: int, out: Callable[[str], str]) -> dict:
-    model = {key: p[key] for key in ("d", "beta", "g", "gain", "xi")}
-    pos = _with_spike(_model_spec(dict(model, kind=p["task"])), point_seed)
+    pos = _spec(p, p["task"], point_seed)
     # the NLGP class is told from the Gaussian class of the same covariance
-    neg = dataclasses.replace(pos, kind=datagen.GP_MATCH) if p["task"] == datagen.NLGP else None
+    neg = _spec(p, datagen.GP_MATCH, point_seed) if p["task"] == datagen.NLGP else None
     train_data = datagen.make_dataset(pos, p["n_per_class"], spawn_seed(point_seed, "train"),
                                       neg=neg)
     test_data = datagen.make_dataset(pos, p["n_test_per_class"], spawn_seed(point_seed, "test"),
@@ -350,8 +340,7 @@ def _cp_points(v: dict) -> list[tuple]:
 
 
 def _run_cp(p: dict, point_seed: int, out: Callable[[str], str]) -> dict:
-    spec = datagen.ModelSpec(kind=p["data_class"], d=p["d"], gain=p["gain"], xi=p["xi"],
-                             periodic=p["periodic"])
+    spec = _spec(p, p["data_class"], point_seed)
     rows = datagen.sample_class(spec, p["n"], spawn_seed(point_seed, "data"))
     tensor = cumtensor.empirical_fourth_cumulant(rows)
     weight, factor = cumtensor.rank1_cp(tensor, rng=generator(point_seed, "cp"))
@@ -386,12 +375,12 @@ EXPERIMENTS = {
             "negative_model": dataclasses.replace(_MODEL, default=None, choices=(None,)),
         },
         coords=("name",), run=_run_generate, points=_generate_points,
-        size=lambda p: 2 * p["n_per_class"] * p["model"].d),
+        size=lambda p: 2 * p["n_per_class"] * p["model"]["d"]),
     "lr-curve": Experiment(
         keys={
             "d": Key(int, grid=True, check=_at_least(1)),
             "theta": Key(float, grid=True),
-            "beta": Key(float, grid=True, check=_at_least(0)),
+            "beta": Key(float, grid=True, check=_BETA),
             "g": _G,
         },
         coords=("d", "theta", "beta"), run=_run_lr_point,
@@ -401,7 +390,7 @@ EXPERIMENTS = {
             "d": Key(int, grid=True, check=_at_least(1)),
             "n": Key(int, grid=True, check=_at_least(0)),
             "D": Key(int, "auto", grid=True, choices=("auto",), check=_at_least(0)),
-            "beta": Key(float, grid=True, check=_at_least(0)),
+            "beta": Key(float, grid=True, check=_BETA),
             "g": _G,
         },
         coords=("d", "n", "D", "beta"), run=_run_ldlr_point, points=_ldlr_points,
@@ -410,7 +399,7 @@ EXPERIMENTS = {
         keys={
             "d": Key(int, grid=True, check=_at_least(1, detect.MAX_SEARCH_DIM)),
             "theta": Key(float, grid=True),
-            "beta": Key(float, check=_at_least(0)),
+            "beta": Key(float, check=_BETA),
             "g": _G,
             "runs": _RUNS,
         },
@@ -425,9 +414,9 @@ EXPERIMENTS = {
             "d": Key(int, grid=True, check=_at_least(1)),
             "n_per_class": Key(int, grid=True, check=_at_least(1)),
             "alpha_lazy": Key(float, 1.0, grid=True, check=_at_least(1)),
-            "beta": Key(float, 0.0, check=_at_least(0)),
+            "beta": Key(float, 0.0, check=_BETA),
             "g": _G,
-            "gain": Key(float, 1.0, check=_above(0)),
+            "gain": Key(float, 1.0, check=_GAIN),
             "xi": Key(float, 1.0, check=_above(0)),
             "n_test_per_class": Key(int, 2000, check=_at_least(1)),
             "rf": Key(bool, True),
@@ -442,7 +431,7 @@ EXPERIMENTS = {
         keys={
             "d": Key(int, check=_at_least(1, cumtensor.MAX_CUMULANT_DIM)),
             "n_per_d": Key(float, grid=True),
-            "gain": Key(float, 3.0, check=_above(0)),
+            "gain": Key(float, 3.0, check=_GAIN),
             "xi": Key(float, 1.0, check=_above(0)),
             "periodic": Key(bool, False),
             "runs": _RUNS,

@@ -47,6 +47,7 @@ NLGP = "nlgp"
 GP_MATCH = "gp_match"
 
 KINDS = (NULL, SPIKED_WISHART, SPIKED_CUMULANT, NLGP, GP_MATCH)
+SPIKED_KINDS = (SPIKED_WISHART, SPIKED_CUMULANT)  # the kinds whose class needs a spike
 
 _BLOCK_ROWS = 65536
 
@@ -150,7 +151,7 @@ class _Sampler:
 
     def __init__(self, spec: ModelSpec):
         self.spec = spec
-        if spec.kind in (SPIKED_WISHART, SPIKED_CUMULANT):
+        if spec.kind in SPIKED_KINDS:
             if spec.spike is None:
                 raise ValueError(f"{spec.kind} requires an explicit spike")
             self.ubar = spec.spike / np.sqrt(spec.d)

@@ -16,6 +16,8 @@ import pytest
 
 import cumlab
 from cumlab import cli, datagen
+from cumlab.hermite import GDistribution
+from cumlab.rng import generator, spawn_seed
 
 
 def write_config(tmp_path, name, payload):
@@ -336,6 +338,40 @@ def test_generate_round_trip(tmp_path):
     assert a.n == 60 and a.d == 5
     # both files were renamed into place; no temp file is left over
     assert sorted(os.listdir(out)) == ["manifest.json", "rows_written.csv", "toy.bin", "toy.csv"]
+
+
+def test_generate_matches_the_datagen_api(tmp_path):
+    # the seed contract of a generated dataset: the positive spike comes from the
+    # point seed's "spike" stream, the negative model from the point seed spawned
+    # with "negmodel", and the rows from make_dataset at the point seed
+    payload = {"experiment": "generate", "seed": 8, "name": "pair", "n_per_class": 40,
+               "format": "binary",
+               "model": {"kind": "spiked_wishart", "d": 6, "beta": 3.0},
+               "negative_model": {"kind": "nlgp", "d": 6, "gain": 2.0, "xi": 1.5,
+                                  "periodic": True}}
+    out = str(tmp_path / "gen")
+    assert run_cli(["generate", "--config", write_config(tmp_path, "g.json", payload),
+                    "--out", out]) == 0
+    point_seed = spawn_seed(8, "generate", "pair", 0)
+    with open(os.path.join(out, "manifest.json")) as fh:
+        assert json.load(fh)["point_seeds"] == {"pair#0": point_seed}
+    pos = datagen.ModelSpec(kind=datagen.SPIKED_WISHART, d=6, beta=3.0,
+                            spike=datagen.draw_spike(6, generator(point_seed, "spike")))
+    neg = datagen.ModelSpec(kind=datagen.NLGP, d=6, gain=2.0, xi=1.5, periodic=True)
+    expected = datagen.make_dataset(pos, 40, point_seed, neg=neg)
+    got = datagen.read_binary(os.path.join(out, "pair.bin"))
+    assert np.array_equal(got.values, expected.values)
+    assert np.array_equal(got.labels, expected.labels)
+    # a spiked negative model draws its spike from the "negmodel" seed's stream
+    payload["negative_model"] = {"kind": "spiked_cumulant", "d": 6, "beta": 5.0, "g": "uniform"}
+    assert run_cli(["generate", "--config", write_config(tmp_path, "g.json", payload),
+                    "--out", out]) == 0
+    neg_spike = datagen.draw_spike(6, generator(spawn_seed(point_seed, "negmodel"), "spike"))
+    neg = datagen.ModelSpec(kind=datagen.SPIKED_CUMULANT, d=6, beta=5.0, spike=neg_spike,
+                            g_dist=GDistribution("uniform"))
+    expected = datagen.make_dataset(pos, 40, point_seed, neg=neg)
+    assert np.array_equal(datagen.read_binary(os.path.join(out, "pair.bin")).values,
+                          expected.values)
 
 
 @pytest.mark.parametrize("n, D, g", [
@@ -817,6 +853,11 @@ GENERATE_CFG = {
      "grid point d=8, n=100, D=304, beta=1.0 has D > 303"),
     ("ldlr-bounds", dict(LDLR_CFG, n=[100], D=[304], g="uniform"),
      "grid point d=8, n=100, D=304, beta=1.0 has D > 303; E[h_m(g)] of g = uniform"),
+    ("ldlr-bounds", {"experiment": "ldlr-bounds", "d": [8], "n": [100], "D": [8],
+                     "beta": [1e154]},
+     "'beta' has value 1e+154, expected >= 0 and <= 1e+100"),
+    ("lr-curve", dict(LR_CFG, beta=[1.0, 1e101]),
+     "'beta' has value 1e+101, expected >= 0 and <= 1e+100"),
 ])
 def test_bad_grid_value_is_refused(tmp_path, capsys, experiment, payload, message):
     # a value of the wrong type is refused, never truncated or cast
@@ -1019,7 +1060,7 @@ def test_every_subcommand_runs_without_scipy(tmp_path, experiment):
     ("generate", dict(GENERATE_CFG, model={"kind": "null", "d": 2, "bta": 3}),
      "unknown model key 'bta'"),
     ("generate", dict(GENERATE_CFG, model={"kind": "null", "d": 0}),
-     "model object: dimension d must be >= 1"),
+     "'model.d' has value 0, expected >= 1"),
     ("search-curve", dict(SEARCH_CFG, seed=2.7), "'seed' has value 2.7, expected int"),
     ("search-curve", dict(SEARCH_CFG, seed=True), "'seed' has value True, expected int"),
     ("search-curve", dict(SEARCH_CFG, seed="x"), "'seed' has value 'x', expected int"),
@@ -1063,6 +1104,27 @@ def test_every_subcommand_runs_without_scipy(tmp_path, experiment):
      "'name' has value 'plot_rows_written', expected"),
     ("search-curve", dict(SEARCH_CFG, beta=-10**400),
      "'beta' has an integer value of 401 digits, expected a finite number"),
+    # a model object is checked by the key table alone, for every kind
+    ("generate", dict(GENERATE_CFG, model={"kind": "null", "d": 2, "beta": -1}),
+     "'model.beta' has value -1.0, expected >= 0 and <= 1e+100"),
+    ("generate", dict(GENERATE_CFG, negative_model={"kind": "nlgp", "d": 5, "xi": 0}),
+     "'negative_model.xi' has value 0.0, expected > 0"),
+    ("generate", dict(GENERATE_CFG, model={"kind": "spiked_wishart", "d": 3, "gain": 0}),
+     "'model.gain' has value 0.0, expected > 0 and <= 1e+100"),
+    # past 1e100 a beta or gain overflows the samplers, the search and the bounds
+    ("search-curve", dict(SEARCH_CFG, d=[8], theta=[1.5], beta=1e200, runs=2),
+     "'beta' has value 1e+200, expected >= 0 and <= 1e+100"),
+    ("generate", {"experiment": "generate", "model": {"kind": "nlgp", "d": 3, "gain": 1e160},
+                  "n_per_class": 2},
+     "'model.gain' has value 1e+160, expected > 0 and <= 1e+100"),
+    ("generate", dict(GENERATE_CFG, model={"kind": "spiked_wishart", "d": 3, "beta": 1e101}),
+     "'model.beta' has value 1e+101, expected >= 0 and <= 1e+100"),
+    ("nlgp-localisation", dict(NLGP_CFG, gain=1e154),
+     "'gain' has value 1e+154, expected > 0 and <= 1e+100"),
+    ("train-sweep", dict(TINY_TRAIN_CFG, beta=1e101),
+     "'beta' has value 1e+101, expected >= 0 and <= 1e+100"),
+    ("train-sweep", dict(TINY_TRAIN_CFG, task="nlgp", gain=1e101),
+     "'gain' has value 1e+101, expected > 0 and <= 1e+100"),
 ])
 def test_bad_scalar_value_is_refused(tmp_path, capsys, monkeypatch, experiment, payload, message):
     # scalar keys are checked like grid values: never truncated, cast or
@@ -1224,6 +1286,16 @@ def schema_lines():
     for keys, names in objects.values():
         yield (" and ".join(f"`{n}`" for n in sorted(names)) + " object keys: "
                + ", ".join(describe(n, k) for n, k in keys.items()) + ".")
+
+
+def test_model_parameters_have_one_rule():
+    # beta, gain, xi and g take the same values wherever a key of that name
+    # appears, in every experiment and in the model objects; defaults may differ
+    tables = [exp.keys for exp in cli.EXPERIMENTS.values()] + [cli._MODEL.keys]
+    for name in ("beta", "gain", "xi", "g"):
+        rules = {(key.kind, key.choices, key.check and key.check[1])
+                 for keys in tables for key_name, key in keys.items() if key_name == name}
+        assert len(rules) == 1, (name, rules)
 
 
 def test_readme_schema_lists_every_key():
