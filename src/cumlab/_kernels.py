@@ -1,4 +1,5 @@
-"""Hot numeric kernels: the exhaustive spike search and the SGD epoch.
+"""Hot numeric kernels: the exhaustive spike search, the SGD epoch and the
+row blocks of the blocked matrix products.
 
 Each has one numpy implementation.  The search takes the per-sample score
 as a function (``likelihood.loglik_terms`` with beta and g bound by the
@@ -12,6 +13,31 @@ from __future__ import annotations
 from functools import lru_cache
 
 import numpy as np
+
+# A blocked product (rows, k) @ (k, width) computes a block of rows at a
+# time into one reused buffer of about _BLOCK_VALUES values (512 KB), so it
+# stays in cache however many rows the input has.  A row keeps the bits of
+# the whole-array product only if the blocks split the rows where BLAS
+# itself does.  With OpenBLAS 0.3.31's AVX-512 kernels, blocks of 64 or 256
+# rows changed the last bits of some rows at widths above 192, and blocks
+# of a multiple of 96 rows changed none at widths 5 to 640; a block is a
+# multiple of _ROW_ALIGN rows.  A short last block would go to a
+# small-matrix or matrix-vector routine (a one- or two-row product changes
+# its rows), so the rows after the last full block join it.
+_BLOCK_VALUES = 2**16
+_ROW_ALIGN = 192
+
+
+def row_blocks(n: int, width: int):
+    """Yield (rows, buf) for each row block of an n-row product of `width`
+    columns: the block's slice and a (block rows, width) view of one buffer
+    that every block reuses.  The blocks follow the rule above."""
+    rows = max(1, _BLOCK_VALUES // width // _ROW_ALIGN) * _ROW_ALIGN
+    buf = np.empty((min(2 * rows - 1, n), width))
+    start = 0
+    for stop in [*range(rows, n - rows + 1, rows), n]:
+        yield slice(start, stop), buf[: stop - start]
+        start = stop
 
 
 # ---------------------------------------------------------------------------

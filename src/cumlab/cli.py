@@ -28,6 +28,7 @@ import itertools
 import json
 import math
 import os
+import resource
 import sys
 import time
 import traceback
@@ -195,6 +196,13 @@ def _spec(p: dict, kind: str, seed: int) -> datagen.ModelSpec:
 def _generate_points(v: dict) -> list[tuple]:
     if v["negative_model"] is not None and v["negative_model"]["d"] != v["model"]["d"]:
         raise ConfigError("negative_model dimension differs from model dimension")
+    if v["format"] != "csv":  # the .bin header holds its n = 2 * n_per_class and d as uint32
+        for key, val, size in (("n_per_class", v["n_per_class"], 2 * v["n_per_class"]),
+                               ("model.d", v["model"]["d"], v["model"]["d"])):
+            if size > 2**32 - 1:
+                raise ConfigError(f"config key '{key}' has value {val}, too large for format "
+                                  f"'{v['format']}': the binary header holds 2 * n_per_class "
+                                  "and d as uint32, at most 4294967295 each")
     return [(v["name"],)]
 
 
@@ -584,6 +592,10 @@ def _write_outputs(cfg: ExperimentConfig, results: list[TaskResult], out_dir: st
         "wall_time_s": {str(r.index): round(r.wall_time_s, 6) for r in results},
         "failed_points": len(errors),
         "blas_settings": BLAS_SETTINGS,
+        # the largest resident set of this process and of its reaped pool
+        # workers, in MB; Linux gives ru_maxrss in KB
+        "peak_rss_mb": max(resource.getrusage(who).ru_maxrss for who in
+                           (resource.RUSAGE_SELF, resource.RUSAGE_CHILDREN)) * 1024 / 1e6,
     }
     _atomic_write(os.path.join(out_dir, "manifest.json"),
                   json.dumps(manifest, indent=2, sort_keys=True) + "\n")

@@ -24,7 +24,10 @@ sqrt(d)):
 Generation is deterministic given (spec, n, seed): rows are produced in
 fixed-size blocks, each block from its own counter-derived Philox stream,
 so blocks can be generated in any order or in parallel with identical
-output.
+output.  A block is drawn straight into its rows of the output, and the
+field's Cholesky factor and the spike term are applied to it a row block
+at a time (`_kernels.row_blocks`), with the bits of the whole-array
+expressions, so no second (rows, d) array is made.
 """
 
 from __future__ import annotations
@@ -36,7 +39,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import _special
+from . import _kernels, _special
 from .hermite import GDistribution
 from .rng import generator, spawn_seed
 
@@ -163,25 +166,41 @@ class _Sampler:
             self.chol = _cholesky_or_raise(nlgp_output_covariance(spec), "GPMatch")
 
     def block(self, out: np.ndarray, rng: np.random.Generator) -> None:
-        """Fill the (rows, d) array `out`; at most one other (rows, d) array is made."""
+        """Fill the (rows, d) array `out`; no other (rows, d) array is made.
+
+        Beside `out` the block holds per-row vectors and one row-block
+        buffer (see ``_kernels.row_blocks``), through which the field's
+        Cholesky factor and the rank-1 spike term are applied.
+        """
         spec = self.spec
+        rng.standard_normal(out=out)
         if spec.kind in (NLGP, GP_MATCH):
-            np.matmul(rng.standard_normal(out.shape), self.chol.T, out=out)
+            # the bits of the one product out @ chol.T, a row block at a time
+            for rows, h in _kernels.row_blocks(len(out), spec.d):
+                np.matmul(out[rows], self.chol.T, out=h)
+                out[rows] = h
             if spec.kind == NLGP:
                 out *= spec.gain
                 _special.erf(out)
                 out /= self.znorm
             return
-        rng.standard_normal(out=out)
         if spec.kind == SPIKED_WISHART:
             # spike entries are +-1, so scaling g before the outer product rounds the same
-            out += np.outer(np.sqrt(spec.beta / spec.d) * rng.standard_normal(len(out)), spec.spike)
+            coef, u = np.sqrt(spec.beta / spec.d) * rng.standard_normal(len(out)), spec.spike
         elif spec.kind == SPIKED_CUMULANT:
             g = spec.g_dist.sample(len(out), rng)
             eta = np.sqrt(spec.beta / (1.0 + spec.beta))
-            t = out @ self.ubar
-            coef = (np.sqrt(1.0 - eta * eta) - 1.0) * t + eta * g
-            out += np.outer(coef, self.ubar)
+            # coef = (sqrt(1 - eta^2) - 1) t + eta g with t = out . ubar, in place
+            coef, u = out @ self.ubar, self.ubar
+            coef *= np.sqrt(1.0 - eta * eta) - 1.0
+            g *= eta
+            coef += g
+        else:
+            return
+        # out += np.outer(coef, u), the same products and sums a row block at a time
+        for rows, h in _kernels.row_blocks(len(out), spec.d):
+            np.multiply(coef[rows, None], u, out=h)
+            out[rows] += h
 
 
 def sample_class(spec: ModelSpec, n: int, seed: int, out: np.ndarray | None = None) -> np.ndarray:

@@ -26,6 +26,7 @@ C(n, k) is the exact integer `math.comb(n, k)`, its log rounded once.
 from __future__ import annotations
 
 import math
+import sys
 
 import numpy as np
 
@@ -38,6 +39,16 @@ def t_coeff(m: int, beta: float, g_dist: GDistribution) -> float:
     """T_{m,g} = (beta/(1+beta))^{m/2} E[h_m(g)]; the exact E[h_m(g)] makes it
     1 at m = 0 and 0 at m = 2 and at every odd m."""
     return hermite_coeff_expectation(g_dist, m) * (beta / (1.0 + beta)) ** (m / 2.0)
+
+
+def _log_beta_sq(beta: float, kappa4: float, scale: float) -> float:
+    """log(beta^2 |kappa4| / scale) for beta > 0.  Where beta * beta is
+    subnormal or zero (beta below about 1.5e-154), log beta^2 is taken as
+    2 log beta, so the log stays finite; every larger beta keeps the bits
+    of the one-quotient form."""
+    if beta * beta < sys.float_info.min:
+        return 2.0 * np.log(beta) + np.log(abs(kappa4) / scale)
+    return np.log(abs(beta * beta * kappa4) / scale)
 
 
 def ldlr_lower_log(n: int, d: int, D: int, beta: float, g_dist: GDistribution) -> float:
@@ -54,7 +65,7 @@ def ldlr_lower_log(n: int, d: int, D: int, beta: float, g_dist: GDistribution) -
         raise ValueError(f"floor(D/4) = {top} exceeds n = {n}: index set needs distinct samples")
     if kappa4 == 0.0 or beta == 0.0 or top == 0:
         return 0.0
-    log_q2 = 2.0 * np.log(abs(beta * beta * kappa4) / (math.sqrt(24.0) * d * d * (1.0 + beta) ** 2))
+    log_q2 = 2.0 * _log_beta_sq(beta, kappa4, math.sqrt(24.0) * d * d * (1.0 + beta) ** 2)
     m = np.arange(top + 1)
     log_comb = np.array([math.log(math.comb(n, k)) for k in range(top + 1)])
     terms = log_comb + m * np.log(d * (d + 1) / 2.0) + m * log_q2
@@ -116,7 +127,7 @@ def ldlr_asymptotics(n: int, d: int, D: int, beta: float,
         lower = -np.inf
     else:
         lower = top * (
-            2.0 * np.log(beta * beta * abs(kappa4) / (1.0 + beta) ** 2)
+            2.0 * _log_beta_sq(beta, kappa4, (1.0 + beta) ** 2)
             + log_ratio
             - np.log(top)
         )

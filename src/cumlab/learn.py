@@ -22,9 +22,11 @@ hold the defaults, and the runner sets `epochs` by task.
 Random features are the fixed-first-layer ablation: the same ReLU and the
 same N(0, 1/d) first-layer law, with a ridge readout solved through the
 normal equations by numpy's LAPACK solver; its regulariser is the
-train-sweep key `rf_ridge`, 0.1 by default.  The module imports no scipy:
-scipy.linalg loads a second OpenBLAS with its own thread pool and costs
-more than the rest of ``import cumlab.cli``.
+train-sweep key `rf_ridge`, 0.1 by default.  The fixed first layer and
+the readout make a ``TwoLayerNet``, whose blocked forward pass scores the
+test set, so no (test rows, width) array is made.  The module imports no
+scipy: scipy.linalg loads a second OpenBLAS with its own thread pool and
+costs more than the rest of ``import cumlab.cli``.
 """
 
 from __future__ import annotations
@@ -38,20 +40,6 @@ import numpy as np
 from . import _kernels
 from .datagen import DataMatrix
 from .rng import generator
-
-# The forward pass computes the hidden layer a block of rows at a time,
-# through one buffer of about _FORWARD_BLOCK_VALUES values (512 KB), so it
-# stays in cache however many rows the input has.  A row keeps the bits of
-# the whole-array product only if the blocks split the rows where BLAS
-# itself does.  With OpenBLAS 0.3.31's AVX-512 kernels, blocks of 64 or 256
-# rows changed the last bits of some rows at widths above 192, and blocks
-# of a multiple of 96 rows changed none at widths 5 to 640; a block is a
-# multiple of _FORWARD_ROW_ALIGN rows.  A short last block would go to a
-# small-matrix or matrix-vector routine, so the rows after the last full
-# block join it.
-_FORWARD_BLOCK_VALUES = 2**16
-_FORWARD_ROW_ALIGN = 192
-
 
 @dataclass
 class TwoLayerNet:
@@ -67,22 +55,15 @@ class TwoLayerNet:
         whole-array expression relu(X W^T + b) . v + c.
 
         The hidden layer is computed a block of rows at a time in one reused
-        buffer (see ``_FORWARD_BLOCK_VALUES``), never as one (len(X), width)
+        buffer (see ``_kernels.row_blocks``), never as one (len(X), width)
         array.
         """
-        n, m = X.shape[0], self.W.shape[0]
-        align = _FORWARD_ROW_ALIGN
-        rows = max(1, _FORWARD_BLOCK_VALUES // m // align) * align
-        out = np.empty(n)
-        hb = np.empty((min(2 * rows - 1, n), m))
-        start = 0
-        for stop in [*range(rows, n - rows + 1, rows), n]:
-            h = hb[: stop - start]
-            np.matmul(X[start:stop], self.W.T, out=h)
+        out = np.empty(X.shape[0])
+        for rows, h in _kernels.row_blocks(X.shape[0], self.W.shape[0]):
+            np.matmul(X[rows], self.W.T, out=h)
             h += self.b
             np.maximum(h, 0.0, out=h)
-            np.matmul(h, self.v, out=out[start:stop])
-            start = stop
+            np.matmul(h, self.v, out=out[rows])
         out += self.c
         return out
 
@@ -200,14 +181,17 @@ def fit_random_features(
     Features are relu(F x) with F, `width` rows i.i.d. N(0, 1/d), drawn
     from ``generator(seed, "rf")``; the readout solves
     (Phi^T Phi + ridge I) w = Phi^T y with ``np.linalg.solve`` (LU with
-    partial pivoting; the ridge keeps the system positive definite).
+    partial pivoting; the ridge keeps the system positive definite).  The
+    test set is scored by the network relu(F x) . w, through the blocked
+    ``TwoLayerNet.forward``, so no (test rows, width) array is made.
     """
     if ridge <= 0:
         raise ValueError("ridge regulariser must be positive")
     d = train.d
     F = generator(seed, "rf").standard_normal((width, d)) / np.sqrt(d)
-    phi_tr = np.maximum(train.values @ F.T, 0.0)
-    phi_te = np.maximum(test.values @ F.T, 0.0)
-    gram = phi_tr.T @ phi_tr + ridge * np.eye(width)
-    w = np.linalg.solve(gram, phi_tr.T @ train.labels)
-    return float(np.mean(np.sign(phi_te @ w) == test.labels))
+    phi = train.values @ F.T
+    np.maximum(phi, 0.0, out=phi)
+    w = np.linalg.solve(phi.T @ phi + ridge * np.eye(width), phi.T @ train.labels)
+    del phi  # the training features go before the test pass
+    out = TwoLayerNet(W=F, b=np.zeros(width), v=w).forward(test.values)
+    return float(np.mean(np.sign(out) == test.labels))

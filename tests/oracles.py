@@ -12,9 +12,11 @@ from math import erf
 
 import numpy as np
 
+from cumlab import _special, datagen
 from cumlab.cumtensor import FourthCumulant
 from cumlab.hermite import RADEMACHER, STANDARD_GAUSSIAN, UNIFORM, uniform_rule
 from cumlab.ldlr import t_coeff
+from cumlab.rng import generator
 
 
 def whitening_matrix(u: np.ndarray, beta: float) -> np.ndarray:
@@ -32,6 +34,34 @@ def whitening_matrix(u: np.ndarray, beta: float) -> np.ndarray:
         raise ValueError("spike must have norm sqrt(d)")
     coef = beta / (1.0 + beta + np.sqrt(1.0 + beta))
     return np.eye(d) - coef * np.outer(u, u) / d
+
+
+def sample_class_whole_array(spec, n: int, seed: int) -> np.ndarray:
+    """The rows of `datagen.sample_class`, each sampler block made by
+    whole-array expressions: the field transform as one product of a fresh
+    (rows, d) normal array with the Cholesky factor, and the spike term as one
+    `np.outer` rank-1 add.  The sampler applies both a row block at a time,
+    into its output."""
+    sampler, blocks = datagen._Sampler(spec), []
+    for b, start in enumerate(range(0, n, datagen._BLOCK_ROWS)):
+        rows, rng = min(datagen._BLOCK_ROWS, n - start), generator(seed, "block", b)
+        if spec.kind in (datagen.NLGP, datagen.GP_MATCH):
+            x = rng.standard_normal((rows, spec.d)) @ sampler.chol.T
+            if spec.kind == datagen.NLGP:
+                x *= spec.gain
+                _special.erf(x)
+                x /= sampler.znorm
+        else:
+            x = rng.standard_normal((rows, spec.d))
+        if spec.kind == datagen.SPIKED_WISHART:
+            x += np.outer(np.sqrt(spec.beta / spec.d) * rng.standard_normal(rows), spec.spike)
+        elif spec.kind == datagen.SPIKED_CUMULANT:
+            g = spec.g_dist.sample(rows, rng)
+            eta = np.sqrt(spec.beta / (1.0 + spec.beta))
+            coef = (np.sqrt(1.0 - eta * eta) - 1.0) * (x @ sampler.ubar) + eta * g
+            x += np.outer(coef, sampler.ubar)
+        blocks.append(x)
+    return np.concatenate(blocks)
 
 
 def erf_variance_quadrature(gain: float) -> float:

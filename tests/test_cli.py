@@ -82,6 +82,43 @@ def test_manifest_contents(tmp_path):
     assert manifest["failed_points"] == 0
 
 
+# Runs a command and prints its ru_maxrss from wait4 (KB), as the benchmark
+# reads it.  A process starts with the max-RSS of the process it is forked
+# from, so the command is started from this small interpreter, not from pytest.
+MAXRSS_LAUNCHER = ("import os, sys; pid = os.posix_spawn(sys.argv[1], sys.argv[1:], os.environ); "
+                   "_, status, usage = os.wait4(pid, 0); "
+                   "print(os.waitstatus_to_exitcode(status), usage.ru_maxrss)")
+
+
+def test_manifest_records_the_peak_rss_of_the_run(tmp_path):
+    # peak_rss_mb is the larger ru_maxrss of the process and of its reaped
+    # pool workers, the figure wait4 gives for the whole run.  Two points at
+    # --jobs 2: with 100,000 test rows per class a worker holds a 32 MB test
+    # set the parent never holds, and the peak grows by about that much
+    env = dict(os.environ)
+    root = os.path.dirname(os.path.dirname(cumlab.__file__))
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [root, env.get("PYTHONPATH")]))
+    peaks = []
+    for n_test in (50, 100_000):
+        cfg = write_config(tmp_path, f"cfg{n_test}.json", {
+            **TINY_TRAIN_CFG, "n_test_per_class": n_test, "rf": False,
+            "train": {"epochs": 1, "batch_size": 40}})
+        out = str(tmp_path / f"rss{n_test}")
+        proc = subprocess.run(
+            [sys.executable, "-c", MAXRSS_LAUNCHER, sys.executable, "-m", "cumlab.cli",
+             "train-sweep", "--config", cfg, "--out", out, "--jobs", "2"],
+            env=env, capture_output=True, text=True, check=True)
+        code, maxrss = map(int, proc.stdout.split())
+        assert code == 0
+        manifest = json.loads(read_bytes(os.path.join(out, "manifest.json")))
+        whole_run = maxrss * 1024 / 1e6
+        assert 0.95 * whole_run <= manifest["peak_rss_mb"] <= whole_run
+        assert not any("peak_rss" in read_bytes(os.path.join(out, name)).decode()
+                       for name in manifest["outputs"])
+        peaks.append(manifest["peak_rss_mb"])
+    assert peaks[1] - peaks[0] > 25.0, peaks
+
+
 def test_seed_env_override(tmp_path, monkeypatch):
     cfg = write_config(tmp_path, "cfg.json", SEARCH_CFG)
     out1, out2 = str(tmp_path / "s1"), str(tmp_path / "s2")
@@ -904,7 +941,8 @@ NLGP_CFG = {"experiment": "nlgp-localisation", "seed": 2, "d": 8, "n_per_d": [10
      f"d=20, n_per_class={10**30}, alpha_lazy=1.0"),
     ("train-sweep", dict(TINY_TRAIN_CFG, n_test_per_class=10**30),
      "d=20, n_per_class=40, alpha_lazy=1.0"),
-    ("generate", dict(GENERATE_CFG, n_per_class=10**30), "name=dataset"),
+    # format csv: a binary format refuses such an n_per_class first, by its header bound
+    ("generate", dict(GENERATE_CFG, n_per_class=10**30, format="csv"), "name=dataset"),
     ("nlgp-localisation", dict(NLGP_CFG, n_per_d=[1e300]),
      f"d=8, n={int(round(1e300 * 8))}, data_class=nlgp"),
     ("search-curve", dict(SEARCH_CFG, d=[8], theta=[30.0]), "d=8, theta=30.0"),
@@ -998,6 +1036,35 @@ def test_every_subcommand_runs_without_scipy(tmp_path, experiment):
     code = NO_SCIPY + "try:\n    import scipy.special\nexcept ImportError:\n    print('refused')\n"
     assert run_fresh_python(code) == "refused"
     assert run_tiny_config(tmp_path, experiment, prelude=NO_SCIPY) == "False"
+
+
+@pytest.mark.parametrize("fmt", ["binary", "both"])
+@pytest.mark.parametrize("change, message", [
+    ({"n_per_class": 2**31}, "config key 'n_per_class' has value 2147483648, too large for format"),
+    ({"model": {"kind": "null", "d": 2**32}},
+     "config key 'model.d' has value 4294967296, too large for format"),
+], ids=["n_per_class", "d"])
+def test_binary_header_bound_is_refused(tmp_path, capsys, fmt, change, message):
+    # the .bin header holds 2 * n_per_class and d as uint32: past 2^32 - 1 the
+    # config is refused before any array is made, not in the writer after
+    # allocating 32 GiB or more.  These configs are only ever validated
+    cfg = write_config(tmp_path, "big.json", {**GENERATE_CFG, **change, "format": fmt})
+    out = str(tmp_path / "big")
+    assert run_cli(["generate", "--config", cfg, "--out", out]) == 2
+    assert message in capsys.readouterr().err
+    assert not os.path.exists(out)
+
+
+def test_binary_header_bound_is_the_uint32_range():
+    # validation only, no run: 2 * n_per_class and d at 2^32 - 1 pass in a
+    # binary format, and a CSV has no such bound
+    def valid(**change):
+        return cli._validate({**GENERATE_CFG, **change}).tasks == [(("dataset",), 0)]
+
+    assert valid(n_per_class=2**31 - 1, format="binary")
+    assert valid(model={"kind": "null", "d": 2**32 - 1}, format="both")
+    assert valid(n_per_class=2**31, format="csv")
+    assert valid(model={"kind": "null", "d": 2**32}, format="csv")
 
 
 @pytest.mark.parametrize("experiment, payload, message", [

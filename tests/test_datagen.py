@@ -8,10 +8,15 @@ import numpy as np
 import pytest
 from scipy import special, stats
 
-from cumlab import _special, datagen
+from cumlab import _kernels, _special, datagen
 from cumlab.hermite import GDistribution
 from cumlab.rng import generator, spawn_seed
-from oracles import erf_variance_quadrature, whitening_matrix, write_csv_unbuffered
+from oracles import (
+    erf_variance_quadrature,
+    sample_class_whole_array,
+    whitening_matrix,
+    write_csv_unbuffered,
+)
 
 RADEM = GDistribution.from_kind("rademacher")
 
@@ -387,10 +392,55 @@ def test_make_dataset_samples_into_one_value_array():
 
 def test_spiked_class_is_sampled_into_its_output_rows():
     # the export-dataset config: each block is drawn into the rows that
-    # sample_class hands it, with one (rows, d) temporary beside them
+    # sample_class hands it, with per-row vectors and one row-block buffer
+    # beside the 16 MB value array, and no (rows, d) temporary (8 MB)
     spec = cumulant_spec(100, 10.0)
     peak = traced_peak(lambda: datagen.make_dataset(spec, 10_000, 1))
-    assert peak <= 24.5e6, peak
+    assert peak <= 18e6, peak
+
+
+def every_kind(d):
+    """One spec of each of the five kinds in dimension d."""
+    u = datagen.draw_spike(d, generator(d, "spike"))
+    return [datagen.ModelSpec(kind=datagen.NULL, d=d),
+            datagen.ModelSpec(kind=datagen.SPIKED_WISHART, d=d, beta=5.0, spike=u),
+            cumulant_spec(d, 10.0, seed=d),
+            datagen.ModelSpec(kind=datagen.NLGP, d=d, gain=3.0, xi=1.0),
+            datagen.ModelSpec(kind=datagen.GP_MATCH, d=d, gain=3.0, xi=2.0, periodic=True)]
+
+
+def row_block(d):
+    """Rows in a full row block of a width-d product (see `_kernels.row_blocks`)."""
+    return max(1, _kernels._BLOCK_VALUES // d // _kernels._ROW_ALIGN) * _kernels._ROW_ALIGN
+
+
+@pytest.mark.parametrize("d", [7, 20, 100])
+def test_sample_class_matches_whole_array_oracle(d):
+    # the field transform and the spike term, applied a row block at a time,
+    # give the bits of the whole-array expressions: on one and two rows, around
+    # one row block (its last one or two rows alone would go to a matrix-vector
+    # routine), and at d 20 past a sampler block (65,536 = 20 * 3,264 + 256)
+    block = row_block(d)
+    assert _kernels._ROW_ALIGN <= block < datagen._BLOCK_ROWS
+    ns = [1, 2, block - 1, block, block + 1, block + 2, 2 * block + 1]
+    if d == 20:
+        assert datagen._BLOCK_ROWS % block not in (0, 1, 2)
+        ns.append(datagen._BLOCK_ROWS + 200)
+    for spec in every_kind(d):
+        for n in ns:
+            got = datagen.sample_class(spec, n, 5)
+            assert np.array_equal(got, sample_class_whole_array(spec, n, 5)), (spec.kind, n)
+
+
+def test_sample_class_holds_its_output_and_one_block():
+    # past its output a sampler block holds per-row vectors (at most three of
+    # 65,536 rows, 1.6 MB) and one row-block buffer (under 1 MB); a second
+    # (rows, d) array would add 52 MB at d 100
+    d, n = 100, datagen._BLOCK_ROWS + 200
+    allowance = 3 * datagen._BLOCK_ROWS * 8 + 2 * _kernels._BLOCK_VALUES * 8
+    for spec in every_kind(d):
+        peak = traced_peak(lambda: datagen.sample_class(spec, n, 3))
+        assert peak < n * d * 8 + allowance, (spec.kind, peak - n * d * 8)
 
 
 @pytest.mark.parametrize("out", [np.empty((4, 3)), np.empty((5, 4)), np.empty((5, 3), np.float32),

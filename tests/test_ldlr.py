@@ -9,6 +9,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from cumlab._special import logsumexp
 from cumlab.hermite import G_KINDS, GDistribution
 from cumlab.ldlr import (
     bound_report,
@@ -308,3 +309,36 @@ def test_beta_zero_gives_the_null_norm_without_warnings(g):
         assert ldlr_asymptotics(10, 3, 8, 0.0, g) == (-np.inf, 0.0)
         assert ldlr_exact_small_log(2, 3, 8, 0.0, g) == 0.0
         assert ldlr_norm_log(2, 3, 8, 0.0, g) == 0.0
+
+
+@pytest.mark.parametrize("g", [RADEM, UNIF], ids=lambda g: g.kind)
+def test_a_tiny_beta_gives_finite_bounds_without_warnings(g):
+    # below beta ~1.5e-154 beta * beta is subnormal or 0, and log beta^2 is
+    # taken as 2 log beta: the lower bound is log 1 = 0 to the last bit, and
+    # the asymptotic lower form, 2 (2 log(beta^2 |kappa4| / (1+beta)^2)
+    # + log(n/d^2) - log 2) at D 8, is finite
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for beta in (5e-324, 1e-300, 1e-160, 1.49e-154):
+            assert ldlr_lower_log(100, 3, 8, beta, g) == 0.0
+            lower, upper = ldlr_asymptotics(100, 3, 8, beta, g)
+            want = 2.0 * (2.0 * (2.0 * math.log(beta) + math.log(abs(g.kappa4)))
+                          + math.log(100 / 9) - math.log(2.0))
+            assert lower == pytest.approx(want, rel=1e-14), beta
+            assert upper == pytest.approx(0.0, abs=1e-150)
+
+
+@pytest.mark.parametrize("g", [RADEM, UNIF], ids=lambda g: g.kind)
+def test_a_larger_beta_keeps_the_one_quotient_bits(g):
+    # from beta * beta normal on, log(beta^2 |kappa4| / scale) is one quotient
+    # under one log, as the formulas read
+    n, d, D = 100, 3, 8
+    for beta in (1.5e-154, 1e-100, 1e-3, 0.5, 10.0, 1e100):
+        log_q2 = 2.0 * np.log(abs(beta * beta * g.kappa4)
+                              / (math.sqrt(24.0) * d * d * (1.0 + beta) ** 2))
+        m = np.arange(3)
+        terms = (np.log([1.0, 100.0, 4950.0]) + m * np.log(d * (d + 1) / 2.0) + m * log_q2)
+        assert ldlr_lower_log(n, d, D, beta, g) == logsumexp(terms), beta
+        lower = 2 * (2.0 * np.log(beta * beta * abs(g.kappa4) / (1.0 + beta) ** 2)
+                     + (math.log(n) - 2.0 * np.log(d)) - np.log(2))
+        assert ldlr_asymptotics(n, d, D, beta, g)[0] == lower, beta

@@ -225,8 +225,8 @@ def test_forward_is_bit_equal_to_one_expression(alpha):
         net.W += 0.1 * rng.standard_normal(net.W.shape)
         net.b = 0.1 * rng.standard_normal(m)
         net.c = float(rng.standard_normal())
-        align = learn._FORWARD_ROW_ALIGN
-        block = max(1, learn._FORWARD_BLOCK_VALUES // m // align) * align
+        align = _kernels._ROW_ALIGN
+        block = max(1, _kernels._BLOCK_VALUES // m // align) * align
         assert 1 < block < 4000
         for rows in (1, block, block + 1, 4000):
             Xn = X[:rows]
@@ -364,6 +364,39 @@ def test_rf_readout_matches_cholesky_reference():
     w = cho_solve(cho_factor(gram), phi_tr.T @ data.labels)
     ref = float(np.mean(np.sign(np.maximum(test.values @ F.T, 0.0) @ w) == test.labels))
     assert learn.fit_random_features(data, test, width, ridge, seed) == ref
+
+
+@pytest.mark.parametrize("n_train, n_test", [(320, 4000), (800, 4000), (320, 4001), (100, 385),
+                                              (100, 1)])
+def test_rf_accuracy_matches_whole_array_expression(n_train, n_test):
+    # the train-wishart shape (d 32, width 160, 4,000 test rows) and ragged
+    # test counts (a block of 384 rows and one more, one row): scoring through
+    # the blocked forward pass gives the accuracy of the whole feature array
+    d, width, ridge, seed = 32, 160, 0.1, 31
+    data, _ = wishart_data(d, n_train, 5.0, seed=32)
+    full, _ = wishart_data(d, (n_test + 1) // 2, 5.0, seed=33)
+    test = datagen.DataMatrix(values=full.values[:n_test], labels=full.labels[:n_test])
+    F = generator(seed, "rf").standard_normal((width, d)) / np.sqrt(d)
+    phi = np.maximum(data.values @ F.T, 0.0)
+    w = np.linalg.solve(phi.T @ phi + ridge * np.eye(width), phi.T @ data.labels)
+    want = float(np.mean(np.sign(np.maximum(test.values @ F.T, 0.0) @ w) == test.labels))
+    assert learn.fit_random_features(data, test, width, ridge, seed) == want
+
+
+def test_rf_working_set_holds_no_test_feature_array():
+    # at 20,000 test rows and width 160 one (rows, width) feature array takes
+    # 25.6 MB, and scoring the whole array made two; the blocked test pass
+    # keeps the peak under the training features plus 1 MB
+    d, width, n_train = 32, 160, 320
+    data, _ = wishart_data(d, n_train, 5.0, seed=34)
+    test, _ = wishart_data(d, 10_000, 5.0, seed=35)
+    tracemalloc.start()
+    try:
+        learn.fit_random_features(data, test, width, 0.1, 36)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * n_train * width * 8 + 1_000_000, peak
 
 
 def test_strong_signal_wishart_run():
