@@ -526,6 +526,21 @@ def _fmt(value: float) -> str:
     return repr(float(value))
 
 
+def _own_peak_rss_kb() -> int:
+    """This process's largest resident set since its exec, in KB.
+
+    ru_maxrss keeps the peak of the process that exec'd cumlab, so a run
+    started from a large parent would report that parent's size.  VmHWM
+    starts afresh at exec; ru_maxrss is the fallback where /proc is absent.
+    """
+    with contextlib.suppress(OSError):
+        with open("/proc/self/status") as fh:
+            for line in fh:
+                if line.startswith("VmHWM:"):
+                    return int(line.split()[1])
+    return resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+
+
 def _read_manifest(out_dir: str) -> dict | None:
     """The manifest in `out_dir`, None when missing, undecodable or no JSON object.  `outputs`,
     the files cumlab wrote there, keeps only the file names of a list, else is []."""
@@ -593,9 +608,9 @@ def _write_outputs(cfg: ExperimentConfig, results: list[TaskResult], out_dir: st
         "failed_points": len(errors),
         "blas_settings": BLAS_SETTINGS,
         # the largest resident set of this process and of its reaped pool
-        # workers, in MB; Linux gives ru_maxrss in KB
-        "peak_rss_mb": max(resource.getrusage(who).ru_maxrss for who in
-                           (resource.RUSAGE_SELF, resource.RUSAGE_CHILDREN)) * 1024 / 1e6,
+        # workers, in MB; both figures are in KB
+        "peak_rss_mb": max(_own_peak_rss_kb(),
+                           resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss) * 1024 / 1e6,
     }
     _atomic_write(os.path.join(out_dir, "manifest.json"),
                   json.dumps(manifest, indent=2, sort_keys=True) + "\n")

@@ -251,8 +251,9 @@ def make_dataset(
 # ---------------------------------------------------------------------------
 
 # The CSV goes out a block of rows at a time, about this many values per
-# block, so the writer's memory depends on neither n nor d.
-_CSV_BLOCK_VALUES = 2**16
+# block, so the writer's memory depends on neither n nor d.  At about 20
+# bytes a value, each copy of a block's text is under 200 KB.
+_CSV_BLOCK_VALUES = 2**13
 
 
 @contextlib.contextmanager
@@ -274,28 +275,36 @@ def atomic_open(path, mode: str = "w"):
         raise
 
 
-def _csv_block(rows: np.ndarray) -> str:
-    """The CSV lines of `rows`, each value its `repr`, from one orjson call.
+def _csv_block(rows: np.ndarray) -> bytes:
+    """The CSV lines of `rows` as bytes, each value its `repr`, from one orjson call.
 
     orjson picks the digits `repr` picks, but writes no exponent where `repr`
     does (0 < |x| < 1e-4, |x| >= 1e16) and `null` for NaN and +-inf.  Rows
     holding such a value are written again with `repr`; the mask's
-    ~(|x| < 1e16) is true for NaN as well.
+    ~(|x| < 1e16) is true for NaN as well.  The text stays in bytes, so no
+    decoded or re-encoded copy of the block is made.
     """
     import orjson  # imported here, so that `import cumlab.cli` does not load it
 
-    lines = orjson.dumps(rows, option=orjson.OPT_SERIALIZE_NUMPY)[2:-2].decode().split("],[")
+    lines = orjson.dumps(rows, option=orjson.OPT_SERIALIZE_NUMPY)[2:-2].split(b"],[")
     size = np.abs(rows)
     for i in np.flatnonzero(((size < 1e-4) & (rows != 0) | ~(size < 1e16)).any(axis=1)):
-        lines[i] = ",".join(map(repr, rows[i].tolist()))
-    return "\n".join(lines) + "\n"
+        lines[i] = ",".join(map(repr, rows[i].tolist())).encode()
+    lines.append(b"")  # the last line's newline, without a copy of the joined block
+    return b"\n".join(lines)
 
 
 def write_csv(data: DataMatrix, path) -> None:
+    """Write `data` as CSV: a `label,x_0,...` header, then one row per sample.
+
+    Each value is written as its `repr`, so `read_csv` gets every bit back.
+    Rows go out through `_csv_block` about `_CSV_BLOCK_VALUES` values at a
+    time, so the writer holds one block's bytes whatever n and d are.
+    """
     d = data.d
     block = max(1, _CSV_BLOCK_VALUES // (d + 1))
-    with atomic_open(path) as fh:
-        fh.write("label," + ",".join(f"x_{i}" for i in range(d)) + "\n")
+    with atomic_open(path, "wb") as fh:
+        fh.write(("label," + ",".join(f"x_{i}" for i in range(d)) + "\n").encode())
         for start in range(0, data.n, block):
             fh.write(_csv_block(np.column_stack((data.labels[start:start + block],
                                                  data.values[start:start + block]))))

@@ -162,7 +162,8 @@ def sample_log_likelihood(x: np.ndarray, u: np.ndarray, beta: float, g_dist: GDi
     x = np.asarray(x, dtype=np.float64)
     u = np.asarray(u, dtype=np.float64)
     d = u.shape[0]
-    if not np.isclose(u @ u, d):
+    # np.isclose(u @ u, d) without its array set-up; nan and inf are refused too
+    if not abs(u @ u - d) <= 1e-8 + 1e-5 * abs(d):
         raise ValueError("spike must have norm sqrt(d)")
     scale = np.sqrt(beta / ((1.0 + beta) * d))
     terms = loglik_terms(scale * (x @ u), beta, g_dist)

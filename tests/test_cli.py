@@ -90,33 +90,52 @@ MAXRSS_LAUNCHER = ("import os, sys; pid = os.posix_spawn(sys.argv[1], sys.argv[1
                    "print(os.waitstatus_to_exitcode(status), usage.ru_maxrss)")
 
 
-def test_manifest_records_the_peak_rss_of_the_run(tmp_path):
-    # peak_rss_mb is the larger ru_maxrss of the process and of its reaped
-    # pool workers, the figure wait4 gives for the whole run.  Two points at
-    # --jobs 2: with 100,000 test rows per class a worker holds a 32 MB test
-    # set the parent never holds, and the peak grows by about that much
+def launch_train_sweep(cfg, out, ballast_mb=0):
+    """Run `train-sweep --jobs 2` from a launcher holding `ballast_mb` MB of
+    written memory; returns the run's manifest and its wait4 max-RSS in MB."""
     env = dict(os.environ)
     root = os.path.dirname(os.path.dirname(cumlab.__file__))
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [root, env.get("PYTHONPATH")]))
+    launcher = f"ballast = b'x' * ({ballast_mb} << 20); " + MAXRSS_LAUNCHER
+    proc = subprocess.run(
+        [sys.executable, "-c", launcher, sys.executable, "-m", "cumlab.cli",
+         "train-sweep", "--config", cfg, "--out", out, "--jobs", "2"],
+        env=env, capture_output=True, text=True, check=True)
+    code, maxrss = map(int, proc.stdout.split())
+    assert code == 0
+    return json.loads(read_bytes(os.path.join(out, "manifest.json"))), maxrss * 1024 / 1e6
+
+
+def test_manifest_records_the_peak_rss_of_the_run(tmp_path):
+    # peak_rss_mb is the larger peak of the process and of its reaped pool
+    # workers, the figure wait4 gives for the whole run.  Two points at
+    # --jobs 2: with 100,000 test rows per class a worker holds a 32 MB test
+    # set the parent never holds, and the peak grows by about that much.
+    # The manifest's VmHWM and wait4's ru_maxrss are separate reads of the
+    # kernel's RSS counters; VmHWM has read up to 0.1 MB above
     peaks = []
     for n_test in (50, 100_000):
         cfg = write_config(tmp_path, f"cfg{n_test}.json", {
             **TINY_TRAIN_CFG, "n_test_per_class": n_test, "rf": False,
             "train": {"epochs": 1, "batch_size": 40}})
         out = str(tmp_path / f"rss{n_test}")
-        proc = subprocess.run(
-            [sys.executable, "-c", MAXRSS_LAUNCHER, sys.executable, "-m", "cumlab.cli",
-             "train-sweep", "--config", cfg, "--out", out, "--jobs", "2"],
-            env=env, capture_output=True, text=True, check=True)
-        code, maxrss = map(int, proc.stdout.split())
-        assert code == 0
-        manifest = json.loads(read_bytes(os.path.join(out, "manifest.json")))
-        whole_run = maxrss * 1024 / 1e6
-        assert 0.95 * whole_run <= manifest["peak_rss_mb"] <= whole_run
+        manifest, whole_run = launch_train_sweep(cfg, out)
+        assert 0.95 * whole_run <= manifest["peak_rss_mb"] <= whole_run + 1.0
         assert not any("peak_rss" in read_bytes(os.path.join(out, name)).decode()
                        for name in manifest["outputs"])
         peaks.append(manifest["peak_rss_mb"])
     assert peaks[1] - peaks[0] > 25.0, peaks
+
+
+def test_manifest_peak_rss_leaves_out_the_launching_process(tmp_path):
+    # ru_maxrss survives exec, so wait4 reports the 200 MB the launcher
+    # holds; the manifest takes the run's own peak, which starts afresh at exec
+    cfg = write_config(tmp_path, "cfg.json", {
+        **TINY_TRAIN_CFG, "n_test_per_class": 50, "rf": False,
+        "train": {"epochs": 1, "batch_size": 40}})
+    manifest, whole_run = launch_train_sweep(cfg, str(tmp_path / "big"), ballast_mb=200)
+    assert whole_run > 200.0, whole_run
+    assert manifest["peak_rss_mb"] < 100.0, manifest["peak_rss_mb"]
 
 
 def test_seed_env_override(tmp_path, monkeypatch):
@@ -823,9 +842,15 @@ def test_import_leaves_scipy_integrate_unloaded():
     assert run_fresh_python(code) == "False"
 
 
-def test_import_leaves_orjson_unloaded():
-    # only the dataset CSV writer needs orjson, and it imports it itself
-    code = "import sys, cumlab.cli; print('orjson' in sys.modules)"
+@pytest.mark.parametrize("module", [
+    "orjson",  # only the dataset CSV writer needs it, and imports it itself
+    "multiprocessing",  # only a run at --jobs above 1 needs it
+    "numpy.random",  # numpy loads it at the first np.random access, which no import makes
+])
+def test_import_leaves_module_unloaded(module):
+    # each is left to first use to keep the CLI's start-up short: numpy.random
+    # alone takes about 17 ms to import
+    code = f"import sys, cumlab.cli; print({module!r} in sys.modules)"
     assert run_fresh_python(code) == "False"
 
 

@@ -347,6 +347,34 @@ def test_write_csv_matches_unbuffered_writer_on_gaussian_rows(tmp_path):
     assert (tmp_path / "blocks.csv").read_bytes() == (tmp_path / "reference.csv").read_bytes()
 
 
+# values whose orjson text differs from their repr (all but -0.0, whose sign
+# must survive), placed below on the first and last rows of every block
+BLOCK_EDGE_VALUES = np.array([1e-5, 1e16, np.nan, np.inf, -np.inf, -0.0, 5e-324])
+
+
+@pytest.mark.parametrize("d", [1, 100])
+@pytest.mark.parametrize("blocks, extra", [(1, -1), (1, 0), (1, 1), (2, 1)],
+                         ids=["block-1", "block", "block+1", "2block+1"])
+def test_write_csv_matches_unbuffered_writer_at_block_edges(tmp_path, d, blocks, extra):
+    # Gaussian labels, not +-1; each block's first and last row takes the repr
+    # fallback, with the edge values spread over its label and value columns
+    block = max(1, datagen._CSV_BLOCK_VALUES // (d + 1))
+    n = blocks * block + extra
+    rng = np.random.default_rng(n + d)
+    table = 3.0 * rng.standard_normal((n, d + 1))
+    width = min(d + 1, len(BLOCK_EDGE_VALUES))
+    edges = [row for start in range(0, n, block) for row in (start, min(start + block, n) - 1)]
+    for k, row in enumerate(edges):
+        table[row, :width] = np.roll(BLOCK_EDGE_VALUES, -width * k)[:width]
+    data = datagen.DataMatrix(values=table[:, 1:], labels=table[:, 0])
+    datagen.write_csv(data, tmp_path / "blocks.csv")
+    write_csv_unbuffered(data, tmp_path / "reference.csv")
+    assert (tmp_path / "blocks.csv").read_bytes() == (tmp_path / "reference.csv").read_bytes()
+    back = datagen.read_csv(tmp_path / "blocks.csv")
+    assert back.values.tobytes() == data.values.tobytes()
+    assert back.labels.tobytes() == data.labels.tobytes()
+
+
 def test_read_csv_keeps_one_row_two_dimensional(tmp_path):
     data = special_dataset(1, 1)
     datagen.write_csv(data, tmp_path / "one.csv")
@@ -379,6 +407,16 @@ def test_write_csv_memory_does_not_grow_with_rows(tmp_path):
     small = traced_peak(lambda: datagen.write_csv(small_data, tmp_path / "a.csv"))
     large = traced_peak(lambda: datagen.write_csv(large_data, tmp_path / "b.csv"))
     assert large <= 1.1 * small, (small, large)
+
+
+def test_write_csv_holds_under_a_megabyte(tmp_path):
+    # the export-dataset shape: one block of about 2^13 values is under
+    # 200 KB of text, held as orjson's output, its lines and their join
+    rng = np.random.default_rng(4)
+    data = datagen.DataMatrix(values=rng.standard_normal((20_000, 100)),
+                              labels=np.where(rng.random(20_000) < 0.5, 1.0, -1.0))
+    peak = traced_peak(lambda: datagen.write_csv(data, tmp_path / "data.csv"))
+    assert peak <= 1e6, peak
 
 
 def test_make_dataset_samples_into_one_value_array():

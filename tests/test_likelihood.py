@@ -214,6 +214,18 @@ def test_sample_log_likelihood_sign_symmetry():
         )
 
 
+@pytest.mark.parametrize("norm2", [8.0, 8.0 * (1 + 5e-6), 8.0 * (1 - 5e-6), 8.0 * (1 + 2e-5),
+                                   8.0 * (1 - 2e-5), 0.0, np.nan, np.inf])
+def test_sample_log_likelihood_refuses_what_isclose_refuses(norm2):
+    # the spike check accepts exactly the norms np.isclose(u @ u, d) accepts
+    u = np.full(8, np.sqrt(norm2 / 8))
+    if np.isclose(u @ u, 8):
+        assert np.isfinite(sample_log_likelihood(np.ones(8), u, 1.0, RADEM))
+    else:
+        with pytest.raises(ValueError, match="norm sqrt"):
+            sample_log_likelihood(np.ones(8), u, 1.0, RADEM)
+
+
 def test_sample_log_likelihood_rademacher_exact_sum():
     rng = np.random.default_rng(2)
     d, beta = 8, 10.0
