@@ -53,6 +53,8 @@ def row_blocks(n: int, width: int):
 # and the score's temporaries stay in cache and the allocator reuses them
 # block after block instead of mapping fresh pages
 _SEARCH_WORKSPACE = 1 << 14
+# candidates per block, before the workspace cap and the power-of-two rounding
+_SEARCH_BLOCK = 2048
 
 
 def code_signs(codes, bits: int) -> np.ndarray:
@@ -70,22 +72,23 @@ def _low_signs(bits: int) -> np.ndarray:
     return signs
 
 
-def search_best_code(X, scale, terms, block: int = 2048):
+def search_best_code(X, scale, terms):
     """Best candidate code and its score sum_mu terms(scale * x_mu . v).
 
     `terms` maps an array of scaled projections to per-sample scores of the
     same shape (``likelihood.loglik_terms`` with beta and g bound); it must
     not write to its input, which is the reused projection buffer.
 
-    `block` is rounded down to a power of two, so each block is one fixed
-    pattern of the low code bits under constant high bits.  A block keeps at
-    least two columns when there are two candidates or more: numpy sums a
-    one-column array pairwise but a wider one row by row, so every score is
-    the row-by-row sum whatever the block.
+    A block is _SEARCH_BLOCK codes, fewer where _SEARCH_WORKSPACE caps it,
+    rounded down to a power of two, so each block is one fixed pattern of
+    the low code bits under constant high bits.  A block keeps at least two
+    columns when there are two candidates or more: numpy sums a one-column
+    array pairwise but a wider one row by row, so every score is the
+    row-by-row sum whatever the block.
     """
     n, d = X.shape
     ncand = 1 << (d - 1)
-    block = max(1, min(block, ncand, _SEARCH_WORKSPACE // max(1, n)))
+    block = max(1, min(_SEARCH_BLOCK, ncand, _SEARCH_WORKSPACE // max(1, n)))
     block = max(min(2, ncand), 1 << (block.bit_length() - 1))
     bits = block.bit_length() - 1
     high = d - bits  # V[:, 1:high] hold the high bits, constant in a block

@@ -58,7 +58,8 @@ class Key:
     `kind` is int, float, bool, str or dict.  A dict key takes a JSON
     object, checked against the key table `keys`.  A key of kind None
     takes only `choices`; a value in `choices` is taken as it is by any
-    key.  A grid key takes a value or a non-empty list of values.
+    key.  A grid key takes a value or a non-empty list of values, each a
+    choice or a value of its kind, and gives a list.
     `check` is a test every value must pass and the words for it in the
     refusal.  An absent key takes `default`, checked like a given value.
     """
@@ -112,9 +113,10 @@ def _scalar(name: str, val, key: Key):
 
 
 def _value(name: str, val, key: Key):
-    """The checked value of key `key`, named `name` in messages."""
+    """The checked value of key `key`, named `name` in messages; a grid
+    key's value is a list, each entry a choice or a checked scalar."""
     if val in key.choices:
-        return val
+        return [val] if key.grid else val
     if key.kind is None:
         raise ConfigError(f"config key {name!r} has value {val!r}, expected one of "
                           f"{', '.join(map(str, key.choices))}")
@@ -130,7 +132,8 @@ def _value(name: str, val, key: Key):
                           "expected a number or a list")
     if val == []:
         raise ConfigError(f"grid list {name!r} must be non-empty")
-    return [_scalar(name, v, key) for v in (val if isinstance(val, list) else [val])]
+    return [v if v in key.choices else _scalar(name, v, key)
+            for v in (val if isinstance(val, list) else [val])]
 
 
 def _check(obj: dict, keys: dict[str, Key], where: str) -> dict:
@@ -254,9 +257,8 @@ def _run_lr_point(p: dict, point_seed: int, out: Callable[[str], str]) -> dict:
 def _ldlr_points(v: dict) -> list[tuple]:
     # "auto" is the degree schedule D(n) = ceil(log^1.5 n), the sweep default;
     # it never gives floor(D/4) > n
-    points = [(d, n, D, beta) for d in v["d"] for n in v["n"]
-              for D in ([math.ceil(math.log(max(n, 2)) ** 1.5)] if v["D"] == "auto" else v["D"])
-              for beta in v["beta"]]
+    points = [(d, n, math.ceil(math.log(max(n, 2)) ** 1.5) if D == "auto" else D, beta)
+              for d in v["d"] for n in v["n"] for D in v["D"] for beta in v["beta"]]
     for d, n, D, beta in points:
         where = f"grid point d={d}, n={n}, D={D}, beta={beta}"
         if D // 4 > n:

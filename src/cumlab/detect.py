@@ -54,6 +54,6 @@ def exhaustive_search(
             data, scale, lambda t: loglik_terms(t, beta, g_dist)
         )
     spike = np.concatenate(([1.0], _kernels.code_signs(best_code, d - 1)))
-    # score the winner as a standalone spike, so the reported value does
-    # not depend on the block it was found in
+    # the reported value is sample_log_likelihood of the winner as a
+    # standalone spike, not the kernel's score
     return spike, sample_log_likelihood(data, spike, beta, g_dist)

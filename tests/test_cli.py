@@ -82,6 +82,15 @@ def test_manifest_contents(tmp_path):
     assert manifest["failed_points"] == 0
 
 
+def child_env(env=None):
+    """`env` (os.environ by default) with this process's cumlab package
+    first on PYTHONPATH, for a child interpreter."""
+    env = dict(os.environ if env is None else env)
+    root = os.path.dirname(os.path.dirname(cumlab.__file__))
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [root, env.get("PYTHONPATH")]))
+    return env
+
+
 # Runs a command and prints its ru_maxrss from wait4 (KB), as the benchmark
 # reads it.  A process starts with the max-RSS of the process it is forked
 # from, so the command is started from this small interpreter, not from pytest.
@@ -93,14 +102,11 @@ MAXRSS_LAUNCHER = ("import os, sys; pid = os.posix_spawn(sys.argv[1], sys.argv[1
 def launch_train_sweep(cfg, out, ballast_mb=0):
     """Run `train-sweep --jobs 2` from a launcher holding `ballast_mb` MB of
     written memory; returns the run's manifest and its wait4 max-RSS in MB."""
-    env = dict(os.environ)
-    root = os.path.dirname(os.path.dirname(cumlab.__file__))
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [root, env.get("PYTHONPATH")]))
     launcher = f"ballast = b'x' * ({ballast_mb} << 20); " + MAXRSS_LAUNCHER
     proc = subprocess.run(
         [sys.executable, "-c", launcher, sys.executable, "-m", "cumlab.cli",
          "train-sweep", "--config", cfg, "--out", out, "--jobs", "2"],
-        env=env, capture_output=True, text=True, check=True)
+        env=child_env(), capture_output=True, text=True, check=True)
     code, maxrss = map(int, proc.stdout.split())
     assert code == 0
     return json.loads(read_bytes(os.path.join(out, "manifest.json"))), maxrss * 1024 / 1e6
@@ -498,6 +504,20 @@ def test_ldlr_bounds_csv_and_plotdata(tmp_path):
     assert all(line.endswith(",0.0,1") for line in agg[1:])  # single runs: sd = 0
 
 
+def test_ldlr_bounds_takes_auto_as_a_grid_entry(tmp_path):
+    outs = []
+    for D in ("auto", ["auto"]):
+        cfg = write_config(tmp_path, "cfg.json", dict(LDLR_CFG, n=[2, 20, 50], D=D))
+        outs.append(str(tmp_path / str(len(outs))))
+        assert run_cli(["ldlr-bounds", "--config", cfg, "--out", outs[-1]]) == 0
+    csvs = sorted(n for n in os.listdir(outs[0]) if n.endswith(".csv"))
+    assert "log_exact.csv" in csvs
+    assert csvs == sorted(n for n in os.listdir(outs[1]) if n.endswith(".csv"))
+    for name in csvs:
+        assert read_bytes(os.path.join(outs[0], name)) == read_bytes(
+            os.path.join(outs[1], name)), name
+
+
 def test_emit_plotdata_errors(tmp_path):
     empty = tmp_path / "empty"
     empty.mkdir()
@@ -808,62 +828,18 @@ def run_fresh_python(code, env=None):
     """Run `code` in a fresh interpreter, so modules imported by other tests
     do not count; it imports the same cumlab package as this process.  `env`
     replaces os.environ as the interpreter's environment."""
-    env = dict(os.environ if env is None else env)
-    root = os.path.dirname(os.path.dirname(cumlab.__file__))
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [root, env.get("PYTHONPATH")]))
-    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=child_env(env))
     assert proc.returncode == 0, proc.stderr
     return proc.stdout.strip()
-
-
-def test_wishart_and_cumulant_points_load_no_scipy():
-    # scipy loads a second OpenBLAS and an array-API shim: the CLI import and
-    # the network and random-features path of a spiked point must not need it
-    code = (
-        "import sys, cumlab.cli\n"
-        "from cumlab import datagen, learn, rng\n"
-        "from cumlab.hermite import GDistribution\n"
-        "u = datagen.draw_spike(8, rng.generator(1, 'spike'))\n"
-        "for spec in (datagen.ModelSpec(kind=datagen.SPIKED_WISHART, d=8, beta=5.0, spike=u),\n"
-        "             datagen.ModelSpec(kind=datagen.SPIKED_CUMULANT, d=8, beta=5.0, spike=u,\n"
-        "                               g_dist=GDistribution.from_kind('rademacher'))):\n"
-        "    train = datagen.make_dataset(spec, 40, 2)\n"
-        "    test = datagen.make_dataset(spec, 40, 3)\n"
-        "    learn.train_2lnn(train, test, u, epochs=2, batch_size=8, learning_rate=0.002,\n"
-        "                     weight_decay=0.002, width_factor=5, alpha_lazy=1.0, seed=0)\n"
-        "    learn.fit_random_features(train, test, 40, 0.1, 0)\n"
-        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
-    )
-    assert run_fresh_python(code) == "[]"
-
-
-def test_import_leaves_scipy_integrate_unloaded():
-    code = "import sys, cumlab.cli; print('scipy.integrate' in sys.modules)"
-    assert run_fresh_python(code) == "False"
-
-
-@pytest.mark.parametrize("module", [
-    "orjson",  # only the dataset CSV writer needs it, and imports it itself
-    "multiprocessing",  # only a run at --jobs above 1 needs it
-    "numpy.random",  # numpy loads it at the first np.random access, which no import makes
-])
-def test_import_leaves_module_unloaded(module):
-    # each is left to first use to keep the CLI's start-up short: numpy.random
-    # alone takes about 17 ms to import
-    code = f"import sys, cumlab.cli; print({module!r} in sys.modules)"
-    assert run_fresh_python(code) == "False"
-
-
-def test_import_leaves_numpy_polynomial_unloaded():
-    # only the Uniform Gauss-Legendre rule needs it, built on first use
-    code = "import sys, cumlab.cli; print('numpy.polynomial' in sys.modules)"
-    assert run_fresh_python(code) == "False"
 
 
 @pytest.mark.parametrize("experiment, payload, point", [
     ("search-curve", dict(SEARCH_CFG, d=[6, 6]), "d=6, theta=0.5 (run 0)"),
     ("train-sweep", dict(TINY_TRAIN_CFG, n_per_class=[40, 40]),
      "d=20, n_per_class=40, alpha_lazy=1.0 (run 0)"),
+    # the degree schedule gives D = 8 at n = 50
+    ("ldlr-bounds", dict(LDLR_CFG, n=[50], D=[8, "auto"]), "d=8, n=50, D=8, beta=1.0 (run 0)"),
 ])
 def test_duplicate_grid_point_is_refused(tmp_path, capsys, experiment, payload, point):
     # duplicate tasks share a point seed: their runs would be copies
@@ -920,6 +896,7 @@ GENERATE_CFG = {
      "'beta' has value 1e+154, expected >= 0 and <= 1e+100"),
     ("lr-curve", dict(LR_CFG, beta=[1.0, 1e101]),
      "'beta' has value 1e+101, expected >= 0 and <= 1e+100"),
+    ("ldlr-bounds", dict(LDLR_CFG, D=[8, "x"]), "'D' has value 'x', expected int"),
 ])
 def test_bad_grid_value_is_refused(tmp_path, capsys, experiment, payload, message):
     # a value of the wrong type is refused, never truncated or cast
@@ -1022,45 +999,71 @@ TINY_CONFIGS = {
 }
 
 
-def run_tiny_config(tmp_path, experiment, prelude=""):
-    """Run the tiny config of `experiment` at --jobs 1 in a fresh interpreter
-    after `prelude`, so every point runs there and its modules count; print
-    whether any scipy module was loaded."""
-    cfg = write_config(tmp_path, "cfg.json", TINY_CONFIGS[experiment])
-    argv = [experiment, "--config", cfg, "--out", str(tmp_path / "out"), "--jobs", "1"]
-    return run_fresh_python(
-        prelude
-        + "import sys\n"
-        "from cumlab import cli\n"
-        f"assert cli.main({argv!r}) == 0\n"
-        "print(any(m.split('.')[0] == 'scipy' for m in sys.modules))\n"
-    )
-
-
-@pytest.mark.parametrize("experiment", sorted(cli.EXPERIMENTS))
-def test_no_subcommand_loads_scipy(tmp_path, experiment):
-    # cumlab's special functions are its own (`cumlab._special`); scipy is a
-    # test oracle only
-    assert run_tiny_config(tmp_path, experiment) == "False"
-
-
-# a finder that refuses scipy, as if it were not installed
-NO_SCIPY = (
+# Run first in a fresh interpreter: a finder that records in `tried` every
+# scipy module an import asks for and refuses it, as if scipy were not
+# installed.  scipy is a test extra only (cumlab's special functions are
+# `cumlab._special`), and it would load a second OpenBLAS and an array-API
+# shim.
+SCIPY_FINDER = (
     "import sys\n"
-    "class NoScipy:\n"
+    "tried = []\n"
+    "class RefuseScipy:\n"
     "    def find_spec(self, name, path=None, target=None):\n"
     "        if name.split('.')[0] == 'scipy':\n"
+    "            tried.append(name)\n"
     "            raise ImportError('scipy is not installed')\n"
-    "sys.meta_path.insert(0, NoScipy())\n"
+    "sys.meta_path.insert(0, RefuseScipy())\n"
+)
+# Modules that importing the CLI leaves to their first use, to keep its
+# start-up short
+DEFERRED_MODULES = (
+    "orjson",  # only the dataset CSV writer needs it, and imports it itself
+    "multiprocessing",  # only a run at --jobs above 1 needs it
+    "numpy.random",  # loaded at the first np.random access (about 17 ms), which no import makes
+    "numpy.polynomial",  # only the Uniform Gauss-Legendre rule needs it, built on first use
 )
 
 
-@pytest.mark.parametrize("experiment", sorted(cli.EXPERIMENTS))
-def test_every_subcommand_runs_without_scipy(tmp_path, experiment):
-    # scipy is a test extra, not a runtime dependency
-    code = NO_SCIPY + "try:\n    import scipy.special\nexcept ImportError:\n    print('refused')\n"
-    assert run_fresh_python(code) == "refused"
-    assert run_tiny_config(tmp_path, experiment, prelude=NO_SCIPY) == "False"
+def test_cli_import_tries_no_scipy_and_defers_modules():
+    code = SCIPY_FINDER + (
+        "import json, cumlab.cli\n"
+        f"print(json.dumps([tried, [m for m in {DEFERRED_MODULES!r} if m in sys.modules]]))\n"
+    )
+    assert json.loads(run_fresh_python(code)) == [[], []]
+
+
+def test_every_subcommand_runs_without_scipy(tmp_path):
+    # every point runs in the probe's interpreter (--jobs 1), so each module
+    # a subcommand imports counts; the training runs cover the network and
+    # random features on both spiked tasks
+    payloads = {experiment: TINY_CONFIGS[experiment] for experiment in sorted(cli.EXPERIMENTS)}
+    payloads["train-sweep spiked_wishart"] = TINY_TRAIN_CFG
+    payloads["train-sweep spiked_cumulant"] = dict(TINY_TRAIN_CFG, task="spiked_cumulant",
+                                                   beta=10.0)
+    argvs = {}
+    for i, (name, payload) in enumerate(payloads.items()):
+        cfg = write_config(tmp_path, f"{i}.json", payload)
+        argvs[name] = [payload["experiment"], "--config", cfg, "--out", str(tmp_path / str(i)),
+                       "--jobs", "1"]
+    code = SCIPY_FINDER + (
+        "import json\n"
+        "try:\n"
+        "    import scipy.special\n"
+        "except ImportError:\n"
+        "    refused = tried == ['scipy']\n"
+        "else:\n"
+        "    refused = False\n"
+        "tried.clear()\n"
+        "from cumlab import cli\n"
+        "runs = {}\n"
+        f"for name, argv in {argvs!r}.items():\n"
+        "    runs[name] = [cli.main(argv), tried[:]]\n"
+        "    tried.clear()\n"
+        "print(json.dumps([refused, runs]))\n"
+    )
+    refused, runs = json.loads(run_fresh_python(code))
+    assert refused
+    assert runs == {name: [0, []] for name in payloads}
 
 
 @pytest.mark.parametrize("fmt", ["binary", "both"])
@@ -1323,9 +1326,6 @@ def test_dead_worker_fails_its_point(tmp_path):
         "d": [32], "n_per_class": [20, 20000], "n_test_per_class": 50, "rf": False,
         "train": {"epochs": 400, "batch_size": 8}})
     out = str(tmp_path / "dead")
-    env = dict(os.environ)
-    root = os.path.dirname(os.path.dirname(cumlab.__file__))
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [root, env.get("PYTHONPATH")]))
 
     def limit_cpu():
         resource.setrlimit(resource.RLIMIT_CPU, (3, 3))
@@ -1333,7 +1333,7 @@ def test_dead_worker_fails_its_point(tmp_path):
 
     proc = subprocess.Popen(
         [sys.executable, "-m", "cumlab.cli", "train-sweep", "--config", cfg, "--out", out,
-         "--jobs", "2"], env=env, preexec_fn=limit_cpu, start_new_session=True,
+         "--jobs", "2"], env=child_env(), preexec_fn=limit_cpu, start_new_session=True,
         stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL)
     try:
         assert proc.wait(timeout=60) == 1
@@ -1355,8 +1355,9 @@ def describe(name, key):
     if key.kind is None:
         kind = "one of `" + "|".join(map(str, key.choices)) + "`"
     else:
-        kind = ("object" if key.kind is dict else key.kind.__name__) + " grid" * key.grid
+        kind = "object" if key.kind is dict else key.kind.__name__
         kind += "".join(f" or `{json.dumps(choice)}`" for choice in key.choices)
+        kind += " grid" * key.grid
     parts = [kind] + ([key.check[1]] if key.check else [])
     if key.default is cli.REQUIRED or key.default is cli.OPTIONAL:
         parts.append("required" if key.default is cli.REQUIRED else "optional")

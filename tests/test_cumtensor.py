@@ -1,15 +1,11 @@
 """Fourth-cumulant estimator and rank-1 CP extraction."""
 
 import itertools
-import os
-import subprocess
-import sys
 import tracemalloc
 
 import numpy as np
 import pytest
 
-import cumlab
 from cumlab import cumtensor, datagen, learn
 from cumlab.hermite import GDistribution
 from oracles import contract3_full, contract4, from_full, full_tensor, orbit_tensor
@@ -264,26 +260,6 @@ def test_pair_matrix_is_the_orbit_scatter(d):
     vals = np.array([k.matrix[pair[i, j], pair[m, l]] for i, j, m, l in orbits])
     assert np.array_equal(full_tensor(k), orbit_tensor(d, vals))
     assert np.array_equal(k.matrix, k.matrix.T)
-
-
-def test_localisation_point_loads_no_scipy():
-    # a fresh interpreter, so modules imported by other tests do not count
-    env = dict(os.environ)
-    root = os.path.dirname(os.path.dirname(cumlab.__file__))
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [root, env.get("PYTHONPATH")]))
-    code = (
-        "import sys\n"
-        "import numpy as np\n"
-        "from cumlab import cumtensor, datagen\n"
-        "spec = datagen.ModelSpec(kind=datagen.NLGP, d=6, gain=3.0, xi=1.0)\n"
-        "rows = datagen.sample_class(spec, 200, 1)\n"
-        "k = cumtensor.empirical_fourth_cumulant(rows)\n"
-        "cumtensor.rank1_cp(k, np.random.default_rng(2))\n"
-        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
-    )
-    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
-    assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "[]"
 
 
 def test_orbit_index_cache_is_about_the_size_of_k():

@@ -55,16 +55,18 @@ def test_code_signs_match_the_coordinate_loop(d):
         np.testing.assert_array_equal(_kernels.code_signs(code, d - 1), want[1:])
 
 
-def test_search_numpy_blocking_invariance():
+def test_search_numpy_blocking_invariance(monkeypatch):
     rng = np.random.default_rng(2)
     X = rng.standard_normal((20, 9))
-    X[:, 1] = 0.0  # codes c and c + 2^7 tie, and block=7 puts them in different blocks
+    X[:, 1] = 0.0  # codes c and c + 2^7 tie, and 7-code blocks put them in different blocks
     for dist in map(GDistribution.from_kind, ("rademacher", "uniform")):
         def terms(t):
             return loglik_terms(t, 10.0, dist)
 
         full = _kernels.search_best_code(X, 0.3, terms)
-        small = _kernels.search_best_code(X, 0.3, terms, block=7)
+        with monkeypatch.context() as patch:
+            patch.setattr(_kernels, "_SEARCH_BLOCK", 7)
+            small = _kernels.search_best_code(X, 0.3, terms)
         assert full[0] == small[0]
         assert full[1] == pytest.approx(small[1], rel=1e-12)
 
@@ -124,7 +126,7 @@ def test_search_bit_equal_to_reference(kind, d, n):
 
 
 @pytest.mark.parametrize("kind", ["rademacher", "uniform"])
-def test_search_tie_bit_equal_to_reference(kind):
+def test_search_tie_bit_equal_to_reference(kind, monkeypatch):
     rng = np.random.default_rng(2)
     X = rng.standard_normal((20, 9))
     X[:, 1] = 0.0  # codes c and c + 2^7 tie
@@ -134,7 +136,8 @@ def test_search_tie_bit_equal_to_reference(kind):
         return loglik_terms(t, 10.0, dist)
 
     for block in (2048, 7):
-        got = _kernels.search_best_code(X, 0.3, terms, block=block)
+        monkeypatch.setattr(_kernels, "_SEARCH_BLOCK", block)
+        got = _kernels.search_best_code(X, 0.3, terms)
         assert got == reference_search_best_code(X, 0.3, terms, block=block)
 
 

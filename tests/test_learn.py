@@ -45,7 +45,7 @@ def scalar_max_ipr(W):
 
 
 @pytest.mark.parametrize("d", [8, 30, 64])
-def test_screened_max_ipr_equals_scalar_max(d):
+def test_max_ipr_equals_max_of_row_iprs(d):
     # ipr of a matrix gives each row the bits of ipr of that row alone, so
     # the per-epoch maximum is the maximum of the per-row values
     rng = np.random.default_rng(d)
@@ -441,7 +441,7 @@ def test_rf_learns_wishart_at_quadratic_complexity():
     assert acc > 0.55
 
 
-def test_train_report_serialisation():
+def test_train_2lnn_records_one_value_per_epoch():
     data, u = wishart_data(8, 80, 5.0, seed=18)
     curves, _ = learn.train_2lnn(data, data, u, **dict(TRAIN, epochs=3, seed=6))
     assert {name: len(curve) for name, curve in curves.items()} == {

@@ -1,16 +1,23 @@
 """Packaging: the third-party modules the package imports are exactly its
-declared runtime dependencies, and the kernel module stands alone."""
+declared runtime dependencies, the kernel module stands alone, every
+definition is used, and the benchmark's hooks into the package resolve."""
 
 import ast
+import importlib
+import inspect
+import json
 import os
 import re
 import sys
 
 import pytest
 
+from cumlab import cli
+
 tomllib = pytest.importorskip("tomllib")  # standard library from Python 3.11
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+PERFBENCH = os.path.join(ROOT, "perfbench")
 
 
 def imported_top_level_modules(package_dir):
@@ -108,3 +115,48 @@ def test_every_definition_is_used_by_the_package():
     # dataset readers are the documented way to load what `generate` writes
     found = unreferenced_definitions(os.path.join(ROOT, "src", "cumlab"))
     assert found == ["datagen.read_csv", "datagen.read_binary"], found
+
+
+@pytest.fixture
+def perfbench(monkeypatch):
+    """perfbench's tracer and readback modules, imported from its directory;
+    sys.path and the modules imported from there are restored afterwards."""
+    monkeypatch.syspath_prepend(PERFBENCH)
+    before = set(sys.modules)
+    try:
+        yield importlib.import_module("tracer"), importlib.import_module("readback")
+    finally:
+        for name in set(sys.modules) - before:
+            if os.path.dirname(getattr(sys.modules[name], "__file__", None) or "") == PERFBENCH:
+                del sys.modules[name]
+
+
+def test_perfbench_hooks_resolve(tmp_path, perfbench):
+    # The benchmark's tracer wraps package functions by module and name, and
+    # its work counters read their arguments by name.  Its own tests are not
+    # part of this suite, so a rename here would break `--trace 1` unseen.
+    tracer, readback = perfbench
+    hooks = tracer.Tracer()
+    hooks.install()
+    hooks.uninstall()
+    read = set()
+    for _, module, attr, counter in tracer.TARGETS:
+        if counter is None:
+            continue
+        keys = {node.slice.value for node in ast.walk(ast.parse(inspect.getsource(counter)))
+                if isinstance(node, ast.Subscript) and isinstance(node.value, ast.Name)
+                and node.value.id == "a" and isinstance(node.slice, ast.Constant)}
+        target = importlib.import_module(module)
+        for part in attr.split("."):
+            target = getattr(target, part)
+        assert keys <= set(inspect.signature(target).parameters), (attr, sorted(keys))
+        read |= keys
+    assert read, "the scan found no argument a counter reads"
+    # the export read-back regenerates the dataset through the public API
+    cfg = {"experiment": "generate", "seed": 3, "name": "pair", "n_per_class": 20,
+           "format": "both", "model": {"kind": "spiked_cumulant", "d": 5, "beta": 10.0,
+                                       "g": "rademacher"}}
+    path, out = tmp_path / "cfg.json", str(tmp_path / "out")
+    path.write_text(json.dumps(cfg))
+    assert cli.main(["generate", "--config", str(path), "--out", out, "--jobs", "1"]) == 0
+    assert readback.check_export(out, cfg, readback.expected_dataset(cfg)) == []
