@@ -1014,32 +1014,31 @@ SCIPY_FINDER = (
     "            raise ImportError('scipy is not installed')\n"
     "sys.meta_path.insert(0, RefuseScipy())\n"
 )
-# Modules that importing the CLI leaves to their first use, to keep its
-# start-up short
-DEFERRED_MODULES = (
-    "orjson",  # only the dataset CSV writer needs it, and imports it itself
-    "multiprocessing",  # only a run at --jobs above 1 needs it
-    "numpy.random",  # loaded at the first np.random access (about 17 ms), which no import makes
-    "numpy.polynomial",  # only the Uniform Gauss-Legendre rule needs it, built on first use
-)
+# The run probe's training runs beside the tiny configs: the network and
+# random features on both spiked tasks
+PROBE_TRAIN_RUNS = {
+    "train-sweep spiked_wishart": TINY_TRAIN_CFG,
+    "train-sweep spiked_cumulant": dict(TINY_TRAIN_CFG, task="spiked_cumulant", beta=10.0),
+}
 
 
-def test_cli_import_tries_no_scipy_and_defers_modules():
-    code = SCIPY_FINDER + (
-        "import json, cumlab.cli\n"
-        f"print(json.dumps([tried, [m for m in {DEFERRED_MODULES!r} if m in sys.modules]]))\n"
-    )
-    assert json.loads(run_fresh_python(code)) == [[], []]
+def probe_cli_import():
+    """Import `cumlab.cli` in a fresh interpreter under SCIPY_FINDER; return
+    the scipy modules the import tried and every module it loaded.  The
+    session fixture `cli_import_probe` runs it once."""
+    code = SCIPY_FINDER + "import json, cumlab.cli\nprint(json.dumps([tried, sorted(sys.modules)]))\n"
+    return json.loads(run_fresh_python(code))
 
 
-def test_every_subcommand_runs_without_scipy(tmp_path):
-    # every point runs in the probe's interpreter (--jobs 1), so each module
-    # a subcommand imports counts; the training runs cover the network and
-    # random features on both spiked tasks
+def probe_cli_runs(tmp_path):
+    """In one fresh interpreter under SCIPY_FINDER, check that the finder
+    refuses `import scipy.special`, then run at --jobs 1, so every point runs
+    there and its imports count, the tiny config of every subcommand and
+    PROBE_TRAIN_RUNS.  Return whether the finder refused and, for each run,
+    its exit code and the scipy modules it tried.  The session fixture
+    `cli_run_probe` runs it once."""
     payloads = {experiment: TINY_CONFIGS[experiment] for experiment in sorted(cli.EXPERIMENTS)}
-    payloads["train-sweep spiked_wishart"] = TINY_TRAIN_CFG
-    payloads["train-sweep spiked_cumulant"] = dict(TINY_TRAIN_CFG, task="spiked_cumulant",
-                                                   beta=10.0)
+    payloads.update(PROBE_TRAIN_RUNS)
     argvs = {}
     for i, (name, payload) in enumerate(payloads.items()):
         cfg = write_config(tmp_path, f"{i}.json", payload)
@@ -1061,9 +1060,54 @@ def test_every_subcommand_runs_without_scipy(tmp_path):
         "    tried.clear()\n"
         "print(json.dumps([refused, runs]))\n"
     )
-    refused, runs = json.loads(run_fresh_python(code))
+    return json.loads(run_fresh_python(code))
+
+
+def test_import_leaves_scipy_integrate_unloaded(cli_import_probe):
+    # the import tries no scipy module at all, scipy.integrate among them
+    tried, _ = cli_import_probe
+    assert tried == []
+
+
+@pytest.mark.parametrize("module", [
+    "orjson",  # only the dataset CSV writer needs it, and imports it itself
+    "multiprocessing",  # only a run at --jobs above 1 needs it
+    "numpy.random",  # numpy loads it at the first np.random access, which no import makes
+])
+def test_import_leaves_module_unloaded(cli_import_probe, module):
+    # each is left to first use to keep the CLI's start-up short: numpy.random
+    # alone takes about 17 ms to import
+    _, loaded = cli_import_probe
+    assert module not in loaded
+
+
+def test_import_leaves_numpy_polynomial_unloaded(cli_import_probe):
+    # only the Uniform Gauss-Legendre rule needs it, built on first use
+    _, loaded = cli_import_probe
+    assert "numpy.polynomial" not in loaded
+
+
+@pytest.mark.parametrize("experiment", sorted(cli.EXPERIMENTS))
+def test_no_subcommand_loads_scipy(cli_run_probe, experiment):
+    # cumlab's special functions are its own (`cumlab._special`); scipy is a
+    # test oracle only
+    _, runs = cli_run_probe
+    assert runs[experiment][1] == []
+
+
+@pytest.mark.parametrize("experiment", sorted(cli.EXPERIMENTS))
+def test_every_subcommand_runs_without_scipy(cli_run_probe, experiment):
+    # scipy is a test extra, not a runtime dependency
+    refused, runs = cli_run_probe
     assert refused
-    assert runs == {name: [0, []] for name in payloads}
+    assert runs[experiment][0] == 0
+
+
+def test_wishart_and_cumulant_points_load_no_scipy(cli_run_probe):
+    # the network and random-features path of a spiked point must not need it
+    _, runs = cli_run_probe
+    assert {name: runs[name] for name in PROBE_TRAIN_RUNS} == {
+        name: [0, []] for name in PROBE_TRAIN_RUNS}
 
 
 @pytest.mark.parametrize("fmt", ["binary", "both"])

@@ -262,6 +262,13 @@ def test_pair_matrix_is_the_orbit_scatter(d):
     assert np.array_equal(k.matrix, k.matrix.T)
 
 
+def test_localisation_point_loads_no_scipy(cli_run_probe):
+    # the probe's nlgp-localisation run computes the empirical cumulant and
+    # the rank-1 CP in a fresh interpreter that refuses scipy
+    _, runs = cli_run_probe
+    assert runs["nlgp-localisation"] == [0, []]
+
+
 def test_orbit_index_cache_is_about_the_size_of_k():
     # K alone is 33 MiB at d = 64; the cached indices hold no sorted
     # quadruples and store int32
