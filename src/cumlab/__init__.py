@@ -22,11 +22,3 @@ if "numpy" in sys.modules:
     BLAS_SETTINGS = None
 
 __version__ = "0.1.0"
-
-from .hermite import GDistribution, hermite_coeff_expectation
-
-__all__ = [
-    "GDistribution",
-    "hermite_coeff_expectation",
-    "__version__",
-]

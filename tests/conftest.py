@@ -2,9 +2,10 @@
 
 BLAS reads its thread count and wait policy once, when numpy loads it.
 pytest imports this file before any test module, and importing cumlab
-applies its defaults (see ``cumlab.BLAS_SETTINGS``) before cumlab loads
-numpy; so the in-process tests, the bit-equality tests among them, run on
-the one BLAS thread the command runs on.
+applies its defaults (see ``cumlab.BLAS_SETTINGS``) and loads nothing
+else, numpy included; so numpy, first loaded by a test module, reads them,
+and the in-process tests, the bit-equality tests among them, run on the
+one BLAS thread the command runs on.
 
 The start-up contract (no scipy import, modules left to first use) is
 checked in two fresh interpreters, each run once per session by a fixture

@@ -1,22 +1,61 @@
-"""Reference computations that only the tests use.
+"""Reference computations and the harness that only the tests use.
 
-Each computes, by a slower or more explicit route, a quantity that cumlab
-obtains another way, so that a test can compare the two.
+Each reference computes, by a slower or more explicit route, a quantity
+that cumlab obtains another way, so that a test can compare the two.  The
+harness gives every test one way to build a latent law (`RADEM`, `UNIF`,
+`GAUSS`, `LAWS`), to run a config through the CLI (`run_config`) and to
+measure a working set (`traced_peak`).
 """
 
 import io
 import itertools
+import json
 import math
+import tracemalloc
 from fractions import Fraction
 from math import erf
 
 import numpy as np
 
-from cumlab import _special, datagen
+from cumlab import _special, cli, datagen
 from cumlab.cumtensor import FourthCumulant
-from cumlab.hermite import RADEMACHER, STANDARD_GAUSSIAN, UNIFORM, uniform_rule
+from cumlab.hermite import (G_KINDS, RADEMACHER, STANDARD_GAUSSIAN, UNIFORM, GDistribution,
+                            uniform_rule)
 from cumlab.ldlr import t_coeff
 from cumlab.rng import generator
+
+RADEM, UNIF, GAUSS = map(GDistribution, G_KINDS)
+LAWS = {g.kind: g for g in (RADEM, UNIF, GAUSS)}
+
+
+def write_config(out, payload, config=None) -> str:
+    """Write `payload` as JSON to `config`, by default `out` + ".json", beside
+    the out directory and never inside it; return the config's path."""
+    config = str(config or f"{out}.json")
+    with open(config, "w") as fh:
+        json.dump(payload, fh)
+    return config
+
+
+def run_config(out, payload, *flags, experiment=None, config=None):
+    """Run the subcommand `experiment` (the payload's own by default) on
+    `payload`, written by `write_config`, into `out` with any further
+    `flags`; return the exit code and `out` as a string."""
+    out = str(out)
+    argv = [experiment or payload["experiment"], "--config", write_config(out, payload, config),
+            "--out", out, *flags]
+    return cli.main(argv), out
+
+
+def traced_peak(call) -> int:
+    """Peak bytes allocated through Python while `call()` runs; tracing
+    stops even when the call raises."""
+    tracemalloc.start()
+    try:
+        call()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 def whitening_matrix(u: np.ndarray, beta: float) -> np.ndarray:

@@ -14,19 +14,19 @@ import numpy as np
 import pytest
 
 from cumlab import cli, datagen, learn, likelihood
-from cumlab.hermite import GDistribution
 from cumlab.ldlr import ldlr_asymptotics, ldlr_lower_log, ldlr_norm_log, ldlr_upper_log
 from cumlab.rng import generator, spawn_seed
 from oracles import (
+    RADEM,
+    UNIF,
     abs_coefficient_sum,
     hermite_eval,
     ldlr_exact_small_log,
     ldlr_wishart_limit,
+    run_config,
     whitening_matrix,
 )
 
-RADEM = GDistribution.from_kind("rademacher")
-UNIF = GDistribution.from_kind("uniform")
 # the train-sweep defaults of train_2lnn's keyword arguments, at alpha 1
 TRAIN = {name: key.default for name, key in cli._TRAIN.keys.items()
          if key.default is not cli.OPTIONAL} | {"alpha_lazy": 1.0}
@@ -213,15 +213,11 @@ def test_criterion_07_bbp_reproduction():
 
 
 def test_criterion_08_search_curve(tmp_path):
-    import json as _json
-
     thetas = [0.5, 0.75, 1.0, 1.25, 1.5]
     runs = 50
-    cfg_path = tmp_path / "search.json"
-    cfg_path.write_text(_json.dumps({"experiment": "search-curve", "seed": 1, "d": 10,
-                                     "theta": thetas, "beta": 10.0, "runs": runs}))
     out = tmp_path / "search"
-    assert cli.main(["search-curve", "--config", str(cfg_path), "--out", str(out)]) == 0
+    assert run_config(out, {"experiment": "search-curve", "seed": 1, "d": 10,
+                            "theta": thetas, "beta": 10.0, "runs": runs})[0] == 0
     rows = [line.split(",") for line in (out / "success_rate.csv").read_text().splitlines()[1:]]
     curve = [(float(r[0]), float(r[1])) for r in rows]
     rates = dict(curve)
@@ -322,8 +318,6 @@ def test_criterion_11_nlgp_localisation():
 
 
 def test_criterion_12_determinism_across_workers(tmp_path):
-    import json as _json
-
     experiments = {
         "search-curve": (
             {"experiment": "search-curve", "seed": 5, "d": 8,
@@ -347,13 +341,10 @@ def test_criterion_12_determinism_across_workers(tmp_path):
     details = []
     for name, (cfg, metric_file) in experiments.items():
         # every CSV is compared; metric_file only has to be among them
-        cfg_path = tmp_path / f"{name}.json"
-        cfg_path.write_text(_json.dumps(cfg))
         outputs = []
         for jobs in ("1", "4", "2"):
             out = tmp_path / f"{name}-j{jobs}"
-            assert cli.main([name, "--config", str(cfg_path),
-                             "--out", str(out), "--jobs", jobs]) == 0
+            assert run_config(out, cfg, "--jobs", jobs)[0] == 0
             names = sorted(p.name for p in out.glob("*.csv"))
             assert metric_file in names
             outputs.append({n: (out / n).read_bytes() for n in names})

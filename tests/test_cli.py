@@ -4,7 +4,6 @@ import contextlib
 import csv
 import dataclasses
 import json
-import math
 import os
 import resource
 import signal
@@ -16,18 +15,8 @@ import pytest
 
 import cumlab
 from cumlab import cli, datagen
-from cumlab.hermite import GDistribution
 from cumlab.rng import generator, spawn_seed
-
-
-def write_config(tmp_path, name, payload):
-    path = tmp_path / name
-    path.write_text(json.dumps(payload))
-    return str(path)
-
-
-def run_cli(args):
-    return cli.main(args)
+from oracles import UNIF, run_config, write_config
 
 
 SEARCH_CFG = {
@@ -52,14 +41,14 @@ def read_bytes(path):
 
 
 def test_search_curve_deterministic_across_jobs(tmp_path):
-    cfg = write_config(tmp_path, "cfg.json", SEARCH_CFG)
-    out1, out2 = str(tmp_path / "a"), str(tmp_path / "b")
-    assert run_cli(["search-curve", "--config", cfg, "--out", out1, "--jobs", "1"]) == 0
-    assert run_cli(["search-curve", "--config", cfg, "--out", out2, "--jobs", "3"]) == 0
+    code, out1 = run_config(tmp_path / "a", SEARCH_CFG, "--jobs", "1")
+    assert code == 0
+    code, out2 = run_config(tmp_path / "b", SEARCH_CFG, "--jobs", "3")
+    assert code == 0
     for name in ("success.csv", "success_rate.csv"):
         assert read_bytes(os.path.join(out1, name)) == read_bytes(os.path.join(out2, name))
     # idempotent overwrite
-    assert run_cli(["search-curve", "--config", cfg, "--out", out1, "--jobs", "2"]) == 0
+    assert run_config(out1, SEARCH_CFG, "--jobs", "2")[0] == 0
     assert read_bytes(os.path.join(out1, "success.csv")) == read_bytes(
         os.path.join(out2, "success.csv")
     )
@@ -69,9 +58,7 @@ def test_search_curve_deterministic_across_jobs(tmp_path):
 
 
 def test_manifest_contents(tmp_path):
-    cfg = write_config(tmp_path, "cfg.json", SEARCH_CFG)
-    out = str(tmp_path / "m")
-    run_cli(["search-curve", "--config", cfg, "--out", out, "--jobs", "1"])
+    _, out = run_config(tmp_path / "m", SEARCH_CFG, "--jobs", "1")
     manifest = json.loads(read_bytes(os.path.join(out, "manifest.json")))
     assert manifest["experiment"] == "search-curve"
     assert manifest["seed"] == 21
@@ -121,10 +108,9 @@ def test_manifest_records_the_peak_rss_of_the_run(tmp_path):
     # kernel's RSS counters; VmHWM has read up to 0.1 MB above
     peaks = []
     for n_test in (50, 100_000):
-        cfg = write_config(tmp_path, f"cfg{n_test}.json", {
-            **TINY_TRAIN_CFG, "n_test_per_class": n_test, "rf": False,
-            "train": {"epochs": 1, "batch_size": 40}})
         out = str(tmp_path / f"rss{n_test}")
+        cfg = write_config(out, {**TINY_TRAIN_CFG, "n_test_per_class": n_test, "rf": False,
+                                 "train": {"epochs": 1, "batch_size": 40}})
         manifest, whole_run = launch_train_sweep(cfg, out)
         assert 0.95 * whole_run <= manifest["peak_rss_mb"] <= whole_run + 1.0
         assert not any("peak_rss" in read_bytes(os.path.join(out, name)).decode()
@@ -136,20 +122,18 @@ def test_manifest_records_the_peak_rss_of_the_run(tmp_path):
 def test_manifest_peak_rss_leaves_out_the_launching_process(tmp_path):
     # ru_maxrss survives exec, so wait4 reports the 200 MB the launcher
     # holds; the manifest takes the run's own peak, which starts afresh at exec
-    cfg = write_config(tmp_path, "cfg.json", {
-        **TINY_TRAIN_CFG, "n_test_per_class": 50, "rf": False,
-        "train": {"epochs": 1, "batch_size": 40}})
-    manifest, whole_run = launch_train_sweep(cfg, str(tmp_path / "big"), ballast_mb=200)
+    out = str(tmp_path / "big")
+    cfg = write_config(out, {**TINY_TRAIN_CFG, "n_test_per_class": 50, "rf": False,
+                             "train": {"epochs": 1, "batch_size": 40}})
+    manifest, whole_run = launch_train_sweep(cfg, out, ballast_mb=200)
     assert whole_run > 200.0, whole_run
     assert manifest["peak_rss_mb"] < 100.0, manifest["peak_rss_mb"]
 
 
 def test_seed_env_override(tmp_path, monkeypatch):
-    cfg = write_config(tmp_path, "cfg.json", SEARCH_CFG)
-    out1, out2 = str(tmp_path / "s1"), str(tmp_path / "s2")
-    run_cli(["search-curve", "--config", cfg, "--out", out1, "--jobs", "1"])
+    _, out1 = run_config(tmp_path / "s1", SEARCH_CFG, "--jobs", "1")
     monkeypatch.setenv("CUMLAB_SEED", "999")
-    run_cli(["search-curve", "--config", cfg, "--out", out2, "--jobs", "1"])
+    _, out2 = run_config(tmp_path / "s2", SEARCH_CFG, "--jobs", "1")
     monkeypatch.delenv("CUMLAB_SEED")
     m2 = json.loads(read_bytes(os.path.join(out2, "manifest.json")))
     assert m2["seed"] == 999
@@ -159,12 +143,10 @@ def test_seed_env_override(tmp_path, monkeypatch):
 
 
 def test_config_error_exit_code(tmp_path):
-    cfg = write_config(tmp_path, "bad.json", {"experiment": "lr-curve", "seed": 1, "d": [8]})
-    assert run_cli(["lr-curve", "--config", cfg, "--out", str(tmp_path / "x")]) == 2
-    mismatched = write_config(tmp_path, "mm.json", SEARCH_CFG)
-    assert run_cli(["lr-curve", "--config", mismatched, "--out", str(tmp_path / "y")]) == 2
+    assert run_config(tmp_path / "x", {"experiment": "lr-curve", "seed": 1, "d": [8]})[0] == 2
+    assert run_config(tmp_path / "y", SEARCH_CFG, experiment="lr-curve")[0] == 2
     missing = str(tmp_path / "nope.json")
-    assert run_cli(["lr-curve", "--config", missing, "--out", str(tmp_path / "z")]) == 2
+    assert cli.main(["lr-curve", "--config", missing, "--out", str(tmp_path / "z")]) == 2
 
 
 @pytest.mark.parametrize("content", [b'{"experiment": "lr-curve", "d": [8], "\xff": 1}',
@@ -173,7 +155,7 @@ def test_undecodable_config_exits_2(tmp_path, capsys, content):
     path = tmp_path / "cfg.json"
     path.write_bytes(content)
     out = str(tmp_path / "out")
-    assert run_cli(["lr-curve", "--config", str(path), "--out", out]) == 2
+    assert cli.main(["lr-curve", "--config", str(path), "--out", out]) == 2
     err = capsys.readouterr().err
     assert err.startswith("config error: ") and len(err.strip().splitlines()) == 1
     assert not os.path.exists(out)
@@ -182,9 +164,9 @@ def test_undecodable_config_exits_2(tmp_path, capsys, content):
 @pytest.mark.parametrize("out", ["afile", "afile/sub"])
 def test_out_that_cannot_be_a_directory_exits_2(tmp_path, capsys, out):
     (tmp_path / "afile").write_text("not a directory\n")
-    cfg = write_config(tmp_path, "cfg.json", LR_CFG)
-    path = str(tmp_path / out)
-    assert run_cli(["lr-curve", "--config", cfg, "--out", path]) == 2
+    # the config goes beside afile: beside afile/sub is inside the file
+    code, path = run_config(tmp_path / out, LR_CFG, config=tmp_path / "cfg.json")
+    assert code == 2
     err = capsys.readouterr().err
     assert len(err.strip().splitlines()) == 1 and repr(path) in err
     assert (tmp_path / "afile").read_text() == "not a directory\n"
@@ -192,13 +174,17 @@ def test_out_that_cannot_be_a_directory_exits_2(tmp_path, capsys, out):
 
 @pytest.mark.parametrize("jobs", ["0", "-5"])
 def test_jobs_below_one_is_refused(tmp_path, capsys, jobs):
-    cfg = write_config(tmp_path, "cfg.json", LR_CFG)
     out = str(tmp_path / "out")
     with pytest.raises(SystemExit) as exc:
-        run_cli(["lr-curve", "--config", cfg, "--out", out, "--jobs", jobs])
+        run_config(out, LR_CFG, "--jobs", jobs)
     assert exc.value.code == 2
     assert f"argument --jobs: expected a worker count >= 1, got '{jobs}'" in capsys.readouterr().err
     assert not os.path.exists(out)
+
+
+# ldlr-bounds points at d 3 and 16, the second made to fail by fail_ldlr_points_at_d16
+FAILING_LDLR_CFG = {"experiment": "ldlr-bounds", "seed": 2, "d": [3, 16], "n": [40], "D": [8],
+                    "beta": [10.0]}
 
 
 def fail_ldlr_points_at_d16(monkeypatch):
@@ -217,20 +203,8 @@ def fail_ldlr_points_at_d16(monkeypatch):
 def test_partial_failure_exit_code(tmp_path, monkeypatch):
     # one failing grid point: error row + exit 1
     fail_ldlr_points_at_d16(monkeypatch)
-    cfg = write_config(
-        tmp_path,
-        "cfg.json",
-        {
-            "experiment": "ldlr-bounds",
-            "seed": 2,
-            "d": [3, 16],
-            "n": [40],
-            "D": [8],
-            "beta": [10.0],
-        },
-    )
-    out = str(tmp_path / "pf")
-    assert run_cli(["ldlr-bounds", "--config", cfg, "--out", out, "--jobs", "1"]) == 1
+    code, out = run_config(tmp_path / "pf", FAILING_LDLR_CFG, "--jobs", "1")
+    assert code == 1
     with open(os.path.join(out, "errors.csv")) as fh:
         lines = fh.read().strip().splitlines()
     assert lines[0] == "d,n,D,beta,run,error"
@@ -243,14 +217,10 @@ def test_clean_rerun_removes_stale_errors_csv(tmp_path, monkeypatch):
     # a failed point writes errors.csv; a clean rerun into the same
     # directory must not leave it behind
     fail_ldlr_points_at_d16(monkeypatch)
-    cfg = {"experiment": "ldlr-bounds", "seed": 2, "d": [3, 16], "n": [40], "D": [8],
-           "beta": [10.0]}
-    out = str(tmp_path / "rerun")
-    failing = write_config(tmp_path, "failing.json", cfg)
-    assert run_cli(["ldlr-bounds", "--config", failing, "--out", out]) == 1
+    code, out = run_config(tmp_path / "rerun", FAILING_LDLR_CFG)
+    assert code == 1
     assert os.path.exists(os.path.join(out, "errors.csv"))
-    clean = write_config(tmp_path, "clean.json", dict(cfg, d=[3]))
-    assert run_cli(["ldlr-bounds", "--config", clean, "--out", out]) == 0
+    assert run_config(out, dict(FAILING_LDLR_CFG, d=[3]))[0] == 0
     assert not os.path.exists(os.path.join(out, "errors.csv"))
     assert json.loads(read_bytes(os.path.join(out, "manifest.json")))["failed_points"] == 0
 
@@ -259,12 +229,10 @@ def test_rerun_removes_metric_csv_it_does_not_write(tmp_path):
     # the first run writes rf_acc.csv; a rerun without random features into
     # the same directory must not leave it behind
     cfg = dict(TINY_TRAIN_CFG, n_per_class=[40])
-    out = str(tmp_path / "rf")
-    with_rf = write_config(tmp_path, "rf.json", cfg)
-    assert run_cli(["train-sweep", "--config", with_rf, "--out", out]) == 0
+    code, out = run_config(tmp_path / "rf", cfg)
+    assert code == 0
     assert os.path.exists(os.path.join(out, "rf_acc.csv"))
-    without_rf = write_config(tmp_path, "norf.json", dict(cfg, rf=False))
-    assert run_cli(["train-sweep", "--config", without_rf, "--out", out]) == 0
+    assert run_config(out, dict(cfg, rf=False))[0] == 0
     assert not os.path.exists(os.path.join(out, "rf_acc.csv"))
     manifest = json.loads(read_bytes(os.path.join(out, "manifest.json")))
     assert sorted(f for f in os.listdir(out) if f.endswith(".csv")) == sorted(
@@ -275,27 +243,22 @@ def test_failed_rerun_removes_every_earlier_output(tmp_path, monkeypatch):
     # a clean run, then one whose only point fails: no metric CSV and no
     # aggregate of the first run survives beside the new errors.csv
     fail_ldlr_points_at_d16(monkeypatch)
-    cfg = {"experiment": "ldlr-bounds", "seed": 2, "d": [3], "n": [40], "D": [8],
-           "beta": [10.0]}
-    out = str(tmp_path / "failed")
-    clean = write_config(tmp_path, "clean.json", cfg)
-    assert run_cli(["ldlr-bounds", "--config", clean, "--out", out]) == 0
+    code, out = run_config(tmp_path / "failed", dict(FAILING_LDLR_CFG, d=[3]))
+    assert code == 0
     first = set(os.listdir(out))
     assert {"ldlr_bounds.csv", "log_lower.csv", "log_exact.csv"} <= first
-    failing = write_config(tmp_path, "failing.json", dict(cfg, d=[16]))
-    assert run_cli(["ldlr-bounds", "--config", failing, "--out", out]) == 1
+    assert run_config(out, dict(FAILING_LDLR_CFG, d=[16]))[0] == 1
     assert sorted(os.listdir(out)) == ["errors.csv", "manifest.json"]
 
 
 def test_unreadable_manifest_removes_nothing(tmp_path):
-    cfg = write_config(tmp_path, "cfg.json", {"experiment": "ldlr-bounds", "seed": 2, "d": [3],
-                                              "n": [4], "D": [2], "beta": [1.0]})
+    cfg = {"experiment": "ldlr-bounds", "seed": 2, "d": [3], "n": [4], "D": [2], "beta": [1.0]}
     for i, text in enumerate(("{not json", TOO_DEEP)):
         out = tmp_path / f"keep{i}"
         out.mkdir()
         (out / "manifest.json").write_text(text)
         (out / "kept.csv").write_text("x\n")
-        assert run_cli(["ldlr-bounds", "--config", cfg, "--out", str(out)]) == 0
+        assert run_config(out, cfg)[0] == 0
         assert (out / "kept.csv").read_text() == "x\n"
         assert json.loads(read_bytes(out / "manifest.json"))["outputs"]  # replaced
 
@@ -311,13 +274,11 @@ def test_rerun_removes_plot_files(tmp_path):
     # one, which has no asymptotic forms at D = 3
     cfg = {"experiment": "ldlr-bounds", "seed": 2, "d": [3], "n": [2], "D": [4],
            "beta": [1.0]}
-    out = str(tmp_path / "plots")
-    with_asym = write_config(tmp_path, "asym.json", cfg)
-    assert run_cli(["ldlr-bounds", "--config", with_asym, "--out", out]) == 0
-    assert run_cli(["emit-plotdata", "--out", out]) == 0
+    code, out = run_config(tmp_path / "plots", cfg)
+    assert code == 0
+    assert cli.main(["emit-plotdata", "--out", out]) == 0
     assert "plot_asym_upper.csv" in os.listdir(out)
-    plain = write_config(tmp_path, "plain.json", dict(cfg, D=[3]))
-    assert run_cli(["ldlr-bounds", "--config", plain, "--out", out]) == 0
+    assert run_config(out, dict(cfg, D=[3]))[0] == 0
     assert not [name for name in os.listdir(out) if name.startswith("plot_")]
     assert listing_is_outputs(out)
 
@@ -325,8 +286,7 @@ def test_rerun_removes_plot_files(tmp_path):
 def test_generate_rerun_removes_dataset_of_another_name(tmp_path):
     out = str(tmp_path / "names")
     for name in ("a", "b"):
-        cfg = write_config(tmp_path, f"{name}.json", dict(GENERATE_CFG, name=name))
-        assert run_cli(["generate", "--config", cfg, "--out", out]) == 0
+        assert run_config(out, dict(GENERATE_CFG, name=name))[0] == 0
     assert sorted(os.listdir(out)) == ["b.bin", "b.csv", "manifest.json", "rows_written.csv"]
     assert listing_is_outputs(out)
 
@@ -334,15 +294,14 @@ def test_generate_rerun_removes_dataset_of_another_name(tmp_path):
 def test_failed_generate_rerun_keeps_no_dataset(tmp_path, monkeypatch):
     # the files of a failed point are not written by this run: the old
     # dataset is removed, not adopted
-    cfg = write_config(tmp_path, "gen.json", GENERATE_CFG)
-    out = str(tmp_path / "gen")
-    assert run_cli(["generate", "--config", cfg, "--out", out, "--jobs", "1"]) == 0
+    code, out = run_config(tmp_path / "gen", GENERATE_CFG, "--jobs", "1")
+    assert code == 0
 
     def broken(*args, **kwargs):
         raise RuntimeError("injected sampler failure")
 
     monkeypatch.setattr(cli.datagen, "make_dataset", broken)
-    assert run_cli(["generate", "--config", cfg, "--out", out, "--jobs", "1"]) == 1
+    assert run_config(out, GENERATE_CFG, "--jobs", "1")[0] == 1
     assert sorted(os.listdir(out)) == ["errors.csv", "manifest.json"]
     assert listing_is_outputs(out)
 
@@ -350,14 +309,13 @@ def test_failed_generate_rerun_keeps_no_dataset(tmp_path, monkeypatch):
 def test_failed_generate_point_leaves_no_dataset(tmp_path, monkeypatch):
     # the point writes a.csv, then its binary write fails: the CSV is
     # removed, not left in --out with no manifest naming it
-    cfg = write_config(tmp_path, "gen.json", dict(GENERATE_CFG, name="a", format="both"))
-    out = str(tmp_path / "gen")
-
     def broken(*args, **kwargs):
         raise OSError("injected write failure")
 
     monkeypatch.setattr(cli.datagen, "write_binary", broken)
-    assert run_cli(["generate", "--config", cfg, "--out", out, "--jobs", "1"]) == 1
+    code, out = run_config(tmp_path / "gen", dict(GENERATE_CFG, name="a", format="both"),
+                           "--jobs", "1")
+    assert code == 1
     assert sorted(os.listdir(out)) == ["errors.csv", "manifest.json"]
     assert listing_is_outputs(out)
 
@@ -369,9 +327,8 @@ def test_errors_csv_quotes_the_message(tmp_path, monkeypatch):
         raise OSError(2, "No such file or directory", "it's, a.csv")
 
     monkeypatch.setattr(cli.datagen, "make_dataset", broken)
-    cfg = write_config(tmp_path, "gen.json", GENERATE_CFG)
-    out = str(tmp_path / "gen")
-    assert run_cli(["generate", "--config", cfg, "--out", out, "--jobs", "1"]) == 1
+    code, out = run_config(tmp_path / "gen", GENERATE_CFG, "--jobs", "1")
+    assert code == 1
     with open(os.path.join(out, "errors.csv"), newline="") as fh:
         rows = list(csv.reader(fh))
     assert rows == [["name", "run", "error"], ["dataset", "0", "FileNotFoundError: [Errno 2] "
@@ -379,9 +336,8 @@ def test_errors_csv_quotes_the_message(tmp_path, monkeypatch):
 
 
 def test_generate_round_trip(tmp_path):
-    cfg = write_config(
-        tmp_path,
-        "gen.json",
+    code, out = run_config(
+        tmp_path / "gen",
         {
             "experiment": "generate",
             "seed": 4,
@@ -391,8 +347,7 @@ def test_generate_round_trip(tmp_path):
             "format": "both",
         },
     )
-    out = str(tmp_path / "gen")
-    assert run_cli(["generate", "--config", cfg, "--out", out]) == 0
+    assert code == 0
     a = datagen.read_csv(os.path.join(out, "toy.csv"))
     b = datagen.read_binary(os.path.join(out, "toy.bin"))
     assert np.array_equal(a.values, b.values)
@@ -411,9 +366,8 @@ def test_generate_matches_the_datagen_api(tmp_path):
                "model": {"kind": "spiked_wishart", "d": 6, "beta": 3.0},
                "negative_model": {"kind": "nlgp", "d": 6, "gain": 2.0, "xi": 1.5,
                                   "periodic": True}}
-    out = str(tmp_path / "gen")
-    assert run_cli(["generate", "--config", write_config(tmp_path, "g.json", payload),
-                    "--out", out]) == 0
+    code, out = run_config(tmp_path / "gen", payload)
+    assert code == 0
     point_seed = spawn_seed(8, "generate", "pair", 0)
     with open(os.path.join(out, "manifest.json")) as fh:
         assert json.load(fh)["point_seeds"] == {"pair#0": point_seed}
@@ -426,11 +380,10 @@ def test_generate_matches_the_datagen_api(tmp_path):
     assert np.array_equal(got.labels, expected.labels)
     # a spiked negative model draws its spike from the "negmodel" seed's stream
     payload["negative_model"] = {"kind": "spiked_cumulant", "d": 6, "beta": 5.0, "g": "uniform"}
-    assert run_cli(["generate", "--config", write_config(tmp_path, "g.json", payload),
-                    "--out", out]) == 0
+    assert run_config(out, payload)[0] == 0
     neg_spike = datagen.draw_spike(6, generator(spawn_seed(point_seed, "negmodel"), "spike"))
     neg = datagen.ModelSpec(kind=datagen.SPIKED_CUMULANT, d=6, beta=5.0, spike=neg_spike,
-                            g_dist=GDistribution("uniform"))
+                            g_dist=UNIF)
     expected = datagen.make_dataset(pos, 40, point_seed, neg=neg)
     assert np.array_equal(datagen.read_binary(os.path.join(out, "pair.bin")).values,
                           expected.values)
@@ -443,10 +396,9 @@ def test_generate_matches_the_datagen_api(tmp_path):
 def test_ldlr_bounds_past_the_uint64_range(tmp_path, n, D, g):
     # numpy's log refuses a Python int past 2^64; the run takes any n.  It
     # takes D up to 303 for every g, and past it for a Gaussian g
-    cfg = write_config(tmp_path, "cfg.json", {"experiment": "ldlr-bounds", "seed": 1, "d": [16],
+    code, out = run_config(tmp_path / "big", {"experiment": "ldlr-bounds", "seed": 1, "d": [16],
                                               "n": [n], "D": D, "beta": [10.0], "g": g})
-    out = str(tmp_path / "big")
-    assert run_cli(["ldlr-bounds", "--config", cfg, "--out", out]) == 0
+    assert code == 0
     with open(os.path.join(out, "ldlr_bounds.csv")) as fh:
         (row,) = csv.DictReader(fh)
     assert int(row["n"]) == n
@@ -456,9 +408,8 @@ def test_ldlr_bounds_past_the_uint64_range(tmp_path, n, D, g):
 
 
 def test_ldlr_bounds_csv_and_plotdata(tmp_path):
-    cfg = write_config(
-        tmp_path,
-        "cfg.json",
+    code, out = run_config(
+        tmp_path / "lb",
         {
             "experiment": "ldlr-bounds",
             "seed": 3,
@@ -468,8 +419,7 @@ def test_ldlr_bounds_csv_and_plotdata(tmp_path):
             "beta": [1.0, 10.0],
         },
     )
-    out = str(tmp_path / "lb")
-    assert run_cli(["ldlr-bounds", "--config", cfg, "--out", out]) == 0
+    assert code == 0
     with open(os.path.join(out, "log_exact.csv")) as fh:
         rows = fh.read().strip().splitlines()
     assert rows[0] == "d,n,D,beta,run,value"
@@ -497,7 +447,7 @@ def test_ldlr_bounds_csv_and_plotdata(tmp_path):
     # asym_lower and asym_upper at the two D = 3 points, log_upper at the
     # two D = 8 points
     assert empty == 6
-    assert run_cli(["emit-plotdata", "--out", out]) == 0
+    assert cli.main(["emit-plotdata", "--out", out]) == 0
     with open(os.path.join(out, "plot_log_exact.csv")) as fh:
         agg = fh.read().strip().splitlines()
     assert agg[0] == "d,n,D,beta,mean,sd,count"
@@ -507,9 +457,9 @@ def test_ldlr_bounds_csv_and_plotdata(tmp_path):
 def test_ldlr_bounds_takes_auto_as_a_grid_entry(tmp_path):
     outs = []
     for D in ("auto", ["auto"]):
-        cfg = write_config(tmp_path, "cfg.json", dict(LDLR_CFG, n=[2, 20, 50], D=D))
-        outs.append(str(tmp_path / str(len(outs))))
-        assert run_cli(["ldlr-bounds", "--config", cfg, "--out", outs[-1]]) == 0
+        code, out = run_config(tmp_path / str(len(outs)), dict(LDLR_CFG, n=[2, 20, 50], D=D))
+        assert code == 0
+        outs.append(out)
     csvs = sorted(n for n in os.listdir(outs[0]) if n.endswith(".csv"))
     assert "log_exact.csv" in csvs
     assert csvs == sorted(n for n in os.listdir(outs[1]) if n.endswith(".csv"))
@@ -521,17 +471,15 @@ def test_ldlr_bounds_takes_auto_as_a_grid_entry(tmp_path):
 def test_emit_plotdata_errors(tmp_path):
     empty = tmp_path / "empty"
     empty.mkdir()
-    assert run_cli(["emit-plotdata", "--out", str(empty)]) == 2
+    assert cli.main(["emit-plotdata", "--out", str(empty)]) == 2
     # a malformed manifest is refused, never a traceback
     for text in ("{", "[1,2]", '{"metrics": "abc"}', TOO_DEEP):
         (empty / "manifest.json").write_text(text)
-        assert run_cli(["emit-plotdata", "--out", str(empty)]) == 2, text
+        assert cli.main(["emit-plotdata", "--out", str(empty)]) == 2, text
     # manifest present but a metric CSV deleted -> exit 1, missing listed
-    cfg = write_config(tmp_path, "cfg.json", SEARCH_CFG)
-    out = str(tmp_path / "pd")
-    run_cli(["search-curve", "--config", cfg, "--out", out, "--jobs", "1"])
+    _, out = run_config(tmp_path / "pd", SEARCH_CFG, "--jobs", "1")
     os.unlink(os.path.join(out, "success.csv"))
-    assert run_cli(["emit-plotdata", "--out", out]) == 1
+    assert cli.main(["emit-plotdata", "--out", out]) == 1
 
 
 @pytest.mark.parametrize("metric, tail, message", [
@@ -542,16 +490,20 @@ def test_emit_plotdata_errors(tmp_path):
      "line 3: 'utf-8' codec can't decode byte 0xff in position 12: invalid start byte"),
     # the CSV checked second: the first one's plot file is not written either
     ("log_lr_norm_sq", b"\n8,1.0,1.0,1,0.5,0.5\n", "line 4: 6 fields, the header has 5"),
-], ids=["not-a-row", "not-a-number", "short-row", "not-utf8", "second-csv"])
+    # a (text, replacement) pair edits the CSV in place of a tail
+    ("gamma_beta", (b",run,value\n", b",run,val\n"),
+     "line 1: the header does not end in run,value"),
+], ids=["not-a-row", "not-a-number", "short-row", "not-utf8", "second-csv", "bad-header"])
 def test_emit_plotdata_refuses_a_bad_metric_csv(tmp_path, capsys, metric, tail, message):
-    cfg = write_config(tmp_path, "cfg.json", LR_CFG)
-    out = str(tmp_path / "out")
-    assert run_cli(["lr-curve", "--config", cfg, "--out", out]) == 0
+    code, out = run_config(tmp_path / "out", LR_CFG)
+    assert code == 0
     manifest = read_bytes(os.path.join(out, "manifest.json"))
-    with open(os.path.join(out, f"{metric}.csv"), "ab") as fh:
-        fh.write(tail)
+    path = os.path.join(out, f"{metric}.csv")
+    data = read_bytes(path)
+    with open(path, "wb") as fh:
+        fh.write(data.replace(*tail, 1) if isinstance(tail, tuple) else data + tail)
     capsys.readouterr()
-    assert run_cli(["emit-plotdata", "--out", out]) == 2
+    assert cli.main(["emit-plotdata", "--out", out]) == 2
     err = capsys.readouterr().err.splitlines()
     assert err == [f"error: {os.path.join(out, metric + '.csv')}, {message}"]
     assert not [name for name in os.listdir(out) if name.startswith("plot_")]
@@ -560,12 +512,11 @@ def test_emit_plotdata_refuses_a_bad_metric_csv(tmp_path, capsys, metric, tail, 
 
 def test_emit_plotdata_takes_nan_values(tmp_path):
     # a degenerate CP factor records cp_ipr as nan
-    cfg = write_config(tmp_path, "cfg.json", dict(LR_CFG, theta=[1.0, 2.0]))
-    out = str(tmp_path / "out")
-    assert run_cli(["lr-curve", "--config", cfg, "--out", out]) == 0
+    code, out = run_config(tmp_path / "out", dict(LR_CFG, theta=[1.0, 2.0]))
+    assert code == 0
     with open(os.path.join(out, "gamma_beta.csv"), "a") as fh:
         fh.write("8,1.0,1.0,1,nan\n")
-    assert run_cli(["emit-plotdata", "--out", out]) == 0
+    assert cli.main(["emit-plotdata", "--out", out]) == 0
     with open(os.path.join(out, "plot_gamma_beta.csv")) as fh:
         rows = fh.read().splitlines()
     assert rows[1] == "8,1.0,1.0,nan,nan,2" and rows[2].startswith("8,2.0,1.0,") and len(rows) == 3
@@ -581,9 +532,8 @@ def test_cli_entry_point_installed():
 
 
 def test_train_sweep_smoke(tmp_path):
-    cfg = write_config(
-        tmp_path,
-        "cfg.json",
+    code, out = run_config(
+        tmp_path / "ts",
         {
             "experiment": "train-sweep",
             "seed": 6,
@@ -597,9 +547,9 @@ def test_train_sweep_smoke(tmp_path):
             "train": {"batch_size": 32},
             "rf": True,
         },
+        "--jobs", "1",
     )
-    out = str(tmp_path / "ts")
-    assert run_cli(["train-sweep", "--config", cfg, "--out", out, "--jobs", "1"]) == 0
+    assert code == 0
     for metric in ("nn_early_stop_acc", "nn_final_max_overlap", "rf_acc"):
         assert os.path.exists(os.path.join(out, f"{metric}.csv")), metric
 
@@ -607,9 +557,8 @@ def test_train_sweep_smoke(tmp_path):
 def test_train_sweep_nlgp_lazy_grid(tmp_path):
     # NLGP task trains against the matched Gaussian class; no spike, so no
     # overlap metric; alpha > 1 exercises the centred lazy path
-    cfg = write_config(
-        tmp_path,
-        "cfg.json",
+    code, out = run_config(
+        tmp_path / "nlt",
         {
             "experiment": "train-sweep",
             "seed": 9,
@@ -625,8 +574,7 @@ def test_train_sweep_nlgp_lazy_grid(tmp_path):
             "rf": False,
         },
     )
-    out = str(tmp_path / "nlt")
-    assert run_cli(["train-sweep", "--config", cfg, "--out", out]) == 0
+    assert code == 0
     assert not os.path.exists(os.path.join(out, "nn_final_max_overlap.csv"))
     with open(os.path.join(out, "nn_early_stop_acc.csv")) as fh:
         rows = fh.read().strip().splitlines()
@@ -635,9 +583,8 @@ def test_train_sweep_nlgp_lazy_grid(tmp_path):
 
 
 def test_nlgp_localisation_smoke(tmp_path):
-    cfg = write_config(
-        tmp_path,
-        "cfg.json",
+    code, out = run_config(
+        tmp_path / "nl",
         {
             "experiment": "nlgp-localisation",
             "seed": 7,
@@ -648,8 +595,7 @@ def test_nlgp_localisation_smoke(tmp_path):
             "runs": 1,
         },
     )
-    out = str(tmp_path / "nl")
-    assert run_cli(["nlgp-localisation", "--config", cfg, "--out", out]) == 0
+    assert code == 0
     with open(os.path.join(out, "cp_ipr.csv")) as fh:
         rows = fh.read().strip().splitlines()
     assert rows[0] == "d,n,data_class,run,value"
@@ -660,9 +606,8 @@ def test_nlgp_localisation_smoke(tmp_path):
 def test_nlgp_localisation_degenerate_fit(tmp_path, monkeypatch):
     # a fit of weight 0.0 has a zero factor, whose IPR is recorded as nan
     monkeypatch.setattr(cli.cumtensor, "rank1_cp", lambda tensor, rng: (0.0, np.zeros(tensor.d)))
-    cfg = write_config(tmp_path, "cfg.json", NLGP_CFG)
-    out = str(tmp_path / "nl")
-    assert run_cli(["nlgp-localisation", "--config", cfg, "--out", out]) == 0
+    code, out = run_config(tmp_path / "nl", NLGP_CFG)
+    assert code == 0
     for metric, value in (("cp_ipr", "nan"), ("cp_weight", "0.0")):
         with open(os.path.join(out, f"{metric}.csv")) as fh:
             rows = fh.read().strip().splitlines()
@@ -688,10 +633,10 @@ TINY_TRAIN_CFG = {
 
 
 def test_train_sweep_deterministic_across_jobs(tmp_path):
-    cfg = write_config(tmp_path, "cfg.json", TINY_TRAIN_CFG)
-    out1, out2 = str(tmp_path / "j1"), str(tmp_path / "j2")
-    assert run_cli(["train-sweep", "--config", cfg, "--out", out1, "--jobs", "1"]) == 0
-    assert run_cli(["train-sweep", "--config", cfg, "--out", out2, "--jobs", "2"]) == 0
+    code, out1 = run_config(tmp_path / "j1", TINY_TRAIN_CFG, "--jobs", "1")
+    assert code == 0
+    code, out2 = run_config(tmp_path / "j2", TINY_TRAIN_CFG, "--jobs", "2")
+    assert code == 0
     csvs = sorted(n for n in os.listdir(out1) if n.endswith(".csv"))
     assert "rf_acc.csv" in csvs and "nn_final_max_ipr.csv" in csvs
     assert csvs == sorted(n for n in os.listdir(out2) if n.endswith(".csv"))
@@ -715,7 +660,7 @@ def env_without_blas_settings(**values):
 
 def test_import_sets_blas_settings_before_numpy():
     # the hook sees os.environ as it is when numpy starts to load, which is
-    # when numpy's OpenBLAS reads it
+    # when numpy's OpenBLAS reads it; `import cumlab` loads no numpy itself
     code = (
         "import importlib.abc, json, os, sys\n"
         "seen = []\n"
@@ -725,9 +670,12 @@ def test_import_sets_blas_settings_before_numpy():
         f"            seen.append({{var: os.environ.get(var) for var in {tuple(BLAS_DEFAULTS)!r}}})\n"
         "sys.meta_path.insert(0, Hook())\n"
         "import cumlab\n"
-        "print(json.dumps([seen, cumlab.BLAS_SETTINGS]))\n"
+        "loaded = 'numpy' in sys.modules\n"
+        "import numpy\n"
+        "print(json.dumps([loaded, seen, cumlab.BLAS_SETTINGS]))\n"
     )
-    seen, recorded = json.loads(run_fresh_python(code, env_without_blas_settings()))
+    loaded, seen, recorded = json.loads(run_fresh_python(code, env_without_blas_settings()))
+    assert not loaded
     assert seen == [BLAS_DEFAULTS]
     assert recorded == BLAS_DEFAULTS
     # numpy loaded first has read its settings already: nothing is recorded
@@ -756,8 +704,8 @@ def test_blas_starts_no_thread():
                                         ("2", {"OMP_WAIT_POLICY": "ACTIVE"})], ids=["1", "2"])
 def test_blas_settings_keep_user_values(tmp_path, jobs, user):
     # the user set a thread count and one wait setting, not the other
-    cfg = write_config(tmp_path, "cfg.json", TINY_TRAIN_CFG)
     out = str(tmp_path / "out")
+    cfg = write_config(out, TINY_TRAIN_CFG)
     code = (
         "import json, os, sys\n"
         "from cumlab import cli\n"
@@ -816,9 +764,8 @@ def test_pool_workers_are_forked(tmp_path, monkeypatch):
 
     monkeypatch.setitem(cli.EXPERIMENTS, "search-curve", dataclasses.replace(
         cli.EXPERIMENTS["search-curve"], run=worker_pid, aggregate=None))
-    cfg = write_config(tmp_path, "cfg.json", SEARCH_CFG)
-    out = str(tmp_path / "out")
-    assert run_cli(["search-curve", "--config", cfg, "--out", out, "--jobs", "2"]) == 0
+    code, out = run_config(tmp_path / "out", SEARCH_CFG, "--jobs", "2")
+    assert code == 0
     with open(os.path.join(out, "worker_pid.csv")) as fh:
         pids = {float(row["value"]) for row in csv.DictReader(fh)}
     assert pids and float(os.getpid()) not in pids and len(pids) <= 2
@@ -843,9 +790,8 @@ def run_fresh_python(code, env=None):
 ])
 def test_duplicate_grid_point_is_refused(tmp_path, capsys, experiment, payload, point):
     # duplicate tasks share a point seed: their runs would be copies
-    cfg = write_config(tmp_path, "dup.json", payload)
-    out = str(tmp_path / "dup")
-    assert run_cli([experiment, "--config", cfg, "--out", out]) == 2
+    code, out = run_config(tmp_path / "dup", payload, experiment=experiment)
+    assert code == 2
     assert f"grid point {point} appears twice" in capsys.readouterr().err
     assert not os.path.exists(out)
 
@@ -897,21 +843,20 @@ GENERATE_CFG = {
     ("lr-curve", dict(LR_CFG, beta=[1.0, 1e101]),
      "'beta' has value 1e+101, expected >= 0 and <= 1e+100"),
     ("ldlr-bounds", dict(LDLR_CFG, D=[8, "x"]), "'D' has value 'x', expected int"),
+    ("search-curve", dict(SEARCH_CFG, d=[]), "grid list 'd' must be non-empty"),
 ])
 def test_bad_grid_value_is_refused(tmp_path, capsys, experiment, payload, message):
     # a value of the wrong type is refused, never truncated or cast
-    cfg = write_config(tmp_path, "bad.json", payload)
-    out = str(tmp_path / "bad")
-    assert run_cli([experiment, "--config", cfg, "--out", out]) == 2
+    code, out = run_config(tmp_path / "bad", payload, experiment=experiment)
+    assert code == 2
     assert message in capsys.readouterr().err
     assert not os.path.exists(out)
 
 
 def test_lr_curve_takes_no_samples(tmp_path):
     # d^theta underflows to n = 0, a norm of 1; only search-curve needs n >= 1
-    cfg = write_config(tmp_path, "zero.json", dict(LR_CFG, d=[2], theta=[-1100.0]))
-    out = str(tmp_path / "zero")
-    assert run_cli(["lr-curve", "--config", cfg, "--out", out]) == 0
+    code, out = run_config(tmp_path / "zero", dict(LR_CFG, d=[2], theta=[-1100.0]))
+    assert code == 0
     with open(os.path.join(out, "log_lr_norm_sq.csv")) as fh:
         rows = list(csv.DictReader(fh))
     assert [(r["theta"], float(r["value"])) for r in rows] == [("-1100.0", 0.0)]
@@ -952,9 +897,8 @@ NLGP_CFG = {"experiment": "nlgp-localisation", "seed": 2, "d": 8, "n_per_d": [10
     ("ldlr-bounds", dict(LDLR_CFG, d=[10**19]), f"d={10**19}, n=20, D=6, beta=1.0"),
 ], ids=["train", "train-test", "generate", "nlgp", "search", "lr", "ldlr"])
 def test_array_numpy_cannot_hold_is_refused(tmp_path, capsys, experiment, payload, point):
-    cfg = write_config(tmp_path, "big.json", payload)
-    out = str(tmp_path / "big")
-    assert run_cli([experiment, "--config", cfg, "--out", out]) == 2
+    code, out = run_config(tmp_path / "big", payload, experiment=experiment)
+    assert code == 2
     assert capsys.readouterr().err == (
         f"config error: grid point {point} needs an array larger than numpy can hold\n")
     assert not os.path.exists(out)
@@ -980,9 +924,8 @@ def test_array_bound_is_numpys():
 def test_lr_curve_refuses_a_beta_past_float_precision(tmp_path, capsys, g):
     # from beta ~ 1e16, (1+beta)^2 - beta^2 cancels to 0 and f(beta, 1) is nan;
     # the run wrote nan and gamma_beta 0.0, which claims no divergence
-    cfg = write_config(tmp_path, "beta.json", dict(LR_CFG, beta=[1.0, 1e16], g=g))
-    out = str(tmp_path / "beta")
-    assert run_cli(["lr-curve", "--config", cfg, "--out", out]) == 2
+    code, out = run_config(tmp_path / "beta", dict(LR_CFG, beta=[1.0, 1e16], g=g))
+    assert code == 2
     assert capsys.readouterr().err == (
         f"config error: f(beta, 1) of g = {g} is nan in floats at beta = 1e+16\n")
     assert not os.path.exists(out)
@@ -1041,8 +984,8 @@ def probe_cli_runs(tmp_path):
     payloads.update(PROBE_TRAIN_RUNS)
     argvs = {}
     for i, (name, payload) in enumerate(payloads.items()):
-        cfg = write_config(tmp_path, f"{i}.json", payload)
-        argvs[name] = [payload["experiment"], "--config", cfg, "--out", str(tmp_path / str(i)),
+        out = str(tmp_path / str(i))
+        argvs[name] = [payload["experiment"], "--config", write_config(out, payload), "--out", out,
                        "--jobs", "1"]
     code = SCIPY_FINDER + (
         "import json\n"
@@ -1120,9 +1063,8 @@ def test_binary_header_bound_is_refused(tmp_path, capsys, fmt, change, message):
     # the .bin header holds 2 * n_per_class and d as uint32: past 2^32 - 1 the
     # config is refused before any array is made, not in the writer after
     # allocating 32 GiB or more.  These configs are only ever validated
-    cfg = write_config(tmp_path, "big.json", {**GENERATE_CFG, **change, "format": fmt})
-    out = str(tmp_path / "big")
-    assert run_cli(["generate", "--config", cfg, "--out", out]) == 2
+    code, out = run_config(tmp_path / "big", {**GENERATE_CFG, **change, "format": fmt})
+    assert code == 2
     assert message in capsys.readouterr().err
     assert not os.path.exists(out)
 
@@ -1264,6 +1206,8 @@ def test_binary_header_bound_is_the_uint32_range():
      "'beta' has value 1e+101, expected >= 0 and <= 1e+100"),
     ("train-sweep", dict(TINY_TRAIN_CFG, task="nlgp", gain=1e101),
      "'gain' has value 1e+101, expected > 0 and <= 1e+100"),
+    ("generate", dict(GENERATE_CFG, negative_model={"kind": "null", "d": 4}),
+     "negative_model dimension differs from model dimension"),
 ])
 def test_bad_scalar_value_is_refused(tmp_path, capsys, monkeypatch, experiment, payload, message):
     # scalar keys are checked like grid values: never truncated, cast or
@@ -1271,9 +1215,8 @@ def test_bad_scalar_value_is_refused(tmp_path, capsys, monkeypatch, experiment, 
     # any point runs
     for var, val in getattr(payload, "env", {}).items():
         monkeypatch.setenv(var, val)
-    cfg = write_config(tmp_path, "bad.json", payload)
-    out = str(tmp_path / "bad")
-    assert run_cli([experiment, "--config", cfg, "--out", out]) == 2
+    code, out = run_config(tmp_path / "bad", payload, experiment=experiment)
+    assert code == 2
     assert message in capsys.readouterr().err
     assert not os.path.exists(out)
 
@@ -1289,9 +1232,8 @@ def test_success_rate_leaves_out_failed_runs(tmp_path, monkeypatch):
         return real_search(*args, **kwargs)
 
     monkeypatch.setattr(cli.detect, "exhaustive_search", flaky_search)
-    cfg = write_config(tmp_path, "cfg.json", SEARCH_CFG)
-    out = str(tmp_path / "f")
-    assert run_cli(["search-curve", "--config", cfg, "--out", out, "--jobs", "1"]) == 1
+    code, out = run_config(tmp_path / "f", SEARCH_CFG, "--jobs", "1")
+    assert code == 1
     with open(os.path.join(out, "success.csv")) as fh:
         rows = [r.split(",") for r in fh.read().strip().splitlines()[1:]]
     hits = {theta: sum(float(r[3]) for r in rows if r[1] == theta) for theta in ("0.5", "1.25")}
@@ -1309,9 +1251,9 @@ def test_search_success_is_recovery_up_to_sign(tmp_path, monkeypatch):
     # that starts with -1 is recovered as its negative, which is a success
     monkeypatch.setattr(cli.datagen, "draw_spike",
                         lambda d, rng: np.array([-1.0, 1.0, 1.0, -1.0, 1.0, -1.0]))
-    cfg = write_config(tmp_path, "cfg.json", dict(SEARCH_CFG, d=6, theta=[2.0], runs=3))
-    out = str(tmp_path / "s")
-    assert run_cli(["search-curve", "--config", cfg, "--out", out, "--jobs", "1"]) == 0
+    code, out = run_config(tmp_path / "s", dict(SEARCH_CFG, d=6, theta=[2.0], runs=3),
+                           "--jobs", "1")
+    assert code == 0
     with open(os.path.join(out, "success_rate.csv")) as fh:
         assert fh.read().splitlines()[1] == "2.0,1.0,3,6,10.0,21"
 
@@ -1343,9 +1285,8 @@ PINNED_SEEDS = [
 @pytest.mark.parametrize("payload, seeds", PINNED_SEEDS,
                          ids=[payload["experiment"] for payload, _ in PINNED_SEEDS])
 def test_point_seeds_are_pinned(tmp_path, payload, seeds):
-    cfg = write_config(tmp_path, "cfg.json", payload)
-    out = str(tmp_path / "out")
-    assert run_cli([payload["experiment"], "--config", cfg, "--out", out]) == 0
+    code, out = run_config(tmp_path / "out", payload)
+    assert code == 0
     assert json.loads(read_bytes(os.path.join(out, "manifest.json")))["point_seeds"] == seeds
 
 
@@ -1354,9 +1295,8 @@ def test_point_seeds_are_pinned(tmp_path, payload, seeds):
                          ids=[payload["experiment"] for payload, _ in PINNED_SEEDS]
                          + ["train-sweep-jobs2"])
 def test_manifest_outputs_list_every_file(tmp_path, payload, jobs):
-    cfg = write_config(tmp_path, "cfg.json", payload)
-    out = str(tmp_path / "out")
-    assert run_cli([payload["experiment"], "--config", cfg, "--out", out, "--jobs", jobs]) == 0
+    code, out = run_config(tmp_path / "out", payload, "--jobs", jobs)
+    assert code == 0
     assert listing_is_outputs(out)
 
 
@@ -1365,11 +1305,11 @@ def test_dead_worker_fails_its_point(tmp_path):
     # on the large point dies of SIGXCPU.  The sweep must record that point
     # as failed, write the small one and exit, not hang.  The run has its
     # own process group, killed at the end, so no worker outlives the test.
-    cfg = write_config(tmp_path, "cfg.json", {
+    out = str(tmp_path / "dead")
+    cfg = write_config(out, {
         "experiment": "train-sweep", "seed": 1, "task": "spiked_wishart", "beta": 5.0,
         "d": [32], "n_per_class": [20, 20000], "n_test_per_class": 50, "rf": False,
         "train": {"epochs": 400, "batch_size": 8}})
-    out = str(tmp_path / "dead")
 
     def limit_cpu():
         resource.setrlimit(resource.RLIMIT_CPU, (3, 3))

@@ -1,16 +1,13 @@
 """Fourth-cumulant estimator and rank-1 CP extraction."""
 
 import itertools
-import tracemalloc
 
 import numpy as np
 import pytest
 
 from cumlab import cumtensor, datagen, learn
-from cumlab.hermite import GDistribution
-from oracles import contract3_full, contract4, from_full, full_tensor, orbit_tensor
-
-RADEM = GDistribution.from_kind("rademacher")
+from oracles import (RADEM, contract3_full, contract4, from_full, full_tensor, orbit_tensor,
+                     traced_peak)
 
 
 def rank1_tensor(w, weight=1.0):
@@ -136,10 +133,7 @@ def test_estimator_centres_the_data_once():
     n, d = 20_000, 20
     x = np.random.default_rng(8).exponential(size=(n, d))
     cumtensor.empirical_fourth_cumulant(x)  # warm the index cache
-    tracemalloc.start()
-    cumtensor.empirical_fourth_cumulant(x)
-    peak = tracemalloc.get_traced_memory()[1]
-    tracemalloc.stop()
+    peak = traced_peak(lambda: cumtensor.empirical_fourth_cumulant(x))
     pairs = d * (d + 1) // 2
     block_bytes = 8 * pairs * cumtensor._MOMENT_BLOCK_ROWS
     assert peak < 1.5 * x.nbytes + block_bytes + 2 * 8 * pairs**2
@@ -149,11 +143,8 @@ def test_pair_block_is_capped_by_size():
     # at d = 64 a 4096-row pair block would be 65 MiB, twice the 33 MiB K;
     # capped at 2^22 products it is 32 MiB, and the peak stays below 120 MiB
     x = np.random.default_rng(8).exponential(size=(4096, 64))
-    cumtensor.empirical_fourth_cumulant(x)  # warm the index cache
-    tracemalloc.start()
-    k = cumtensor.empirical_fourth_cumulant(x)
-    peak = tracemalloc.get_traced_memory()[1]
-    tracemalloc.stop()
+    k = cumtensor.empirical_fourth_cumulant(x)  # warms the index cache
+    peak = traced_peak(lambda: cumtensor.empirical_fourth_cumulant(x))
     assert peak < 120 * 2**20
     # blocks of 2016, 2016 and 64 rows sum to the moments written out longhand
     xc = x - x.mean(axis=0)

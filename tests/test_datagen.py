@@ -2,23 +2,21 @@
 
 import os
 import struct
-import tracemalloc
 
 import numpy as np
 import pytest
 from scipy import special, stats
 
 from cumlab import _kernels, _special, datagen
-from cumlab.hermite import GDistribution
 from cumlab.rng import generator, spawn_seed
 from oracles import (
+    RADEM,
     erf_variance_quadrature,
     sample_class_whole_array,
+    traced_peak,
     whitening_matrix,
     write_csv_unbuffered,
 )
-
-RADEM = GDistribution.from_kind("rademacher")
 
 
 def cumulant_spec(d, beta, seed=0, g=RADEM):
@@ -252,6 +250,22 @@ def test_model_spec_validation():
             kind=datagen.SPIKED_CUMULANT, d=4, beta=1.0, g_dist=RADEM,
             spike=np.array([1.0, 2.0, 1.0, 1.0]),
         )
+    with pytest.raises(ValueError, match="dimension d must be >= 1"):
+        datagen.ModelSpec(kind=datagen.NULL, d=0)
+    with pytest.raises(ValueError, match="beta must be finite and >= 0"):
+        datagen.ModelSpec(kind=datagen.SPIKED_WISHART, d=4, beta=-1.0)
+    with pytest.raises(ValueError, match="spike must be a d-vector"):
+        datagen.ModelSpec(kind=datagen.SPIKED_WISHART, d=4, beta=1.0, spike=np.ones(5))
+    # what the samplers cannot draw
+    with pytest.raises(ValueError, match="d must be >= 1"):
+        datagen.draw_spike(0, np.random.default_rng(1))
+    with pytest.raises(ValueError, match="spiked_wishart requires an explicit spike"):
+        datagen.sample_class(datagen.ModelSpec(kind=datagen.SPIKED_WISHART, d=4, beta=1.0), 5, 1)
+    null = datagen.ModelSpec(kind=datagen.NULL, d=4)
+    with pytest.raises(ValueError, match="n must be >= 1"):
+        datagen.sample_class(null, 0, 1)
+    with pytest.raises(ValueError, match="class dimensions differ"):
+        datagen.make_dataset(null, 5, 1, neg=datagen.ModelSpec(kind=datagen.NULL, d=3))
 
 
 def test_export_round_trip(tmp_path):
@@ -388,16 +402,6 @@ def test_read_csv_refuses_foreign_header(tmp_path):
     path.write_text("a,b\n1.0,2.0\n")
     with pytest.raises(ValueError, match="not a cumlab dataset CSV"):
         datagen.read_csv(path)
-
-
-def traced_peak(call) -> int:
-    """Peak bytes allocated through Python while `call()` runs."""
-    tracemalloc.start()
-    try:
-        call()
-        return tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
 
 
 def test_write_csv_memory_does_not_grow_with_rows(tmp_path):

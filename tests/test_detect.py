@@ -1,16 +1,11 @@
 """Exhaustive-search detector: recovery, tie-breaks, and curve protocol."""
 
-import json
-import tracemalloc
-
 import numpy as np
 import pytest
 
-from cumlab import cli, datagen, detect
-from cumlab.hermite import GDistribution
+from cumlab import datagen, detect
 from cumlab.likelihood import sample_log_likelihood
-
-RADEM = GDistribution.from_kind("rademacher")
+from oracles import GAUSS, RADEM, UNIF, run_config, traced_peak
 
 
 def test_recovers_spike_on_aligned_data():
@@ -44,12 +39,7 @@ def test_uniform_search_needs_no_quadrature_workspace():
     # the closed-form Uniform score works in (n, block) arrays of 2^14 values,
     # where the 64-node rule made (n, block, 64) arrays of 6.9 MB per block
     data = np.random.default_rng(5).standard_normal((53, 14))
-    tracemalloc.start()
-    try:
-        detect.exhaustive_search(data, 10.0, GDistribution.from_kind("uniform"))
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    peak = traced_peak(lambda: detect.exhaustive_search(data, 10.0, UNIF))
     assert peak < 2 * 2**20, peak
 
 
@@ -65,7 +55,7 @@ def test_beta_zero_ties_break_lexicographically():
 def test_sign_class_equivalence():
     rng = np.random.default_rng(2)
     data = rng.standard_normal((30, 7))
-    for dist in (RADEM, GDistribution.from_kind("uniform")):
+    for dist in (RADEM, UNIF):
         for _ in range(5):
             v = datagen.draw_spike(7, rng)
             s_pos = sample_log_likelihood(data, v, 10.0, dist)
@@ -93,18 +83,15 @@ def test_gaussian_g_scores_are_flat():
     # the whitened Gaussian model equals the null: search is uninformative
     rng = np.random.default_rng(4)
     data = rng.standard_normal((10, 5))
-    gauss = GDistribution.from_kind("standard_gaussian")
-    spike, loglik = detect.exhaustive_search(data, 10.0, gauss)
+    spike, loglik = detect.exhaustive_search(data, 10.0, GAUSS)
     assert np.array_equal(spike, np.array([1.0, -1.0, -1.0, -1.0, -1.0]))
     assert loglik == pytest.approx(0.0, abs=1e-12)
 
 
 def search_curve(tmp_path, **cfg):
     """(theta, success rate) rows of a search-curve run of the CLI."""
-    path = tmp_path / "search.json"
-    path.write_text(json.dumps(dict(cfg, experiment="search-curve")))
     out = tmp_path / "search"
-    assert cli.main(["search-curve", "--config", str(path), "--out", str(out)]) == 0
+    assert run_config(out, dict(cfg, experiment="search-curve"))[0] == 0
     rows = (out / "success_rate.csv").read_text().splitlines()[1:]
     return [(float(r.split(",")[0]), float(r.split(",")[1])) for r in rows]
 

@@ -5,9 +5,13 @@ import math
 import numpy as np
 import pytest
 
-from cumlab.hermite import G_KINDS, GDistribution, hermite_coeff_expectation, uniform_rule
+from cumlab.hermite import GDistribution, hermite_coeff_expectation, uniform_rule
 from oracles import (
     DEFAULT_MAX_DEGREE,
+    GAUSS,
+    LAWS,
+    RADEM,
+    UNIF,
     DegreeError,
     abs_coefficient_sum,
     coeff_expectation_closed_form,
@@ -141,23 +145,34 @@ def test_scaling_identity():
 
 
 def test_coefficient_expectations():
-    radem = GDistribution.from_kind("rademacher")
-    unif = GDistribution.from_kind("uniform")
-    gauss = GDistribution.from_kind("standard_gaussian")
-    assert hermite_coeff_expectation(radem, 4) == -2.0
-    assert hermite_coeff_expectation(radem, 3) == 0.0
-    assert hermite_coeff_expectation(unif, 4) == pytest.approx(-1.2, abs=1e-15)
-    assert hermite_coeff_expectation(gauss, 6) == 0.0
-    assert hermite_coeff_expectation(gauss, 0) == 1.0
+    assert hermite_coeff_expectation(RADEM, 4) == -2.0
+    assert hermite_coeff_expectation(RADEM, 3) == 0.0
+    assert hermite_coeff_expectation(UNIF, 4) == pytest.approx(-1.2, abs=1e-15)
+    assert hermite_coeff_expectation(GAUSS, 6) == 0.0
+    assert hermite_coeff_expectation(GAUSS, 0) == 1.0
     # degrees 1 and 2 vanish for every admissible law (mean 0, variance 1)
-    for dist in (radem, unif):
+    for dist in (RADEM, UNIF):
         assert hermite_coeff_expectation(dist, 1) == 0.0
         assert hermite_coeff_expectation(dist, 2) == pytest.approx(0.0, abs=1e-15)
 
 
+def test_every_law_samples_its_moments():
+    # mean 0, variance 1 and the law's fourth moment, each within 5 standard
+    # errors at 400,000 draws; the Gaussian law draws standard normals
+    n = 400_000
+    for dist in LAWS.values():
+        g = dist.sample(n, np.random.default_rng(8))
+        assert g.shape == (n,)
+        for k in (1, 2, 4):
+            se = np.std(g**k, ddof=1) / np.sqrt(n)
+            assert abs(np.mean(g**k) - float(dist.moment(k))) <= 5 * se, (dist.kind, k)
+    assert np.array_equal(GAUSS.sample(5, np.random.default_rng(9)),
+                          np.random.default_rng(9).standard_normal(5))
+
+
 def test_coefficient_expectation_matches_monte_carlo():
     rng = np.random.default_rng(7)
-    for dist in map(GDistribution.from_kind, ("rademacher", "uniform")):
+    for dist in (RADEM, UNIF):
         g = dist.sample(400_000, rng)
         for m in (4, 6):
             vals = hermite_eval(m, g)
@@ -171,7 +186,7 @@ def test_coefficient_expectation_matches_monte_carlo():
 
 def test_growth_bound():
     # |E[h_m(g)]| <= Lambda^m m! with Lambda = 1 (Rademacher), sqrt 3 (Uniform)
-    for dist in map(GDistribution.from_kind, ("rademacher", "uniform")):
+    for dist in (RADEM, UNIF):
         for m in range(13):
             bound = dist.lambda_growth**m * math.factorial(m)
             assert abs(hermite_coeff_expectation(dist, m)) <= bound + 1e-9
@@ -179,7 +194,7 @@ def test_growth_bound():
 
 def test_kappa4_consistency():
     # kappa4 equals E[h_4(g)] for unit-variance laws
-    for dist in map(GDistribution.from_kind, G_KINDS):
+    for dist in LAWS.values():
         assert hermite_coeff_expectation(dist, 4) == pytest.approx(dist.kappa4, abs=1e-14)
 
 
@@ -191,7 +206,7 @@ def test_quadrature_moments():
     assert (weights * nodes**2).sum() == pytest.approx(1.0, abs=1e-12)
     for m in (4, 6, 8):
         assert (weights * hermite_eval(m, nodes)).sum() == pytest.approx(
-            hermite_coeff_expectation(GDistribution.from_kind("uniform"), m), rel=1e-12)
+            hermite_coeff_expectation(UNIF, m), rel=1e-12)
     # one shared, read-only rule
     assert uniform_rule() is uniform_rule()
     assert not nodes.flags.writeable and not weights.flags.writeable
@@ -202,22 +217,20 @@ def test_coefficient_expectation_matches_closed_forms():
     # repr, so the rounding and the sign of zero agree too: every degree up
     # to 303, the last at which E[h_m(g)] of Rademacher and Uniform g fits a
     # float, and Gaussian degrees near 600
-    for kind in G_KINDS:
-        dist = GDistribution.from_kind(kind)
+    for kind, dist in LAWS.items():
         degrees = [*range(304), *(range(598, 604) if kind == "standard_gaussian" else ())]
         for m in degrees:
             assert repr(hermite_coeff_expectation(dist, m)) == repr(
                 coeff_expectation_closed_form(kind, m)), (kind, m)
     for kind in ("rademacher", "uniform"):
         with pytest.raises(OverflowError):
-            hermite_coeff_expectation(GDistribution(kind), 304)
+            hermite_coeff_expectation(LAWS[kind], 304)
     with pytest.raises(ValueError, match="nonnegative"):
-        hermite_coeff_expectation(GDistribution("rademacher"), -1)
+        hermite_coeff_expectation(RADEM, -1)
 
 
 def test_law_constants():
-    laws = [GDistribution.from_kind(kind) for kind in ("rademacher", "uniform",
-                                                        "standard_gaussian")]
+    laws = [RADEM, UNIF, GAUSS]
     assert [g.kappa4 for g in laws] == [-2.0, -1.2, 0.0]
     assert [g.lambda_growth for g in laws] == [1.0, math.sqrt(3.0), 1.0]
     assert [g.moment(2) for g in laws] == [1, 1, 1]  # unit variance
@@ -227,7 +240,6 @@ def test_law_constants():
 def test_unknown_law_is_refused_at_construction():
     message = ("unknown g distribution 'foo'; expected one of "
                "('rademacher', 'uniform', 'standard_gaussian')")
-    for make in (GDistribution, GDistribution.from_kind):
-        with pytest.raises(ValueError) as exc:
-            make("foo")
-        assert str(exc.value) == message
+    with pytest.raises(ValueError) as exc:
+        GDistribution("foo")
+    assert str(exc.value) == message

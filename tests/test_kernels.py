@@ -5,21 +5,20 @@ one-line form; the SGD epoch is bit-equal to its reference loop."""
 
 import copy
 import itertools
-import tracemalloc
 
 import numpy as np
 import pytest
 
 from cumlab import _kernels, detect, learn
-from cumlab.hermite import GDistribution
 from cumlab.likelihood import loglik_terms, sample_log_likelihood
+from oracles import LAWS, RADEM, UNIF, traced_peak
 
 
 def test_search_matches_brute_force_oracle():
     # score every spike with first coordinate +1 on its own; the search must
     # return the first maximiser in code order (lexicographic, -1 < +1)
     rng = np.random.default_rng(1)
-    for dist in map(GDistribution.from_kind, ("rademacher", "uniform")):
+    for dist in (RADEM, UNIF):
         for d in (3, 6, 9):
             for trial in range(3):
                 n = int(rng.integers(2, 60))
@@ -59,7 +58,7 @@ def test_search_numpy_blocking_invariance(monkeypatch):
     rng = np.random.default_rng(2)
     X = rng.standard_normal((20, 9))
     X[:, 1] = 0.0  # codes c and c + 2^7 tie, and 7-code blocks put them in different blocks
-    for dist in map(GDistribution.from_kind, ("rademacher", "uniform")):
+    for dist in (RADEM, UNIF):
         def terms(t):
             return loglik_terms(t, 10.0, dist)
 
@@ -113,7 +112,7 @@ SEARCH_CASES = [
 
 @pytest.mark.parametrize("kind,d,n", SEARCH_CASES)
 def test_search_bit_equal_to_reference(kind, d, n):
-    dist = GDistribution.from_kind(kind)
+    dist = LAWS[kind]
     beta = 10.0
     rng = np.random.default_rng(1000 * d + n)
     X = rng.standard_normal((n, d))
@@ -130,7 +129,7 @@ def test_search_tie_bit_equal_to_reference(kind, monkeypatch):
     rng = np.random.default_rng(2)
     X = rng.standard_normal((20, 9))
     X[:, 1] = 0.0  # codes c and c + 2^7 tie
-    dist = GDistribution.from_kind(kind)
+    dist = LAWS[kind]
 
     def terms(t):
         return loglik_terms(t, 10.0, dist)
@@ -143,7 +142,6 @@ def test_search_tie_bit_equal_to_reference(kind, monkeypatch):
 
 def test_rademacher_terms_bit_equal_to_one_line_form():
     rng = np.random.default_rng(3)
-    radem = GDistribution.from_kind("rademacher")
     inputs = [
         rng.standard_normal((53, 256)) * 3.0,
         rng.standard_normal(1000) * 1e150,  # x * x overflows to inf
@@ -155,7 +153,7 @@ def test_rademacher_terms_bit_equal_to_one_line_form():
         for t in inputs:
             before = np.copy(t)
             with np.errstate(over="ignore", invalid="ignore"):
-                got = loglik_terms(t, beta, radem)
+                got = loglik_terms(t, beta, RADEM)
                 want = reference_rademacher_terms(t, beta)
             assert type(got) is type(want)
             np.testing.assert_array_equal(got, want)
@@ -168,14 +166,12 @@ def test_search_working_set_stays_small():
     # it held about 4.5 MB
     rng = np.random.default_rng(4)
     X = rng.standard_normal((53, 14))
-    radem = GDistribution.from_kind("rademacher")
-    _kernels.search_best_code(X, 0.3, lambda t: loglik_terms(t, 10.0, radem))  # warm the cache
-    tracemalloc.start()
-    try:
-        _kernels.search_best_code(X, 0.3, lambda t: loglik_terms(t, 10.0, radem))
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+
+    def search():
+        return _kernels.search_best_code(X, 0.3, lambda t: loglik_terms(t, 10.0, RADEM))
+
+    search()  # warm the cache
+    peak = traced_peak(search)
     assert peak < 1_000_000
 
 

@@ -10,7 +10,6 @@ import numpy as np
 import pytest
 
 from cumlab._special import logsumexp
-from cumlab.hermite import G_KINDS, GDistribution
 from cumlab.ldlr import (
     bound_report,
     ldlr_asymptotics,
@@ -21,16 +20,16 @@ from cumlab.ldlr import (
 )
 from oracles import (
     EXACT_ENUMERATION_BUDGET,
+    GAUSS,
+    LAWS,
+    RADEM,
+    UNIF,
     enumeration_count,
     ldlr_exact_small_log,
     ldlr_exact_spike_average_log,
     ldlr_norm_fraction,
     ldlr_wishart_limit,
 )
-
-RADEM = GDistribution.from_kind("rademacher")
-UNIF = GDistribution.from_kind("uniform")
-GAUSS = GDistribution.from_kind("standard_gaussian")
 
 
 def test_t_coeff_values():
@@ -63,6 +62,16 @@ def test_lower_monotonicity():
 def test_lower_precondition():
     with pytest.raises(ValueError, match="distinct samples"):
         ldlr_lower_log(1, 4, 8, 10.0, RADEM)
+
+
+def test_bounds_and_norm_refuse_bad_sizes():
+    with pytest.raises(ValueError, match="D must be >= 0"):
+        ldlr_upper_log(3, 4, -1, 10.0, RADEM)
+    with pytest.raises(ValueError, match="needs D >= 4"):
+        ldlr_asymptotics(10, 4, 3, 10.0, RADEM)
+    for n, d, D in ((-1, 4, 8), (10, 0, 8), (10, 4, -2)):
+        with pytest.raises(ValueError, match="need n >= 0, d >= 1 and D >= 0"):
+            ldlr_norm_log(n, d, D, 10.0, RADEM)
 
 
 def test_upper_trivial():
@@ -227,7 +236,7 @@ def test_bound_report_metrics():
 
 # the grid of the enumeration check: every instance of it that the oracle
 # visits in at most 30,000 multi-indices
-ORACLE_GRID = [(g, beta, n, d, D) for g in map(GDistribution, G_KINDS) for beta in (0.0, 0.5, 10.0)
+ORACLE_GRID = [(g, beta, n, d, D) for g in LAWS.values() for beta in (0.0, 0.5, 10.0)
                for n in (1, 2, 5, 20) for d in range(1, 7) for D in (4, 8, 12, 16)
                if enumeration_count(n, d, D) <= 30_000]
 

@@ -1,16 +1,14 @@
 """Network training, random features, and the overlap/IPR diagnostics."""
 
 import copy
-import tracemalloc
 
 import numpy as np
 import pytest
 
 from cumlab import _kernels, cli, datagen, learn
-from cumlab.hermite import GDistribution
 from cumlab.rng import generator
+from oracles import RADEM, traced_peak
 
-RADEM = GDistribution.from_kind("rademacher")
 # the train-sweep defaults of train_2lnn's keyword arguments, at alpha 1
 TRAIN = {name: key.default for name, key in cli._TRAIN.keys.items()
          if key.default is not cli.OPTIONAL} | {"alpha_lazy": 1.0}
@@ -189,6 +187,16 @@ def test_train_refuses_alpha_below_one():
         learn.train_2lnn(data, data, u, **dict(TRAIN, alpha_lazy=0.5, epochs=1, seed=2))
 
 
+def test_train_and_rf_refuse_bad_arguments():
+    data, u = wishart_data(8, 20, 5.0, seed=13)
+    test, _ = wishart_data(9, 20, 5.0, seed=14)
+    with pytest.raises(ValueError, match="train/test dimensions differ"):
+        learn.train_2lnn(data, test, u, **dict(TRAIN, epochs=1, seed=2))
+    for ridge in (0.0, -1.0):
+        with pytest.raises(ValueError, match="ridge regulariser must be positive"):
+            learn.fit_random_features(data, data, 40, ridge, 3)
+
+
 def test_centred_forward_and_alpha_scaling():
     # each epoch's test accuracy is the sign readout of the plain network at
     # alpha = 1 and of phi - phi0 against the initial network otherwise
@@ -243,12 +251,7 @@ def test_forward_working_set_stays_small():
     d, m = 32, 160
     X = rng.standard_normal((20000, d))
     net = learn.init_network(d, m, rng)
-    tracemalloc.start()
-    try:
-        net.forward(X)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    peak = traced_peak(lambda: net.forward(X))
     assert peak < 2_000_000
 
 
@@ -390,12 +393,7 @@ def test_rf_working_set_holds_no_test_feature_array():
     d, width, n_train = 32, 160, 320
     data, _ = wishart_data(d, n_train, 5.0, seed=34)
     test, _ = wishart_data(d, 10_000, 5.0, seed=35)
-    tracemalloc.start()
-    try:
-        learn.fit_random_features(data, test, width, 0.1, 36)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    peak = traced_peak(lambda: learn.fit_random_features(data, test, width, 0.1, 36))
     assert peak < 2 * n_train * width * 8 + 1_000_000, peak
 
 

@@ -1,7 +1,6 @@
 """Replica-overlap function, LR norm, conditional log-likelihood, gamma_beta."""
 
 import math
-import tracemalloc
 import warnings
 from decimal import Decimal, localcontext
 
@@ -10,7 +9,6 @@ import pytest
 from scipy.special import logsumexp
 
 from cumlab import datagen, likelihood
-from cumlab.hermite import GDistribution
 from cumlab.likelihood import (
     f_overlap,
     gamma_beta,
@@ -18,11 +16,7 @@ from cumlab.likelihood import (
     lr_norm_sq_log,
     sample_log_likelihood,
 )
-from oracles import uniform_score_quadrature, uniform_score_rule
-
-RADEM = GDistribution.from_kind("rademacher")
-UNIF = GDistribution.from_kind("uniform")
-GAUSS = GDistribution.from_kind("standard_gaussian")
+from oracles import GAUSS, RADEM, UNIF, traced_peak, uniform_score_quadrature, uniform_score_rule
 
 
 def f_rademacher_oracle(beta, lam):
@@ -102,12 +96,7 @@ def test_f_uniform_memory_does_not_grow_with_overlaps():
     # the rule is summed over blocks of overlaps, never one (d + 1, 64, 64) array
     lam = 2.0 * np.arange(4097) / 4096 - 1.0
     f_overlap(10.0, lam, UNIF)  # the rule is built outside the traced call
-    tracemalloc.start()
-    try:
-        f_overlap(10.0, lam, UNIF)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    peak = traced_peak(lambda: f_overlap(10.0, lam, UNIF))
     assert peak < 8 * 2**20, peak
 
 
@@ -128,6 +117,12 @@ def test_f_domain_error():
         f_overlap(1.0, 1.5, RADEM)
     with pytest.raises(ValueError):
         f_overlap(-0.5, 0.5, RADEM)
+
+
+def test_lr_norm_refuses_bad_sizes():
+    for n, d in ((-1, 7), (3, 0)):
+        with pytest.raises(ValueError, match="need n >= 0 and d >= 1"):
+            lr_norm_sq_log(n, d, 10.0, RADEM)
 
 
 def test_lr_norm_trivial_cases():

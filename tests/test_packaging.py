@@ -5,14 +5,13 @@ definition is used, and the benchmark's hooks into the package resolve."""
 import ast
 import importlib
 import inspect
-import json
 import os
 import re
 import sys
 
 import pytest
 
-from cumlab import cli
+from oracles import run_config
 
 tomllib = pytest.importorskip("tomllib")  # standard library from Python 3.11
 
@@ -156,7 +155,6 @@ def test_perfbench_hooks_resolve(tmp_path, perfbench):
     cfg = {"experiment": "generate", "seed": 3, "name": "pair", "n_per_class": 20,
            "format": "both", "model": {"kind": "spiked_cumulant", "d": 5, "beta": 10.0,
                                        "g": "rademacher"}}
-    path, out = tmp_path / "cfg.json", str(tmp_path / "out")
-    path.write_text(json.dumps(cfg))
-    assert cli.main(["generate", "--config", str(path), "--out", out, "--jobs", "1"]) == 0
+    code, out = run_config(tmp_path / "out", cfg, "--jobs", "1")
+    assert code == 0
     assert readback.check_export(out, cfg, readback.expected_dataset(cfg)) == []
